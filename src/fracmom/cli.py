@@ -23,6 +23,7 @@ from .model import ground_energy
 from .records import ResultRecord, append_records, emit_plot_data
 from .resolvent import SpectralShift, indicator_set
 from .validation import (
+    DENSE_ORACLE_CAP,
     DissipativeOperator,
     HSOperator,
     oracle_compare,
@@ -30,8 +31,6 @@ from .validation import (
 )
 
 logger = logging.getLogger(__name__)
-
-DENSE_SWEEP_CAP = 500
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +237,9 @@ def run_ids(cfg: ExperimentConfig, sink: _Sink, workers):
 
 
 def run_validate(cfg: ExperimentConfig, sink: _Sink, workers):
-    if cfg.grid.npoints > DENSE_SWEEP_CAP:
+    if cfg.grid.npoints > DENSE_ORACLE_CAP:
         raise ConfigError(
-            f"validate needs <= {DENSE_SWEEP_CAP} grid points for the dense "
+            f"validate needs <= {DENSE_ORACLE_CAP} grid points for the dense "
             f"oracle, got {cfg.grid.npoints}")
     X, Y = _moment_sets(cfg)
     failures = 0

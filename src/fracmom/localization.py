@@ -19,13 +19,12 @@ import scipy.sparse.linalg
 
 from .criterion import fit_exponential_decay
 from .errors import DomainError, IncompleteWindowError, NumericalError
-from .model import grid_points
+from .model import DENSE_EIG_CAP, grid_points
 from .moments import sample_seed
 from .resolvent import _local_positions
 
 logger = logging.getLogger(__name__)
 
-DENSE_EIG_CAP = 600
 INERTIA_DENSE_CAP = 1500
 
 _ORTHO_TOL = 1e-10

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import scipy.sparse.linalg
 
 from fracmom import cli
 from fracmom.config import parse_config
@@ -131,6 +136,48 @@ def test_worker_count_does_not_change_payloads(tmp_path):
     serial = read_records(tmp_path / "serial" / "records.jsonl")
     pool = read_records(tmp_path / "pool" / "records.jsonl")
     assert [r.payload for r in serial] == [r.payload for r in pool]
+
+
+def landau_doc(out_dir):
+    # 29 x 29 = 841 interior points: above DENSE_EIG_CAP, so E0 comes from
+    # the sparse ground-energy branch
+    return {
+        "experiment": "landau-rerun",
+        "model": {
+            "grid": {"d": 2, "box": [7.5, 7.5], "h": 0.25},
+            "profile": {"r": 1.0, "shape": "cosine-bump", "u0": 8.0},
+            "law": {"lam": 50.0},
+            "background": {"gauge": {"kind": "landau", "b": 0.2}},
+        },
+        "run": {"s": [0.3], "E": [8.0], "eps": [0.1, 0.03], "N": 2,
+                "master_seed": 5, "L": 3.0, "alphas": [[3.75, 3.75]]},
+        "constants": {"depth": 1.5},
+        "output": {"dir": str(out_dir)},
+    }
+
+
+def test_criterion_rerun_in_new_process_is_byte_identical(tmp_path):
+    path = write_config(tmp_path, landau_doc(tmp_path / "results"))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    payloads = []
+    for out in ("a", "b"):
+        subprocess.run([sys.executable, "-m", "fracmom.cli", "criterion",
+                        "--config", str(path), "--out", str(tmp_path / out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        records = read_records(tmp_path / out / "records.jsonl")
+        assert records and all(r.kind == "criterion" for r in records)
+        payloads.append([json.dumps(r.payload, sort_keys=True)
+                         for r in records])
+    assert payloads[0] == payloads[1]
+
+
+def test_ground_energy_nonconvergence_exits_3(tmp_path, monkeypatch, capsys):
+    def stalled(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+    path = write_config(tmp_path, landau_doc(tmp_path / "results"))
+    assert cli.main(["criterion", "--config", str(path)]) == 3
+    assert "ground energy iteration failed" in capsys.readouterr().err
 
 
 def test_epsilon_scan_requires_two_eps(tmp_path, capsys):

@@ -3,13 +3,20 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from fracmom.errors import ConstructionError, CoveringError, DensityError
+from fracmom.errors import (
+    ConstructionError,
+    CoveringError,
+    DensityError,
+    NonConvergenceError,
+)
 from fracmom.model import (
+    DENSE_EIG_CAP,
     BackgroundFields,
     ConstantScalar,
     ConstantVector,
     DiscreteHamiltonian,
     GridSpec,
+    LandauGauge,
     SingleSiteProfile,
     assemble_h0,
     assemble_hamiltonian,
@@ -25,6 +32,7 @@ from fracmom.model import (
 )
 
 import scipy.sparse
+import scipy.sparse.linalg
 
 
 def free_chain(n, h=1.0):
@@ -314,6 +322,32 @@ def test_ground_energy_one_by_one():
     ent = scipy.sparse.csr_matrix(np.array([[-2.5]]))
     H = DiscreteHamiltonian(grid=g, entries=ent, mask=np.array([0]))
     assert ground_energy(H) == -2.5
+
+
+@pytest.mark.parametrize("bg", [
+    BackgroundFields(A=LandauGauge(0.2)),
+    # a negative V0 puts the Gershgorin lower bound below zero
+    BackgroundFields(A=LandauGauge(0.2), V0=ConstantScalar(-3.0), V0_min=-3.0),
+    BackgroundFields(),
+], ids=["landau", "landau-negative-v0", "no-field"])
+def test_ground_energy_sparse_branch_matches_dense(bg):
+    g = GridSpec(d=2, box=(7.5, 7.5), h=0.25)
+    H = assemble_h0(g, bg)
+    assert H.n == 841 > DENSE_EIG_CAP
+    e0 = ground_energy(H)
+    ref = scipy.linalg.eigvalsh(H.dense(), subset_by_index=[0, 0])[0]
+    assert e0 == pytest.approx(ref, rel=1e-10)
+    H.e0 = None
+    assert ground_energy(H) == e0
+
+
+def test_ground_energy_nonconvergence_is_a_numerical_error(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+    g = GridSpec(d=2, box=(7.5, 7.5), h=0.25)
+    with pytest.raises(NonConvergenceError):
+        ground_energy(assemble_h0(g, BackgroundFields(A=LandauGauge(0.2))))
 
 
 # ---------------------------------------------------------------------------
