@@ -10,6 +10,7 @@ import argparse
 import json
 import logging
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -70,11 +71,6 @@ def _ladder_sets(cfg: ExperimentConfig):
     return x0, X, targets
 
 
-def _strip_timing(payload):
-    # wall time is a timestamp in disguise; records must be rerun-stable
-    return {k: v for k, v in payload.items() if k != "wall_time_ms"}
-
-
 def _record(cfg, kind, payload):
     return ResultRecord(experiment=cfg.experiment,
                         config_hash=cfg.config_hash, kind=kind,
@@ -107,17 +103,26 @@ class _Sink:
 # subcommand runners
 # ---------------------------------------------------------------------------
 
+# Every subcommand scans its norms once and folds them at each s.  A
+# record is folded from a block of the shape it would have on its own
+# ((N, 1) per moment, (N, |eps|) per scan, (N, |ladder|) per decay):
+# numpy's axis-0 mean and std sum an (N, 1) array pairwise but the
+# columns of a wider one row by row, so a wider block changes the bits.
+
 def run_moment(cfg: ExperimentConfig, sink: _Sink, workers):
     X, Y = _moment_sets(cfg)
+    shifts = [SpectralShift(E=E, eps=eps)
+              for E in cfg.E_values for eps in cfg.eps_schedule]
+    norms = moments.scan_norms(cfg.model, shifts, X, Y, cfg.N,
+                               cfg.master_seed, workers=workers)
     for s in cfg.s_values:
-        for E in cfg.E_values:
-            for eps in cfg.eps_schedule:
-                est = moments.estimate_fractional_moment(
-                    cfg.model, s, SpectralShift(E=E, eps=eps), X, Y, cfg.N,
-                    cfg.master_seed, workers=workers, diagnostic=(s == 1.0))
-                sink.add("moment", _strip_timing(est.payload()))
-                print(f"moment s={s} E={E} eps={eps}: "
-                      f"{est.mean:.6g} +- {est.stderr:.2g}")
+        for k, shift in enumerate(shifts):
+            est, = moments.estimates_from_norms(
+                norms[:, k:k + 1], s, [shift], X=X, Y=Y,
+                seed=cfg.master_seed, diagnostic=(s == 1.0))
+            sink.add("moment", est.payload())
+            print(f"moment s={s} E={shift.E} eps={shift.eps}: "
+                  f"{est.mean:.6g} +- {est.stderr:.2g}")
     sink.emit_csv("moment")
 
 
@@ -126,15 +131,21 @@ def run_epsilon_scan(cfg: ExperimentConfig, sink: _Sink, workers):
         raise ConfigError("run.eps: a scan needs at least two values")
     schedule = moments.EpsilonSchedule(cfg.eps_schedule)
     X, Y = _moment_sets(cfg)
+    shifts = [sh for E in cfg.E_values for sh in schedule.shifts(E)]
+    norms = moments.scan_norms(cfg.model, shifts, X, Y, cfg.N,
+                               cfg.master_seed, workers=workers)
+    n_eps = len(schedule.eps)
     for s in cfg.s_values:
-        for E in cfg.E_values:
-            scan = moments.epsilon_scan(cfg.model, s, E, schedule, X, Y,
-                                        cfg.N, cfg.master_seed,
-                                        workers=workers,
-                                        diagnostic=(s == 1.0))
-            for est in scan.estimates:
-                sink.add("moment", _strip_timing(est.payload()))
-            print(f"epsilon-scan s={s} E={E}: verdict {scan.verdict}")
+        for j, E in enumerate(cfg.E_values):
+            block = slice(j * n_eps, (j + 1) * n_eps)
+            ests = moments.estimates_from_norms(
+                norms[:, block], s, shifts[block], X=X, Y=Y,
+                seed=cfg.master_seed, diagnostic=(s == 1.0))
+            for est in ests:
+                sink.add("moment", est.payload())
+            verdict = moments.stability_verdict([e.mean for e in ests],
+                                                tol=schedule.tol)
+            print(f"epsilon-scan s={s} E={E}: verdict {verdict}")
     sink.emit_csv("epsilon-scan")
 
 
@@ -168,13 +179,15 @@ def run_criterion(cfg: ExperimentConfig, sink: _Sink, workers):
 def run_decay(cfg: ExperimentConfig, sink: _Sink, workers):
     x0, X, targets = _ladder_sets(cfg)
     eps = cfg.eps_schedule[-1]
+    shifts = [SpectralShift(E=E, eps=eps) for E in cfg.E_values]
+    scans = [moments.scan_pair_norms(cfg.model, shift,
+                                     [(X, Y) for Y in targets], cfg.N,
+                                     cfg.master_seed, workers=workers)
+             for shift in shifts]
     fits = []
     for s in cfg.s_values:
-        for E in cfg.E_values:
-            shift = SpectralShift(E=E, eps=eps)
-            norms = moments.scan_pair_norms(
-                cfg.model, shift, [(X, Y) for Y in targets], cfg.N,
-                cfg.master_seed, workers=workers)
+        for shift, norms in zip(shifts, scans):
+            E = shift.E
             ests = moments.estimates_from_norms(
                 norms, s, [shift] * len(targets), seed=cfg.master_seed)
             pts = [(d, e.mean) for d, e in zip(cfg.ladder, ests)]
@@ -191,18 +204,19 @@ def run_decay(cfg: ExperimentConfig, sink: _Sink, workers):
     return fits
 
 
+def _correlator_row(window, X, targets, H):
+    pairs = loc.eigensolve_window(H, window)
+    return [loc.correlator_from_pairs(pairs, H, X, Y) for Y in targets]
+
+
 def run_correlator(cfg: ExperimentConfig, sink: _Sink, workers):
     if cfg.window is None:
         raise ConfigError("run.window is required for correlator runs")
     window = loc.EigenWindow(a=cfg.window[0], b=cfg.window[1])
     x0, X, targets = _ladder_sets(cfg)
-    values = np.empty((cfg.N, len(targets)))
-    for i in range(cfg.N):
-        H = cfg.model.hamiltonian_for_seed(
-            moments.sample_seed(cfg.master_seed, i))
-        pairs = loc.eigensolve_window(H, window)
-        for j, Y in enumerate(targets):
-            values[i, j] = loc.correlator_from_pairs(pairs, H, X, Y)
+    values = np.array(moments.map_samples(
+        cfg.model, partial(_correlator_row, window, X, targets), cfg.N,
+        cfg.master_seed, workers))
     means = values.mean(axis=0)
     stderrs = values.std(axis=0, ddof=1) / np.sqrt(cfg.N)
     for d, m, se in zip(cfg.ladder, means, stderrs):
@@ -225,12 +239,12 @@ def run_correlator(cfg: ExperimentConfig, sink: _Sink, workers):
 
 
 def run_ids(cfg: ExperimentConfig, sink: _Sink, workers):
-    for E in cfg.E_values:
-        counts = loc.ids_counts(cfg.model, E, cfg.N, cfg.master_seed,
-                                workers=workers)
-        vol = cfg.grid.volume
-        ids = float(counts.mean() / vol)
-        stderr = float(counts.std(ddof=1) / np.sqrt(cfg.N) / vol)
+    counts = loc.ids_counts(cfg.model, cfg.E_values, cfg.N, cfg.master_seed,
+                            workers=workers)
+    vol = cfg.grid.volume
+    for E, column in zip(cfg.E_values, counts.T):
+        ids = float(column.mean() / vol)
+        stderr = float(column.std(ddof=1) / np.sqrt(cfg.N) / vol)
         sink.add("ids", {"E": E, "ids": ids, "stderr": stderr, "N": cfg.N})
         print(f"ids E={E}: {ids:.6g} +- {stderr:.2g} per unit volume")
     sink.emit_csv("ids")

@@ -15,12 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import grid_points, restrict_dirichlet
-from .moments import (
-    estimates_from_norms,
-    scan_norms,
-    scan_pair_norms,
-    stability_verdict,
-)
+from .moments import epsilon_scan, estimates_from_norms, scan_pair_norms
 from .resolvent import (
     SpectralShift,
     ball_indices,
@@ -244,13 +239,11 @@ def estimate_raw_boundary_moment(config, s, E, L, schedule, N, master_seed,
         ball = ball_indices(grid, alpha, L)
         X = indicator_set(grid, alpha, r, mask=ball)
         Y = boundary_layer_indices(alpha, L, r, grid, depth=depth)
-        factory = BallRestrictedModel(config, ball)
-        norms = scan_norms(factory, schedule.shifts(E), X, Y, N, master_seed,
-                           workers=workers, tol=tol, power_rtol=power_rtol)
-        estimates = estimates_from_norms(norms, s, schedule.shifts(E),
-                                         X=X, Y=Y, seed=master_seed)
-        means = [e.mean for e in estimates]
-        if stability_verdict(means, tol=schedule.tol) != "stable":
+        scan = epsilon_scan(BallRestrictedModel(config, ball), s, E,
+                            schedule, X, Y, N, master_seed, workers=workers,
+                            tol=tol, power_rtol=power_rtol)
+        means = scan.means
+        if not scan.stable:
             warnings.warn(
                 f"eps scan at alpha={tuple(alpha)} did not stabilize "
                 f"(last means {means[-2]:.3e}, {means[-1]:.3e}); "
@@ -391,15 +384,14 @@ def verify_criterion_consistency(config, report, ladder, eps, N, master_seed,
     shift = SpectralShift(E=report.E, eps=eps)
     norms = scan_pair_norms(config, shift, pairs, N, master_seed,
                             workers=workers, tol=tol, power_rtol=power_rtol)
-    powers = norms ** report.s
-    means = powers.mean(axis=0)
-    stderrs = (powers.std(axis=0, ddof=1) / np.sqrt(N) if N >= 2
-               else np.zeros(len(pairs)))
+    ests = estimates_from_norms(norms, report.s, [shift] * len(pairs),
+                                seed=master_seed)
+    means = [e.mean for e in ests]
+    stderrs = [e.stderr for e in ests]
     metric = ModifiedDistance(grid)
     dists = [metric.distance(x0, y) for y in targets]
     fit = fit_exponential_decay(list(zip(dists, means)), stderrs=stderrs)
     ratio = fit.mu / report.predicted_rate
     return ConsistencyReport(criterion=report, fit=fit, rate_ratio=float(ratio),
                              r2_threshold=r2_threshold, distances=tuple(dists),
-                             means=tuple(float(m) for m in means),
-                             stderrs=tuple(float(e) for e in stderrs))
+                             means=tuple(means), stderrs=tuple(stderrs))

@@ -9,8 +9,8 @@ over Borel functions is not evaluated.
 """
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -20,7 +20,7 @@ import scipy.sparse.linalg
 from .criterion import fit_exponential_decay
 from .errors import DomainError, IncompleteWindowError, NumericalError
 from .model import DENSE_EIG_CAP, grid_points
-from .moments import sample_seed
+from .moments import map_samples
 from .resolvent import _local_positions
 
 logger = logging.getLogger(__name__)
@@ -319,34 +319,20 @@ def eigenfunction_decay_rate(psi, center, grid, mask=None, shell_width=1.0,
 # integrated density of states
 # ---------------------------------------------------------------------------
 
-class _IdsTask:
-    """Picklable per-sample job: eigenvalue count below E."""
-
-    def __init__(self, config, E, master_seed):
-        self.config = config
-        self.E = E
-        self.master_seed = master_seed
-
-    def __call__(self, index):
-        H = self.config.hamiltonian_for_seed(sample_seed(self.master_seed,
-                                                         index))
-        return index, spectrum_count_below(H, self.E)
+def _counts_below(energies, H):
+    return [spectrum_count_below(H, E) for E in energies]
 
 
 def ids_counts(config, E, N, master_seed, workers=None):
-    """Per-realization eigenvalue counts below E, in sample order."""
-    if N < 1:
-        raise DomainError("need at least one sample")
-    task = _IdsTask(config, E, master_seed)
-    out = np.empty(N, dtype=np.int64)
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, count in pool.map(task, range(N)):
-                out[index] = count
-    else:
-        for index in range(N):
-            out[index] = task(index)[1]
-    return out
+    """Per-realization eigenvalue counts below E, in sample order.
+
+    A scalar E gives shape (N,); a sequence of energies gives (N, len(E)),
+    every energy counted on the same realizations.
+    """
+    energies = list(E) if np.ndim(E) else [E]
+    counts = np.array(map_samples(config, partial(_counts_below, energies),
+                                  N, master_seed, workers), dtype=np.int64)
+    return counts if np.ndim(E) else counts[:, 0]
 
 
 def ids_estimate(config, E, N, master_seed, workers=None):

@@ -8,9 +8,9 @@ set of realizations (common random numbers), so differences between
 shifts are not drowned in resampling noise.
 """
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class MomentEstimate:
     sample_min: float
     sample_max: float
     seed: int
-    wall_time_ms: float = 0.0
     diagnostic: bool = False
 
     def __post_init__(self):
@@ -81,7 +80,7 @@ class MomentEstimate:
             "x": list(self.x) if self.x is not None else None,
             "y": list(self.y) if self.y is not None else None,
             "N": self.N, "mean": self.mean, "stderr": self.stderr,
-            "seed": self.seed, "wall_time_ms": self.wall_time_ms,
+            "seed": self.seed,
         }
 
 
@@ -133,32 +132,52 @@ class EpsilonScanResult:
 # scan core
 # ---------------------------------------------------------------------------
 
-class _ScanTask:
-    """Picklable per-sample job: one realization, norms at every shift."""
+def _run_sample(factory, job, master_seed, index):
+    seed = sample_seed(master_seed, index)
+    H = factory.hamiltonian_for_seed(seed)
+    try:
+        return job(H)
+    except SolveError as exc:
+        raise SolveError(f"sample {index} (seed {seed}): {exc}",
+                         achieved=exc.achieved) from exc
 
-    def __init__(self, factory, shifts, X, Y, master_seed, tol, power_rtol):
-        self.factory = factory
-        self.shifts = list(shifts)
-        self.X = X
-        self.Y = Y
-        self.master_seed = master_seed
-        self.tol = tol
-        self.power_rtol = power_rtol
 
-    def __call__(self, index):
-        seed = sample_seed(self.master_seed, index)
-        H = self.factory.hamiltonian_for_seed(seed)
-        row = np.empty(len(self.shifts))
-        for k, shift in enumerate(self.shifts):
-            try:
-                solver = ShiftedSolver(H, shift, tol=self.tol)
-                row[k] = solver.block_norm(self.X, self.Y,
-                                           power_rtol=self.power_rtol)
-            except SolveError as exc:
-                raise SolveError(
-                    f"sample {index} (seed {seed}) failed at "
-                    f"z={shift.z}: {exc}", achieved=exc.achieved) from exc
-        return index, row
+def map_samples(factory, job, N, master_seed, workers=None):
+    """[job(H_i) for i < N], H_i the realization drawn for sample i.
+
+    H_i = factory.hamiltonian_for_seed(sample_seed(master_seed, i)).
+    With workers > 1 the samples run in a process pool, so factory and
+    job must pickle; results come back in sample order either way, so
+    they are identical for every worker count.  A SolveError names the
+    sample index and seed that raised it.
+    """
+    if N < 1:
+        raise DomainError("need at least one sample")
+    task = partial(_run_sample, factory, job, master_seed)
+    if workers is not None and workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(task, range(N)))
+    return [task(index) for index in range(N)]
+
+
+def _norm_grid(shifts, pairs, tol, power_rtol, H):
+    # one factorization per shift, shared by every (X, Y) pair
+    out = np.empty((len(shifts), len(pairs)))
+    for k, shift in enumerate(shifts):
+        try:
+            solver = ShiftedSolver(H, shift, tol=tol)
+            for j, (X, Y) in enumerate(pairs):
+                out[k, j] = solver.block_norm(X, Y, power_rtol=power_rtol)
+        except SolveError as exc:
+            raise SolveError(f"solve at z={shift.z} failed: {exc}",
+                             achieved=exc.achieved) from exc
+    return out
+
+
+def _scan(factory, shifts, pairs, N, master_seed, workers, tol, power_rtol):
+    """(N, len(shifts), len(pairs)) block norms, realizations shared."""
+    job = partial(_norm_grid, shifts, pairs, tol, power_rtol)
+    return np.array(map_samples(factory, job, N, master_seed, workers))
 
 
 def scan_norms(factory, shifts, X, Y, N, master_seed, workers=None,
@@ -175,43 +194,8 @@ def scan_norms(factory, shifts, X, Y, N, master_seed, workers=None,
     for sh in shifts:
         if not isinstance(sh, SpectralShift):
             raise DomainError("shifts must be SpectralShift instances")
-    if N < 1:
-        raise DomainError("need at least one sample")
-    task = _ScanTask(factory, shifts, X, Y, master_seed, tol, power_rtol)
-    out = np.empty((N, len(shifts)))
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, row in pool.map(task, range(N)):
-                out[index] = row
-    else:
-        for index in range(N):
-            out[index] = task(index)[1]
-    return out
-
-
-class _PairScanTask:
-    """Picklable per-sample job: one realization, one shift, many pairs."""
-
-    def __init__(self, factory, shift, pairs, master_seed, tol, power_rtol):
-        self.factory = factory
-        self.shift = shift
-        self.pairs = list(pairs)
-        self.master_seed = master_seed
-        self.tol = tol
-        self.power_rtol = power_rtol
-
-    def __call__(self, index):
-        seed = sample_seed(self.master_seed, index)
-        H = self.factory.hamiltonian_for_seed(seed)
-        try:
-            solver = ShiftedSolver(H, self.shift, tol=self.tol)
-            row = np.array([
-                solver.block_norm(X, Y, power_rtol=self.power_rtol)
-                for X, Y in self.pairs])
-        except SolveError as exc:
-            raise SolveError(f"sample {index} (seed {seed}) failed: {exc}",
-                             achieved=exc.achieved) from exc
-        return index, row
+    return _scan(factory, shifts, [(X, Y)], N, master_seed, workers, tol,
+                 power_rtol)[:, :, 0]
 
 
 def scan_pair_norms(factory, shift, pairs, N, master_seed, workers=None,
@@ -227,22 +211,12 @@ def scan_pair_norms(factory, shift, pairs, N, master_seed, workers=None,
     pairs = list(pairs)
     if len(pairs) == 0:
         raise DomainError("need at least one (X, Y) pair")
-    if N < 1:
-        raise DomainError("need at least one sample")
-    task = _PairScanTask(factory, shift, pairs, master_seed, tol, power_rtol)
-    out = np.empty((N, len(pairs)))
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, row in pool.map(task, range(N)):
-                out[index] = row
-    else:
-        for index in range(N):
-            out[index] = task(index)[1]
-    return out
+    return _scan(factory, [shift], pairs, N, master_seed, workers, tol,
+                 power_rtol)[:, 0, :]
 
 
 def estimates_from_norms(norms, s, shifts, X=None, Y=None, seed=0,
-                         diagnostic=False, wall_time_ms=0.0):
+                         diagnostic=False):
     """Fold a norm scan into per-shift MomentEstimates at exponent s."""
     norms = np.asarray(norms, dtype=float)
     if norms.ndim != 2 or norms.shape[1] != len(shifts):
@@ -263,7 +237,7 @@ def estimates_from_norms(norms, s, shifts, X=None, Y=None, seed=0,
             N=N, mean=float(means[k]), stderr=float(stderrs[k]),
             sample_min=float(powers[:, k].min()),
             sample_max=float(powers[:, k].max()),
-            seed=int(seed), wall_time_ms=wall_time_ms, diagnostic=diagnostic)
+            seed=int(seed), diagnostic=diagnostic)
         for k, shift in enumerate(shifts)
     ]
 
@@ -290,12 +264,10 @@ def estimate_fractional_moment(factory, s, shift, X, Y, N, master_seed,
     """Mean of N independent samples of ||chi_X (H - z)^{-1} chi_Y||^s."""
     if N < 2:
         raise DomainError("need N >= 2 for a standard error")
-    t0 = time.perf_counter()
     norms = scan_norms(factory, [shift], X, Y, N, master_seed,
                        workers=workers, tol=tol, power_rtol=power_rtol)
-    ms = 1e3 * (time.perf_counter() - t0)
     return estimates_from_norms(norms, s, [shift], X=X, Y=Y, seed=master_seed,
-                                diagnostic=diagnostic, wall_time_ms=ms)[0]
+                                diagnostic=diagnostic)[0]
 
 
 def epsilon_scan(factory, s, E, schedule, X, Y, N, master_seed, workers=None,
@@ -310,14 +282,10 @@ def epsilon_scan(factory, s, E, schedule, X, Y, N, master_seed, workers=None,
     if N < 2:
         raise DomainError("need N >= 2 for a standard error")
     shifts = schedule.shifts(E)
-    t0 = time.perf_counter()
     norms = scan_norms(factory, shifts, X, Y, N, master_seed,
                        workers=workers, tol=tol, power_rtol=power_rtol)
-    ms = 1e3 * (time.perf_counter() - t0)
-    # estimates share the scan's wall time; per-shift split is not observable
     estimates = estimates_from_norms(norms, s, shifts, X=X, Y=Y,
-                                     seed=master_seed, diagnostic=diagnostic,
-                                     wall_time_ms=ms)
+                                     seed=master_seed, diagnostic=diagnostic)
     verdict = stability_verdict([e.mean for e in estimates], tol=schedule.tol)
     return EpsilonScanResult(estimates=tuple(estimates), verdict=verdict,
                              norms=norms)

@@ -183,14 +183,18 @@ class WeakL1Report:
 def _hs_norms_over_grid(A_eff, T, etas):
     """||T (eta + A_eff)^{-1} T||_HS for every eta, via one eigensystem.
 
-    Falls back to a direct solve loop when the eigenvector basis of
-    A_eff is too ill-conditioned to trust; either way three spot etas
-    are cross-checked against direct inversion.
+    Falls back to one direct solve per eta when the eigenvector basis of
+    A_eff is too ill-conditioned to trust, or when the eigensystem values
+    at three spot etas drift from direct inversion.
     """
     n = A_eff.shape[0]
+
+    def direct(eta):
+        return np.linalg.norm(
+            T @ np.linalg.solve(eta * np.eye(n) + A_eff, T), "fro")
+
     lam, V = np.linalg.eig(A_eff)
-    use_eig = np.linalg.cond(V) < 1e8
-    if use_eig:
+    if np.linalg.cond(V) < 1e8:
         W = np.linalg.solve(V, T)   # rows b_k
         U = T @ V                   # columns a_k
         G = (U.conj().T @ U) * (W @ W.conj().T).T
@@ -198,22 +202,15 @@ def _hs_norms_over_grid(A_eff, T, etas):
         D = 1.0 / (etas[:, None] + lam[None, :])
         vals = np.sqrt(np.maximum(np.einsum(
             "ek,kl,el->e", D, G, D.conj()).real, 0.0))
-    else:
-        vals = np.array([
-            np.linalg.norm(T @ np.linalg.solve(e * np.eye(n) + A_eff, T), "fro")
-            for e in etas])
-    for j in (0, etas.size // 2, etas.size - 1):
-        direct = np.linalg.norm(
-            T @ np.linalg.solve(etas[j] * np.eye(n) + A_eff, T), "fro")
-        if abs(vals[j] - direct) > 1e-8 * max(direct, 1e-30):
-            logger.debug("eigensystem path drifted at eta=%g; using solves",
-                         etas[j])
-            vals = np.array([
-                np.linalg.norm(T @ np.linalg.solve(e * np.eye(n) + A_eff, T),
-                               "fro")
-                for e in etas])
-            break
-    return vals
+        for j in (0, etas.size // 2, etas.size - 1):
+            spot = direct(etas[j])
+            if abs(vals[j] - spot) > 1e-8 * max(spot, 1e-30):
+                logger.debug("eigensystem path drifted at eta=%g; "
+                             "using solves", etas[j])
+                break
+        else:
+            return vals
+    return np.array([direct(e) for e in etas])
 
 
 def _measures(vals, t_grid, step):

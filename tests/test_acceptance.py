@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from fracmom import cli
+from fracmom import cli, moments
 from fracmom.criterion import (
     criterion_factor,
     estimate_raw_boundary_moment,
@@ -425,7 +425,15 @@ def test_criterion_08_holder_openness():
 # 9: worker count never changes the numbers
 # ---------------------------------------------------------------------------
 
-def test_criterion_09_determinism_across_workers(tmp_path):
+def test_criterion_09_determinism_across_workers(tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(moments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(moments, "ProcessPoolExecutor", CountingPool)
+
     doc = {
         "experiment": "determinism",
         "model": {
@@ -435,18 +443,21 @@ def test_criterion_09_determinism_across_workers(tmp_path):
         },
         "run": {"s": [0.5], "E": [1.0], "eps": [0.1, 0.01], "N": 8,
                 "master_seed": 3, "ladder": [2.0, 4.0, 6.0, 8.0],
-                "x0": [6.0]},
+                "x0": [6.0], "window": [1.0, 3.0]},
         "output": {"dir": str(tmp_path / "unused")},
     }
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps(doc))
+    subcommands = ("decay", "moment", "epsilon-scan", "correlator", "ids")
     compared = 0
-    for sub in ("decay", "moment"):
+    for sub in subcommands:
         assert cli.main([sub, "--config", str(config_path),
                          "--out", str(tmp_path / sub / "serial")]) == 0
+        del pools[:]
         assert cli.main([sub, "--config", str(config_path),
                          "--out", str(tmp_path / sub / "pool"),
                          "--workers", "2"]) == 0
+        assert len(pools) == 1, f"{sub} started {len(pools)} pools"
         serial = read_records(tmp_path / sub / "serial" / "records.jsonl")
         pool = read_records(tmp_path / sub / "pool" / "records.jsonl")
         assert len(serial) == len(pool) > 0
@@ -456,7 +467,8 @@ def test_criterion_09_determinism_across_workers(tmp_path):
             assert pa == pb  # byte-identical numeric payloads
         compared += len(serial)
     print(f"criterion 09 determinism: PASS ({compared} records "
-          f"byte-identical across worker counts, 2 subcommands)")
+          f"byte-identical across worker counts, {len(subcommands)} "
+          f"subcommands, one pool each)")
 
 
 # ---------------------------------------------------------------------------

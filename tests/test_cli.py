@@ -9,10 +9,17 @@ import pytest
 import scipy.sparse.linalg
 
 from fracmom import cli
-from fracmom.config import parse_config
+from fracmom.config import load_config, parse_config
 from fracmom.errors import ConfigError, NumericalError
+from fracmom.model import ModelConfig
+from fracmom.moments import (
+    EpsilonSchedule,
+    epsilon_scan,
+    estimate_fractional_moment,
+)
 from fracmom.presets import PRESETS, get_preset, preset_names
 from fracmom.records import read_records
+from fracmom.resolvent import SpectralShift
 from fracmom.validation import OracleComparison
 
 
@@ -136,6 +143,65 @@ def test_worker_count_does_not_change_payloads(tmp_path):
     serial = read_records(tmp_path / "serial" / "records.jsonl")
     pool = read_records(tmp_path / "pool" / "records.jsonl")
     assert [r.payload for r in serial] == [r.payload for r in pool]
+
+
+# ---------------------------------------------------------------------------
+# one scan per subcommand, folded at every s
+
+@pytest.mark.parametrize("sub, energies, draws_per_N", [
+    ("moment", [1.0, 2.0], 1),
+    ("epsilon-scan", [1.0, 2.0], 1),
+    ("decay", [1.0, 2.0], 2),      # one pair scan per E
+    ("ids", [1.0, 2.0, 3.0], 1),
+])
+def test_subcommand_realization_count(tmp_path, monkeypatch, sub, energies,
+                                      draws_per_N):
+    doc = tiny_doc(tmp_path / "results")
+    doc["run"].update(s=[0.3, 0.5], E=energies, eps=[0.1, 0.01])
+    seeds = []
+    sample = ModelConfig.sample
+
+    def counting(self, seed):
+        seeds.append(seed)
+        return sample(self, seed)
+    monkeypatch.setattr(ModelConfig, "sample", counting)
+    assert cli.main([sub, "--config", str(write_config(tmp_path, doc))]) == 0
+    N = doc["run"]["N"]
+    assert len(seeds) == draws_per_N * N
+    assert len(set(seeds)) == N
+
+
+def test_cli_moments_match_standalone_estimates_bytewise(tmp_path):
+    # each record must be folded from a block of its own shape, or numpy's
+    # axis-0 sums change order and the last bits of mean and stderr move
+    doc = tiny_doc(tmp_path / "results")
+    doc["run"].update(s=[0.3, 0.5], E=[1.0, 2.0], eps=[0.1, 0.01], N=25)
+    path = write_config(tmp_path, doc)
+    cfg = load_config(path)
+    X, Y = cli._moment_sets(cfg)
+
+    def dumps(payload):
+        return json.dumps(payload, sort_keys=True).encode()
+
+    assert cli.main(["moment", "--config", str(path),
+                     "--out", str(tmp_path / "moment")]) == 0
+    records = read_records(tmp_path / "moment" / "records.jsonl")
+    assert len(records) == 8
+    for rec in records:
+        p = rec.payload
+        est = estimate_fractional_moment(
+            cfg.model, p["s"], SpectralShift(E=p["E"], eps=p["eps"]), X, Y,
+            cfg.N, cfg.master_seed)
+        assert dumps(p) == dumps(est.payload())
+
+    assert cli.main(["epsilon-scan", "--config", str(path),
+                     "--out", str(tmp_path / "scan")]) == 0
+    records = read_records(tmp_path / "scan" / "records.jsonl")
+    schedule = EpsilonSchedule(cfg.eps_schedule)
+    expected = [est.payload() for s in cfg.s_values for E in cfg.E_values
+                for est in epsilon_scan(cfg.model, s, E, schedule, X, Y,
+                                        cfg.N, cfg.master_seed).estimates]
+    assert [dumps(r.payload) for r in records] == [dumps(p) for p in expected]
 
 
 def landau_doc(out_dir):

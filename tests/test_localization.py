@@ -314,6 +314,16 @@ def test_ids_monotone_and_box_consistent():
     assert abs(big - a) <= 0.1 * max(big, a)
 
 
+def test_ids_counts_many_energies_match_one_at_a_time():
+    cfg = chain_config(30.0, lam=2.0)
+    energies = [1.0, 3.0, 5.0]
+    counts = ids_counts(cfg, energies, N=6, master_seed=9)
+    assert counts.shape == (6, 3)
+    for j, E in enumerate(energies):
+        assert np.array_equal(counts[:, j],
+                              ids_counts(cfg, E, N=6, master_seed=9))
+
+
 def test_ids_worker_determinism():
     cfg = chain_config(30.0, lam=2.0)
     serial = ids_counts(cfg, 3.0, N=6, master_seed=9)

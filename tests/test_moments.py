@@ -176,7 +176,7 @@ def test_payload_record_shape():
                                      N=4, master_seed=1)
     p = est.payload()
     assert sorted(p) == ["E", "N", "eps", "mean", "s", "seed", "stderr",
-                         "wall_time_ms", "x", "y"]
+                         "x", "y"]
     assert p["x"] is None and p["seed"] == 1 and p["N"] == 4
 
 
