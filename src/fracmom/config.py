@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 import jsonschema
@@ -35,10 +36,14 @@ _DEFAULT_CONSTANTS = {"C_const": 1.0, "M_const": 1.0}
 _DEFAULT_OUTPUT = {"dir": "results", "formats": ["jsonl", "csv"]}
 
 
-def _schema():
+@lru_cache(maxsize=1)
+def _validator():
+    # the shipped schema is checked against its metaschema by a test, not
+    # on every load
     text = resources.files("fracmom").joinpath(
         "schema/experiment.schema.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +172,9 @@ def parse_config(data, env=None):
     """Validate a config dict and build the runnable ExperimentConfig."""
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
-    try:
-        jsonschema.validate(data, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"{exc.json_path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
+    if error is not None:
+        raise ConfigError(f"{error.json_path}: {error.message}")
     data = copy.deepcopy(data)
     model = _build_model(data["model"])
     run = data["run"]

@@ -32,6 +32,18 @@ _GROUND_SHIFT_MARGIN = 0.1    # sigma sits this far below the Gershgorin bound
 _DENSITY_TABLE = 4097         # inverse-CDF table resolution
 _AXIS_TOL = 1e-9              # box-length / spacing commensurability check
 
+# numpy's SeedSequence pool mixing (after O'Neill's seed_seq_fe) and the
+# Philox4x64-10 round constants (Salmon et al., SC'11)
+_M32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LO32, _S32 = np.uint64(_M32), np.uint64(32)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _S32
+
 
 # ---------------------------------------------------------------------------
 # grid
@@ -200,6 +212,7 @@ class DisorderLaw:
 
     density is "uniform" or a callable pdf on [0, 1]; callables are checked
     to integrate to 1 within 1e-10 and sampled through an inverse-CDF table.
+    Site coordinates are integers in [0, 2**32), one spawn-key word each.
     """
 
     lam: float
@@ -214,6 +227,9 @@ class DisorderLaw:
             raise ConstructionError("site lattice must be a nonempty (n, d) array")
         if sites.min() < 0:
             raise ConstructionError("site coordinates must be nonnegative")
+        if sites.max() > _M32:
+            raise ConstructionError(
+                "site coordinates must be below 2**32, one spawn-key word each")
         self.sites = sites
         self._inv_cdf = None
         if callable(self.density):
@@ -256,20 +272,95 @@ class DisorderRealization:
     eta: np.ndarray
 
 
+def _uint32_words(n):
+    """Little-endian 32-bit words of a nonnegative int, as SeedSequence splits it."""
+    words = [n & _M32]
+    n >>= 32
+    while n:
+        words.append(n & _M32)
+        n >>= 32
+    return words
+
+
+def _philox_keys(seed, sites):
+    """Key of SeedSequence(entropy=seed, spawn_key=site) for every site.
+
+    Returns generate_state(2, uint64) per site as a (2, m) array.  The seed
+    words enter the pool first and are mixed in Python ints once; each
+    coordinate is one spawn-key word and is mixed in as a uint32 array over
+    sites.  The same expressions serve both, as uint32 arrays wrap.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return result ^ result >> 16
+
+    entropy = _uint32_words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    pool = [np.full(len(sites), w, dtype=np.uint32) for w in pool]
+    for axis in range(sites.shape[1]):
+        w = sites[:, axis].astype(np.uint32)
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(w))
+
+    hash_const = _INIT_B
+    state = []
+    for w in pool:
+        w = w ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        w = w * hash_const
+        state.append((w ^ w >> 16).astype(np.uint64))
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)])
+
+
+def _mulhilo(b):
+    """High and low words of _PHILOX_M * b, 64 x 64 -> 128 bits, per row."""
+    b_lo, b_hi = b & _LO32, b >> _S32
+    mid1 = _PHILOX_M_HI * b_lo + (_PHILOX_M_LO * b_lo >> _S32)
+    mid2 = _PHILOX_M_LO * b_hi + (mid1 & _LO32)
+    return _PHILOX_M_HI * b_hi + (mid1 >> _S32) + (mid2 >> _S32), _PHILOX_M * b
+
+
 def sample_couplings(law: DisorderLaw, seed: int) -> DisorderRealization:
     """Draw one iid coupling per site, a pure function of (seed, site).
 
     Each site gets its own counter-based stream keyed by the site's integer
     coordinates, so the draw does not depend on lattice enumeration order or
-    on which other sites exist.
+    on which other sites exist.  The uniform of a site is bit for bit
+    Generator(Philox(SeedSequence(seed, spawn_key=site))).random(): word 0
+    of the Philox4x64-10 block at counter 1, computed for all sites at once.
     """
     seed = int(seed)
     if seed < 0:
         raise ConstructionError("seed must be a nonnegative integer")
-    uniforms = np.empty(len(law.sites))
-    for k, site in enumerate(law.sites):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(c) for c in site))
-        uniforms[k] = np.random.Generator(np.random.Philox(ss)).random()
+    key = _philox_keys(seed, law.sites)
+    # counter words (c0, c2), the multiplied pair, and (c1, c3); start (1, 0, 0, 0)
+    mul = np.zeros_like(key)
+    mul[0] = 1
+    xor = np.zeros_like(key)
+    for rnd in range(10):
+        if rnd:
+            key += _PHILOX_W
+        hi, lo = _mulhilo(mul)
+        mul, xor = hi[::-1] ^ xor ^ key, lo[::-1]
+    uniforms = (mul[0] >> np.uint64(11)) * 2.0 ** -53
     if law._inv_cdf is None:
         eta = uniforms
     else:
@@ -281,29 +372,47 @@ def sample_couplings(law: DisorderLaw, seed: int) -> DisorderRealization:
 # ---------------------------------------------------------------------------
 # random potential
 
-def _bump_field(grid, sites, weights, profile):
-    """Sum of weighted bumps, evaluated on the full interior grid."""
+@lru_cache(maxsize=2)
+def _bump_matrix(grid: GridSpec, profile: SingleSiteProfile, law: DisorderLaw):
+    """Sparse P with P[q, a] = U(q - site a), so that V = P @ eta.
+
+    Each bump is cut to the grid points within r of its site along every
+    axis; dist^2 is summed axis by axis from 0.0 and zero values are
+    dropped.  Each row keeps its columns in site order, so the CSR matvec
+    sums a grid point's bumps from 0.0 in site order.  The cache is small
+    because each entry keeps its law and matrix alive, and a run samples
+    one model at a time.
+    """
     axes = _axes(grid)
-    shape = grid.shape
-    out = np.zeros(shape)
+    sites = law.sites
     r = profile.r
-    for site, w in zip(sites, weights):
-        lohi = []
-        for i in range(grid.d):
-            lo = int(np.searchsorted(axes[i], site[i] - r, side="left"))
-            hi = int(np.searchsorted(axes[i], site[i] + r, side="right"))
-            lohi.append((lo, hi))
-        if any(lo >= hi for lo, hi in lohi):
-            continue
-        dist2 = 0.0
-        for i, (lo, hi) in enumerate(lohi):
-            delta = axes[i][lo:hi] - site[i]
-            sh = [1] * grid.d
-            sh[i] = hi - lo
-            dist2 = dist2 + (delta ** 2).reshape(sh)
-        block = tuple(slice(lo, hi) for lo, hi in lohi)
-        out[block] += w * profile_values(profile, np.sqrt(dist2))
-    return out.ravel()
+    lo = np.stack([np.searchsorted(axes[i], sites[:, i] - r, side="left")
+                   for i in range(grid.d)], axis=1)
+    hi = np.stack([np.searchsorted(axes[i], sites[:, i] + r, side="right")
+                   for i in range(grid.d)], axis=1)
+    counts = hi - lo
+    sizes = np.prod(counts, axis=1)
+    col = np.repeat(np.arange(len(sites)), sizes)
+    # offset of each entry inside its site's C-ordered block
+    rest = np.arange(col.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    index = []
+    for i in reversed(range(grid.d)):
+        n_i = counts[col, i]
+        k = lo[col, i] + rest % n_i
+        rest = rest // n_i
+        index.insert(0, k)
+    dist2 = 0.0
+    for i in range(grid.d):
+        dist2 = dist2 + (axes[i][index[i]] - sites[col, i]) ** 2
+    vals = profile_values(profile, np.sqrt(dist2))
+    keep = vals != 0.0
+    row = np.ravel_multi_index(tuple(k[keep] for k in index), grid.shape)
+    order = np.argsort(row, kind="stable")
+    indptr = np.zeros(grid.npoints + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=grid.npoints), out=indptr[1:])
+    return scipy.sparse.csr_matrix(
+        (vals[keep][order], col[keep][order], indptr),
+        shape=(grid.npoints, len(sites)))
 
 
 def check_covering(profile: SingleSiteProfile, law: DisorderLaw, grid: GridSpec):
@@ -312,7 +421,7 @@ def check_covering(profile: SingleSiteProfile, law: DisorderLaw, grid: GridSpec)
     A vanishing minimum means some grid point is unreachable by disorder and
     raises CoveringError.
     """
-    cover = _bump_field(grid, law.sites, np.ones(len(law.sites)), profile)
+    cover = _bump_matrix(grid, profile, law) @ np.ones(len(law.sites))
     b_minus = float(cover.min())
     b_plus = float(cover.max())
     if b_minus <= 0.0:
@@ -326,7 +435,7 @@ def realize_potential(rz: DisorderRealization, profile, law, grid) -> np.ndarray
     """Random potential V(q) = sum_a eta_a U(q - a) on the full grid."""
     if rz.sites.shape != law.sites.shape or not np.array_equal(rz.sites, law.sites):
         raise ConstructionError("realization sites do not match the law's lattice")
-    return _bump_field(grid, law.sites, rz.eta, profile)
+    return _bump_matrix(grid, profile, law) @ rz.eta
 
 
 # ---------------------------------------------------------------------------

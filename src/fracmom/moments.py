@@ -8,7 +8,9 @@ set of realizations (common random numbers), so differences between
 shifts are not drowned in resampling noise.
 """
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -142,20 +144,79 @@ def _run_sample(factory, job, master_seed, index):
                          achieved=exc.achieved) from exc
 
 
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of every OpenBLAS loaded here.
+
+    Empty where /proc/self/maps does not exist or no loaded build exports
+    the scipy-openblas thread functions.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:   # e.g. a mapping whose file was deleted
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+def _single_thread_blas():
+    """Pool initializer: one OpenBLAS thread in every worker.
+
+    Without it each worker keeps OpenBLAS's default of one thread per core,
+    and a pool of workers oversubscribes the machine.  A forked worker
+    already has the one thread map_samples sets in the parent while it
+    forks, and skips the call: after a fork, setting the count restarts
+    OpenBLAS's thread pool, whose new threads spin for a while.
+    """
+    for get, put in _openblas_thread_controls():
+        if get() != 1:
+            put(1)
+
+
+@contextmanager
+def _forking_with_single_thread_blas():
+    """One OpenBLAS thread in this process while a pool forks from it."""
+    controls = _openblas_thread_controls()
+    counts = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(controls, counts):
+            put(n)
+
+
 def map_samples(factory, job, N, master_seed, workers=None):
     """[job(H_i) for i < N], H_i the realization drawn for sample i.
 
     H_i = factory.hamiltonian_for_seed(sample_seed(master_seed, i)).
-    With workers > 1 the samples run in a process pool, so factory and
-    job must pickle; results come back in sample order either way, so
-    they are identical for every worker count.  A SolveError names the
-    sample index and seed that raised it.
+    With workers > 1 the samples run in a process pool of single-threaded
+    BLAS workers, so factory and job must pickle; this process keeps its
+    own BLAS thread count.  Results come back in sample order either way,
+    so they are identical for every worker count.
+    A SolveError names the sample index and seed that raised it.
     """
     if N < 1:
         raise DomainError("need at least one sample")
     task = partial(_run_sample, factory, job, master_seed)
     if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _forking_with_single_thread_blas(), ProcessPoolExecutor(
+                max_workers=workers, initializer=_single_thread_blas) as pool:
             return list(pool.map(task, range(N)))
     return [task(index) for index in range(N)]
 

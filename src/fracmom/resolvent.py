@@ -136,14 +136,18 @@ def boundary_layer_indices(center, L, r, grid, depth=None):
 
 
 def _local_positions(H, sel, name):
-    idx = sel.indices if isinstance(sel, IndicatorSet) else np.asarray(sel).ravel()
-    idx = np.asarray(idx, dtype=np.int64)
+    """Sorted positions in H.mask of the set's points inside the domain."""
+    if isinstance(sel, IndicatorSet):
+        idx = np.asarray(sel.indices, dtype=np.int64)   # sorted and unique
+    else:
+        idx = np.unique(np.asarray(sel, dtype=np.int64))
     if idx.size == 0:
         raise DomainError(f"{name} is empty")
-    shared = np.intersect1d(idx, H.mask)
-    if shared.size == 0:
+    pos = np.searchsorted(H.mask, idx)
+    pos = pos[H.mask[np.minimum(pos, H.n - 1)] == idx]
+    if pos.size == 0:
         raise DomainError(f"{name} has no point inside the operator domain")
-    return H.local_indices(shared)
+    return pos
 
 
 # ---------------------------------------------------------------------------

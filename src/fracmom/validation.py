@@ -30,6 +30,7 @@ DENSE_ORACLE_CAP = 500
 _HERM_TOL = 1e-10
 _PSD_TOL = 1e-12
 _KERNEL_TOL = 1e-12
+_SOLVE_CHUNK = 8192   # etas per batched solve; bounds the stacked systems
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +184,16 @@ class WeakL1Report:
 def _hs_norms_over_grid(A_eff, T, etas):
     """||T (eta + A_eff)^{-1} T||_HS for every eta, via one eigensystem.
 
-    Falls back to one direct solve per eta when the eigenvector basis of
-    A_eff is too ill-conditioned to trust, or when the eigensystem values
-    at three spot etas drift from direct inversion.
+    Falls back to direct solves, batched over chunks of _SOLVE_CHUNK etas,
+    when the eigenvector basis of A_eff is too ill-conditioned to trust, or
+    when the eigensystem values at three spot etas drift from direct
+    inversion.
     """
     n = A_eff.shape[0]
+    eye = np.eye(n)
 
     def direct(eta):
-        return np.linalg.norm(
-            T @ np.linalg.solve(eta * np.eye(n) + A_eff, T), "fro")
+        return np.linalg.norm(T @ np.linalg.solve(eta * eye + A_eff, T), "fro")
 
     lam, V = np.linalg.eig(A_eff)
     if np.linalg.cond(V) < 1e8:
@@ -210,7 +212,12 @@ def _hs_norms_over_grid(A_eff, T, etas):
                 break
         else:
             return vals
-    return np.array([direct(e) for e in etas])
+    vals = np.empty(etas.size)
+    for lo in range(0, etas.size, _SOLVE_CHUNK):
+        chunk = etas[lo:lo + _SOLVE_CHUNK, None, None]
+        M = T @ np.linalg.solve(chunk * eye + A_eff, T)
+        vals[lo:lo + _SOLVE_CHUNK] = np.linalg.norm(M, "fro", axis=(1, 2))
+    return vals
 
 
 def _measures(vals, t_grid, step):

@@ -1,7 +1,11 @@
 import copy
 import json
+from pathlib import Path
 
+import jsonschema
 import pytest
+
+import fracmom
 
 from fracmom.config import (
     SEED_ENV,
@@ -50,6 +54,37 @@ def test_minimal_document_parses_with_defaults():
     assert cfg.output_dir == "results"
     assert cfg.formats == ("jsonl", "csv")
     assert cfg.L_values is None and cfg.window is None and cfg.ladder is None
+
+
+SCHEMA_PATH = Path(fracmom.__file__).parent / "schema" / "experiment.schema.json"
+
+
+def test_shipped_schema_is_valid_against_its_metaschema():
+    schema = json.loads(SCHEMA_PATH.read_text())
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_schema_errors_read_as_jsonschema_validate_reports_them():
+    schema = json.loads(SCHEMA_PATH.read_text())
+    bad = []
+    for path, value in [(("run", "s"), [1.5]), (("run", "N"), 1),
+                        (("model", "grid", "d"), 4), (("typo",), 1),
+                        (("run", "eps"), "x")]:
+        doc = base_doc()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad.append(doc)
+    doc = base_doc()
+    del doc["model"]["law"]
+    bad.append(doc)
+    for doc in bad:
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(doc, schema)
+        with pytest.raises(ConfigError) as got:
+            parse_config(doc)
+        assert str(got.value) == f"{want.value.json_path}: {want.value.message}"
 
 
 def test_non_object_rejected():

@@ -210,6 +210,54 @@ def test_custom_density_sampling_and_validation():
         disorder_law(1.0, g, density=lambda x: 2.0 - 4.0 * x)  # negative part
 
 
+def _per_site_uniforms(seed, sites):
+    # the per-site stream the coupling draw must reproduce bit for bit
+    return np.array([
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            entropy=seed, spawn_key=tuple(int(c) for c in site)))).random()
+        for site in sites])
+
+
+def test_couplings_match_per_site_seed_sequence_draw():
+    rng = np.random.default_rng(20261018)
+    seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
+             2 ** 128 + 3, 2 ** 160 + 2 ** 140 + 7]
+    pairs = 0
+    for d in (1, 2, 3):
+        # fresh seeds of 1, 2 and 5 words
+        drawn = [int(rng.integers(1, 2 ** 32)) << (32 * (words - 1)) | 1
+                 for words in (1, 2, 5)]
+        for seed in seeds + drawn:
+            sites = rng.integers(0, 2 ** 32, size=(450, d), dtype=np.int64)
+            sites[:50] = rng.integers(0, 40, size=(50, d))
+            sites[0] = 0
+            sites[1] = 2 ** 32 - 1
+            law = disorder_law(1.0, sites=sites)
+            got = sample_couplings(law, seed).eta
+            want = _per_site_uniforms(seed, sites)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            pairs += len(sites)
+    assert pairs >= 10_000
+
+
+def test_custom_density_draw_maps_the_per_site_uniforms():
+    g = GridSpec(d=2, box=(6.0, 4.0), h=0.5)
+    law = disorder_law(1.0, g, density=lambda x: 2.0 * x)
+    cdf, xs = law._inv_cdf
+    for seed in (0, 9, 2 ** 70 + 1):
+        want = np.interp(_per_site_uniforms(seed, law.sites), cdf, xs)
+        got = sample_couplings(law, seed).eta
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_site_coordinates_beyond_one_spawn_word_rejected():
+    disorder_law(1.0, sites=np.array([[2 ** 32 - 1, 0]]))
+    with pytest.raises(ConstructionError):
+        disorder_law(1.0, sites=np.array([[2 ** 32, 0]]))
+    with pytest.raises(ConstructionError):
+        disorder_law(1.0, sites=np.array([[0], [2 ** 40]]))
+
+
 # ---------------------------------------------------------------------------
 # potentials
 
@@ -235,6 +283,67 @@ def test_potential_single_site_pointwise():
     q = grid_points(g).ravel()
     expected = np.where(np.abs(q - 2.0) < 1.0, rz.eta[0] * 3.0, 0.0)
     assert np.allclose(v, expected, atol=1e-15)
+
+
+def _bump_field(grid, sites, weights, profile):
+    # per-site reference: each bump added to its clipped grid block in turn
+    axes = tuple(grid.h * np.arange(1, n + 1) for n in grid.shape)
+    out = np.zeros(grid.shape)
+    r = profile.r
+    for site, w in zip(sites, weights):
+        lohi = []
+        for i in range(grid.d):
+            lo = int(np.searchsorted(axes[i], site[i] - r, side="left"))
+            hi = int(np.searchsorted(axes[i], site[i] + r, side="right"))
+            lohi.append((lo, hi))
+        if any(lo >= hi for lo, hi in lohi):
+            continue
+        dist2 = 0.0
+        for i, (lo, hi) in enumerate(lohi):
+            delta = axes[i][lo:hi] - site[i]
+            sh = [1] * grid.d
+            sh[i] = hi - lo
+            dist2 = dist2 + (delta ** 2).reshape(sh)
+        block = tuple(slice(lo, hi) for lo, hi in lohi)
+        out[block] += w * profile_values(profile, np.sqrt(dist2))
+    return out.ravel()
+
+
+BUMP_CASES = [
+    # grid, radius: r off the h lattice, lattice sites on the walls clipped
+    (GridSpec(d=1, box=(12.0,), h=0.25), 1.0),
+    (GridSpec(d=1, box=(6.0,), h=0.3), 1.37),
+    (GridSpec(d=2, box=(6.0, 4.0), h=0.25), 1.1),
+    (GridSpec(d=2, box=(5.0, 5.0), h=0.5), 2.3),
+    (GridSpec(d=3, box=(3.0, 4.0, 3.0), h=0.5), 0.9),
+    (GridSpec(d=3, box=(2.0, 2.0, 3.0), h=0.25), 1.45),
+    (GridSpec(d=3, box=(2.0, 1.6, 1.4), h=0.2), 1.3),   # inexact dist^2 sums
+]
+
+
+@pytest.mark.parametrize("shape", ["indicator", "cosine-bump"])
+@pytest.mark.parametrize("grid, r", BUMP_CASES)
+def test_potential_and_covering_match_per_site_bumps(grid, r, shape):
+    p = SingleSiteProfile(r=r, shape=shape, u0=2.5)
+    law = disorder_law(1.0, grid)
+    for seed in (0, 3, 2 ** 64 + 5):
+        rz = sample_couplings(law, seed)
+        want = _bump_field(grid, law.sites, rz.eta, p)
+        got = realize_potential(rz, p, law, grid)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    cover = _bump_field(grid, law.sites, np.ones(len(law.sites)), p)
+    assert check_covering(p, law, grid) == (cover.min(), cover.max())
+
+
+def test_potential_from_off_lattice_sites_matches_per_site_bumps():
+    # explicit sites: repeated, unordered, one past a wall, one off the grid
+    g = GridSpec(d=2, box=(4.0, 3.0), h=0.5)
+    sites = np.array([[3, 1], [0, 0], [3, 1], [5, 2], [40, 1], [2, 3]])
+    law = disorder_law(1.0, g, sites=sites)
+    p = SingleSiteProfile(r=1.2, shape="cosine-bump", u0=1.0)
+    rz = sample_couplings(law, 17)
+    want = _bump_field(g, sites, rz.eta, p)
+    assert np.array_equal(realize_potential(rz, p, law, g), want)
 
 
 def test_potential_lattice_mismatch():

@@ -1,13 +1,21 @@
+import ctypes
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import example, given, settings, strategies as st
 
+from fracmom import moments
 from fracmom.errors import DomainError, SolveError
 from fracmom.model import (
     BackgroundFields,
     DiscreteHamiltonian,
     GridSpec,
+    LandauGauge,
     ModelConfig,
     OneSiteModel,
     SingleSiteProfile,
@@ -20,6 +28,7 @@ from fracmom.moments import (
     estimate_fractional_moment,
     estimates_from_norms,
     holder_modulus,
+    map_samples,
     sample_seed,
     scan_norms,
     stability_verdict,
@@ -208,6 +217,69 @@ def test_worker_count_does_not_change_numerics():
     z = [SpectralShift(E=2.0, eps=1e-2)]
     serial = scan_norms(cfg, z, X, Y, N=6, master_seed=5)
     pooled = scan_norms(cfg, z, X, Y, N=6, master_seed=5, workers=2)
+    assert np.array_equal(serial, pooled)
+
+
+def blas_threads():
+    """Thread count of every OpenBLAS loaded in this process."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh
+                        if "openblas" in line.lower()})
+    counts = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                counts.append(getter())
+                break
+    return counts
+
+
+def worker_threads(H):
+    """(OpenBLAS thread counts, OS threads) of this process; a sample job."""
+    return blas_threads(), len(os.listdir("/proc/self/task"))
+
+
+def test_pool_workers_run_single_threaded_blas():
+    parent = blas_threads()
+    assert parent, "no OpenBLAS with a thread getter is loaded"
+    per_sample = map_samples(chain_config(npts=8), worker_threads, N=4,
+                             master_seed=1, workers=2)
+    assert [counts for counts, _ in per_sample] == [[1] * len(parent)] * 4
+    if multiprocessing.get_start_method() == "fork":
+        # a forked worker restarts no OpenBLAS thread pool, whose new
+        # threads would spin on the cores the workers need
+        assert [n for _, n in per_sample] == [1] * 4
+    assert blas_threads() == parent
+
+
+def test_spawned_pool_workers_run_single_threaded_blas(monkeypatch):
+    # a worker that starts a fresh interpreter inherits no thread count
+    # from this process, so the pool initializer has to set it
+    spawn = partial(ProcessPoolExecutor,
+                    mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(moments, "ProcessPoolExecutor", spawn)
+    parent = blas_threads()
+    per_sample = map_samples(chain_config(npts=8), worker_threads, N=2,
+                             master_seed=1, workers=2)
+    assert [counts for counts, _ in per_sample] == [[1] * len(parent)] * 2
+    assert blas_threads() == parent
+
+
+def test_pooled_2d_norms_equal_serial_bitwise():
+    g = GridSpec(d=2, box=(8.0, 8.0), h=0.25)
+    cfg = ModelConfig(grid=g, background=BackgroundFields(A=LandauGauge(b=0.2)),
+                      profile=SingleSiteProfile(r=1.0, shape="cosine-bump",
+                                                u0=4.0),
+                      law=disorder_law(10.0, g))
+    X = indicator_set(g, (2.0, 4.0), 1.0)
+    Y = indicator_set(g, (6.0, 4.0), 1.0)
+    z = [SpectralShift(E=4.0, eps=1e-2), SpectralShift(E=4.0, eps=1e-3)]
+    serial = scan_norms(cfg, z, X, Y, N=4, master_seed=3)
+    pooled = scan_norms(cfg, z, X, Y, N=4, master_seed=3, workers=2)
     assert np.array_equal(serial, pooled)
 
 

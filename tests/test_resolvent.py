@@ -22,6 +22,7 @@ from fracmom.model import (
 from fracmom.resolvent import (
     IndicatorSet,
     ShiftedSolver,
+    _local_positions,
     SpectralShift,
     ball_indices,
     block_operator_norm,
@@ -259,6 +260,36 @@ def test_block_norm_adjoint_symmetry_complex_h():
     a = block_operator_norm(H, z, X, Y)
     b = block_operator_norm(H, z.conjugate(), Y, X)
     assert abs(a - b) <= 1e-8 * a
+
+
+def _intersect_positions(H, idx):
+    # reference set lookup: intersect with the mask, then locate
+    return H.local_indices(np.intersect1d(np.asarray(idx, dtype=np.int64), H.mask))
+
+
+def test_local_positions_match_intersect_path():
+    g = GridSpec(d=2, box=(6.0, 6.0), h=0.5)
+    H = restrict_dirichlet(assemble_h0(g, BackgroundFields()),
+                           indicator_set(g, (3.0, 3.0), 2.0).indices)
+    rng = np.random.default_rng(4)
+    sets = [indicator_set(g, (3.0, 3.0), 1.0),          # inside the ball
+            indicator_set(g, (1.5, 3.0), 1.5),          # straddles its edge
+            indicator_set(g, (3.0, 3.0), 2.5, inner_radius=1.5)]
+    for sel in sets:
+        got = _local_positions(H, sel, "X")
+        assert np.array_equal(got, _intersect_positions(H, sel.indices))
+    for _ in range(20):
+        raw = rng.integers(0, g.npoints, size=39)
+        raw = np.concatenate([raw, raw[:9], H.mask[:4]])    # duplicates
+        rng.shuffle(raw)
+        got = _local_positions(H, raw.reshape(4, -1), "Y")
+        assert np.array_equal(got, _intersect_positions(H, raw))
+    assert np.array_equal(_local_positions(H, [H.mask[-1], g.npoints - 1], "Y"),
+                          [H.n - 1])
+    with pytest.raises(DomainError, match="no point inside"):
+        _local_positions(H, [0, 1, g.npoints - 1], "Y")
+    with pytest.raises(DomainError, match="empty"):
+        _local_positions(H, [], "Y")
 
 
 def test_block_norm_empty_outside_domain():

@@ -1,5 +1,7 @@
 """Tests for the dense oracles and the level-set bench."""
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,6 +19,8 @@ from fracmom.validation import (
     DissipativeOperator,
     HSOperator,
     OracleComparison,
+    _hs_norms_over_grid,
+    _measures,
     dense_block_norm_oracle,
     dense_resolvent_oracle,
     oracle_compare,
@@ -248,6 +252,43 @@ class TestWeakL1:
         out = json.loads(json.dumps(rep.payload()))
         assert out["hs_norm"] == 1.0
         assert len(out["measures"]) == 3
+
+
+def _validate_bench(master_seed, index):
+    # bench `index` of the 20 that the validate subcommand draws
+    rng = np.random.default_rng(master_seed)
+    for _ in range(index + 1):
+        B = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        A = DissipativeOperator(X=(B + B.conj().T) / 2.0, Y=np.zeros((5, 5)))
+        T = HSOperator(T=rng.standard_normal((5, 5)))
+    return A, T
+
+
+# the validate benches of master seeds 1-10 whose eigensystem path drifts
+@pytest.mark.parametrize("master_seed, index",
+                         [(4, 18), (5, 7), (5, 13), (7, 8), (8, 14)])
+def test_batched_fallback_measures_match_per_eta_loop(master_seed, index, caplog):
+    A, T = _validate_bench(master_seed, index)
+    w = 20.0 * A.norm()
+    etas = np.linspace(-w, w, 100_000)
+    step = 2.0 * w / (etas.size - 1)
+    t_grid = np.geomspace(1.0, 1e3, 40)
+    eye = np.eye(A.n)
+    fell_back = 0
+    for delta in (1e-8, 1e-9):
+        A_eff = A.A + 1j * delta * eye
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="fracmom.validation"):
+            vals = _hs_norms_over_grid(A_eff, T.T, etas)
+        if not any("drifted" in r.getMessage() for r in caplog.records):
+            continue
+        fell_back += 1
+        loop = np.array([np.linalg.norm(
+            T.T @ np.linalg.solve(e * eye + A_eff, T.T), "fro") for e in etas])
+        assert np.array_equal(_measures(vals, t_grid, step),
+                              _measures(loop, t_grid, step))
+        assert np.allclose(vals, loop, rtol=1e-14, atol=0.0)
+    assert fell_back
 
 
 # ---------------------------------------------------------------------------
