@@ -61,14 +61,13 @@ def _moment_sets(cfg: ExperimentConfig):
 def _ladder_sets(cfg: ExperimentConfig):
     if cfg.ladder is None:
         raise ConfigError("run.ladder is required for this subcommand")
-    x0 = cfg.x0 or _default_point(cfg.grid, 0.25)
-    X = _ball(cfg, x0, "run.x0")
-    targets = []
-    for dist in cfg.ladder:
-        y = list(x0)
-        y[cfg.axis] += dist
-        targets.append(_ball(cfg, tuple(y), f"run.ladder point {dist}"))
-    return x0, X, targets
+
+    def ball(center, dist):
+        what = "run.x0" if dist is None else f"run.ladder point {dist}"
+        return _ball(cfg, center, what)
+    X, _, targets = crit.ladder_sets(
+        cfg.x0 or _default_point(cfg.grid, 0.25), cfg.ladder, cfg.axis, ball)
+    return X, targets
 
 
 def _record(cfg, kind, payload):
@@ -154,13 +153,17 @@ def run_criterion(cfg: ExperimentConfig, sink: _Sink, workers):
         raise ConfigError("run.L is required for criterion runs")
     schedule = moments.EpsilonSchedule(cfg.eps_schedule)
     E0 = ground_energy(cfg.model.h0())
+    # one scan per (E, L), folded at every s
+    raws = {(E, L): crit.estimate_raw_boundary_moment(
+                cfg.model, cfg.s_values, E, L, schedule, cfg.N,
+                cfg.master_seed, alphas=cfg.alphas, depth=cfg.depth,
+                workers=workers)
+            for E in cfg.E_values for L in cfg.L_values}
     reports = []
-    for s in cfg.s_values:
+    for k, s in enumerate(cfg.s_values):
         for E in cfg.E_values:
             for L in cfg.L_values:
-                raw = crit.estimate_raw_boundary_moment(
-                    cfg.model, s, E, L, schedule, cfg.N, cfg.master_seed,
-                    alphas=cfg.alphas, depth=cfg.depth, workers=workers)
+                raw = raws[E, L][k]
                 # a custom boundary depth opts out of the default L > 24r
                 # regime gate; the config cross-checks already required
                 # L > depth + r in that case
@@ -177,7 +180,7 @@ def run_criterion(cfg: ExperimentConfig, sink: _Sink, workers):
 
 
 def run_decay(cfg: ExperimentConfig, sink: _Sink, workers):
-    x0, X, targets = _ladder_sets(cfg)
+    X, targets = _ladder_sets(cfg)
     eps = cfg.eps_schedule[-1]
     shifts = [SpectralShift(E=E, eps=eps) for E in cfg.E_values]
     scans = [moments.scan_pair_norms(cfg.model, shift,
@@ -213,7 +216,7 @@ def run_correlator(cfg: ExperimentConfig, sink: _Sink, workers):
     if cfg.window is None:
         raise ConfigError("run.window is required for correlator runs")
     window = loc.EigenWindow(a=cfg.window[0], b=cfg.window[1])
-    x0, X, targets = _ladder_sets(cfg)
+    X, targets = _ladder_sets(cfg)
     values = np.array(moments.map_samples(
         cfg.model, partial(_correlator_row, window, X, targets), cfg.N,
         cfg.master_seed, workers))

@@ -32,7 +32,7 @@ from .model import (
 
 SEED_ENV = "FRACMOM_SEED"
 
-_DEFAULT_CONSTANTS = {"C_const": 1.0, "M_const": 1.0}
+_DEFAULT_CONSTANTS = {"M_const": 1.0}
 _DEFAULT_OUTPUT = {"dir": "results", "formats": ["jsonl", "csv"]}
 
 
@@ -66,7 +66,6 @@ class ExperimentConfig:
     axis: int
     window: tuple | None
     n_configs: int
-    C_const: float
     M_const: float
     depth: float | None
     output_dir: str
@@ -229,7 +228,6 @@ def parse_config(data, env=None):
         window=tuple(float(w) for w in run["window"])
         if run.get("window") is not None else None,
         n_configs=int(run.get("n_configs", 50)),
-        C_const=float(constants["C_const"]),
         M_const=float(constants["M_const"]),
         depth=float(constants["depth"]) if "depth" in constants else None,
         output_dir=str(output["dir"]),

@@ -15,7 +15,13 @@ import numpy as np
 
 from .errors import DomainError
 from .model import grid_points, restrict_dirichlet
-from .moments import epsilon_scan, estimates_from_norms, scan_pair_norms
+from .moments import (
+    EpsilonSchedule,
+    estimates_from_norms,
+    scan_norms,
+    scan_pair_norms,
+    stability_verdict,
+)
 from .resolvent import (
     SpectralShift,
     ball_indices,
@@ -217,7 +223,7 @@ def _ball_fits_box(grid, alpha, L):
 
 def estimate_raw_boundary_moment(config, s, E, L, schedule, N, master_seed,
                                  alphas=None, depth=None, workers=None,
-                                 tol=1e-10, power_rtol=1e-8):
+                                 tol=1e-10):
     """Max over centers of the stabilized boundary-layer moment.
 
     For each center alpha the Hamiltonian is restricted to the Dirichlet
@@ -226,12 +232,22 @@ def estimate_raw_boundary_moment(config, s, E, L, schedule, N, master_seed,
     all centers is approximated by the max over the supplied sample of
     centers (default: the box center), relying on the translation
     covariance of the ensemble.
+
+    A scalar s gives one raw moment; a sequence of exponents gives one
+    per s, every s folded from the same norm scan of each center, as
+    epsilon_scan would fold it.
     """
+    if not isinstance(schedule, EpsilonSchedule):
+        raise DomainError("expected an EpsilonSchedule")
+    if N < 2:
+        raise DomainError("need N >= 2 for a standard error")
+    exponents = list(s) if np.ndim(s) else [s]
     grid = config.grid
     r = config.profile.r
     if alphas is None:
         alphas = [tuple(np.round(np.asarray(grid.box) / 2.0))]
-    best = -math.inf
+    shifts = schedule.shifts(E)
+    best = [-math.inf] * len(exponents)
     for alpha in alphas:
         if not _ball_fits_box(grid, alpha, L):
             raise DomainError(
@@ -239,17 +255,18 @@ def estimate_raw_boundary_moment(config, s, E, L, schedule, N, master_seed,
         ball = ball_indices(grid, alpha, L)
         X = indicator_set(grid, alpha, r, mask=ball)
         Y = boundary_layer_indices(alpha, L, r, grid, depth=depth)
-        scan = epsilon_scan(BallRestrictedModel(config, ball), s, E,
-                            schedule, X, Y, N, master_seed, workers=workers,
-                            tol=tol, power_rtol=power_rtol)
-        means = scan.means
-        if not scan.stable:
-            warnings.warn(
-                f"eps scan at alpha={tuple(alpha)} did not stabilize "
-                f"(last means {means[-2]:.3e}, {means[-1]:.3e}); "
-                "using the last value", RuntimeWarning, stacklevel=2)
-        best = max(best, means[-1])
-    return float(best)
+        norms = scan_norms(BallRestrictedModel(config, ball), shifts, X, Y,
+                           N, master_seed, workers=workers, tol=tol)
+        for k, exponent in enumerate(exponents):
+            means = [e.mean for e in estimates_from_norms(norms, exponent,
+                                                          shifts)]
+            if stability_verdict(means, tol=schedule.tol) != "stable":
+                warnings.warn(
+                    f"eps scan at alpha={tuple(alpha)}, s={exponent} did not "
+                    f"stabilize (last means {means[-2]:.3e}, {means[-1]:.3e}); "
+                    "using the last value", RuntimeWarning, stacklevel=2)
+            best[k] = max(best[k], means[-1])
+    return [float(b) for b in best] if np.ndim(s) else float(best[0])
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +335,22 @@ def fit_exponential_decay(points, stderrs=None):
 # consistency check
 # ---------------------------------------------------------------------------
 
+def ladder_sets(x0, ladder, axis, ball):
+    """The set X at x0 and one set Y per rung, centered at x0 + dist e_axis.
+
+    ball(center, dist) builds the set around a center; dist is None for
+    x0, so a caller can name a point that does not fit.  Returns
+    (X, rung centers, rung sets), the rungs in ladder order.
+    """
+    X = ball(tuple(x0), None)
+    centers = []
+    for dist in ladder:
+        y = list(x0)
+        y[axis] += dist
+        centers.append(tuple(y))
+    return X, centers, [ball(y, dist) for y, dist in zip(centers, ladder)]
+
+
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Decay measured in the large box against a triggered criterion."""
@@ -349,7 +382,7 @@ class ConsistencyReport:
 
 def verify_criterion_consistency(config, report, ladder, eps, N, master_seed,
                                  x0=None, axis=0, r2_threshold=0.8,
-                                 workers=None, tol=1e-10, power_rtol=1e-8):
+                                 workers=None, tol=1e-10):
     """Measure moment decay along a distance ladder in the full box.
 
     Requires a triggered criterion (factor < 1).  Moments are estimated
@@ -372,19 +405,12 @@ def verify_criterion_consistency(config, report, ladder, eps, N, master_seed,
         raise DomainError("ladder must be at least three increasing distances")
     if x0 is None:
         x0 = tuple(np.round(np.asarray(grid.box) / 4.0))
-    x0 = np.asarray(x0, dtype=float)
-    X = indicator_set(grid, x0, r)
-    pairs = []
-    targets = []
-    for dist in ladder:
-        y = x0.copy()
-        y[axis] += dist
-        pairs.append((X, indicator_set(grid, y, r)))
-        targets.append(y)
+    X, targets, Ys = ladder_sets(
+        x0, ladder, axis, lambda center, dist: indicator_set(grid, center, r))
     shift = SpectralShift(E=report.E, eps=eps)
-    norms = scan_pair_norms(config, shift, pairs, N, master_seed,
-                            workers=workers, tol=tol, power_rtol=power_rtol)
-    ests = estimates_from_norms(norms, report.s, [shift] * len(pairs),
+    norms = scan_pair_norms(config, shift, [(X, Y) for Y in Ys], N,
+                            master_seed, workers=workers, tol=tol)
+    ests = estimates_from_norms(norms, report.s, [shift] * len(Ys),
                                 seed=master_seed)
     means = [e.mean for e in ests]
     stderrs = [e.stderr for e in ests]

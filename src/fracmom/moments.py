@@ -217,32 +217,35 @@ def map_samples(factory, job, N, master_seed, workers=None):
     if workers is not None and workers > 1:
         with _forking_with_single_thread_blas(), ProcessPoolExecutor(
                 max_workers=workers, initializer=_single_thread_blas) as pool:
-            return list(pool.map(task, range(N)))
+            # one chunk per worker: the task, factory included, is
+            # unpickled once per chunk, and the factory caches its
+            # operator and bump matrix for every later sample
+            return list(pool.map(task, range(N), chunksize=-(-N // workers)))
     return [task(index) for index in range(N)]
 
 
-def _norm_grid(shifts, pairs, tol, power_rtol, H):
+def _norm_grid(shifts, pairs, tol, H):
     # one factorization per shift, shared by every (X, Y) pair
     out = np.empty((len(shifts), len(pairs)))
     for k, shift in enumerate(shifts):
         try:
             solver = ShiftedSolver(H, shift, tol=tol)
             for j, (X, Y) in enumerate(pairs):
-                out[k, j] = solver.block_norm(X, Y, power_rtol=power_rtol)
+                out[k, j] = solver.block_norm(X, Y)
         except SolveError as exc:
             raise SolveError(f"solve at z={shift.z} failed: {exc}",
                              achieved=exc.achieved) from exc
     return out
 
 
-def _scan(factory, shifts, pairs, N, master_seed, workers, tol, power_rtol):
+def _scan(factory, shifts, pairs, N, master_seed, workers, tol):
     """(N, len(shifts), len(pairs)) block norms, realizations shared."""
-    job = partial(_norm_grid, shifts, pairs, tol, power_rtol)
+    job = partial(_norm_grid, shifts, pairs, tol)
     return np.array(map_samples(factory, job, N, master_seed, workers))
 
 
 def scan_norms(factory, shifts, X, Y, N, master_seed, workers=None,
-               tol=1e-10, power_rtol=1e-8):
+               tol=1e-10):
     """(N, len(shifts)) block norms; row i uses the seed for sample i.
 
     All shifts share realizations.  Worker processes only change the
@@ -255,25 +258,26 @@ def scan_norms(factory, shifts, X, Y, N, master_seed, workers=None,
     for sh in shifts:
         if not isinstance(sh, SpectralShift):
             raise DomainError("shifts must be SpectralShift instances")
-    return _scan(factory, shifts, [(X, Y)], N, master_seed, workers, tol,
-                 power_rtol)[:, :, 0]
+    return _scan(factory, shifts, [(X, Y)], N, master_seed, workers,
+                 tol)[:, :, 0]
 
 
 def scan_pair_norms(factory, shift, pairs, N, master_seed, workers=None,
-                    tol=1e-10, power_rtol=1e-8):
+                    tol=1e-10):
     """(N, len(pairs)) block norms at one shift, shared factorization.
 
     All pairs see the same realizations and the same factorization of
     (H - z), so decay ladders come out of one sweep with common random
-    numbers across distances.
+    numbers across distances; consecutive pairs with the same X share
+    one adjoint solve per realization.
     """
     if not isinstance(shift, SpectralShift):
         raise DomainError("shift must be a SpectralShift")
     pairs = list(pairs)
     if len(pairs) == 0:
         raise DomainError("need at least one (X, Y) pair")
-    return _scan(factory, [shift], pairs, N, master_seed, workers, tol,
-                 power_rtol)[:, 0, :]
+    return _scan(factory, [shift], pairs, N, master_seed, workers,
+                 tol)[:, 0, :]
 
 
 def estimates_from_norms(norms, s, shifts, X=None, Y=None, seed=0,
@@ -320,19 +324,18 @@ def stability_verdict(means, tol=DEFAULT_STABILIZATION_TOL):
 # ---------------------------------------------------------------------------
 
 def estimate_fractional_moment(factory, s, shift, X, Y, N, master_seed,
-                               workers=None, tol=1e-10, power_rtol=1e-8,
-                               diagnostic=False):
+                               workers=None, tol=1e-10, diagnostic=False):
     """Mean of N independent samples of ||chi_X (H - z)^{-1} chi_Y||^s."""
     if N < 2:
         raise DomainError("need N >= 2 for a standard error")
     norms = scan_norms(factory, [shift], X, Y, N, master_seed,
-                       workers=workers, tol=tol, power_rtol=power_rtol)
+                       workers=workers, tol=tol)
     return estimates_from_norms(norms, s, [shift], X=X, Y=Y, seed=master_seed,
                                 diagnostic=diagnostic)[0]
 
 
 def epsilon_scan(factory, s, E, schedule, X, Y, N, master_seed, workers=None,
-                 tol=1e-10, power_rtol=1e-8, diagnostic=False):
+                 tol=1e-10, diagnostic=False):
     """Moment estimates along a decreasing eps schedule, common seeds.
 
     The verdict compares the last two means: the scan "stabilized" when
@@ -344,7 +347,7 @@ def epsilon_scan(factory, s, E, schedule, X, Y, N, master_seed, workers=None,
         raise DomainError("need N >= 2 for a standard error")
     shifts = schedule.shifts(E)
     norms = scan_norms(factory, shifts, X, Y, N, master_seed,
-                       workers=workers, tol=tol, power_rtol=power_rtol)
+                       workers=workers, tol=tol)
     estimates = estimates_from_norms(norms, s, shifts, X=X, Y=Y,
                                      seed=master_seed, diagnostic=diagnostic)
     verdict = stability_verdict([e.mean for e in estimates], tol=schedule.tol)
@@ -353,7 +356,7 @@ def epsilon_scan(factory, s, E, schedule, X, Y, N, master_seed, workers=None,
 
 
 def holder_modulus(factory, s, z1, z2, X, Y, N, master_seed, workers=None,
-                   tol=1e-10, power_rtol=1e-8):
+                   tol=1e-10):
     """|m(z1) - m(z2)| / |z1 - z2|^s with common-seed moment estimates m."""
     if not (isinstance(z1, SpectralShift) and isinstance(z2, SpectralShift)):
         raise DomainError("z1 and z2 must be SpectralShift instances")
@@ -364,6 +367,6 @@ def holder_modulus(factory, s, z1, z2, X, Y, N, master_seed, workers=None,
     if N < 2:
         raise DomainError("need N >= 2 for a standard error")
     norms = scan_norms(factory, [z1, z2], X, Y, N, master_seed,
-                       workers=workers, tol=tol, power_rtol=power_rtol)
+                       workers=workers, tol=tol)
     m1, m2 = (norms ** s).mean(axis=0)
     return float(abs(m1 - m2) / abs(z1.z - z2.z) ** s)

@@ -4,26 +4,22 @@ Everything downstream (moment estimates, boundary criteria, correlators)
 reduces to norms of blocks chi_X (H - z)^{-1} chi_Y with Im z > 0.  The
 solver keeps one factorization per (H, z) and reuses it for every block
 and for adjoint solves, so scans over many (X, Y) pairs pay for the
-factorization once.
+factorization once, and pairs that share X (a decay ladder) share one
+adjoint solve as well.
 """
 
-import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import DomainError, SolveError
 from .model import DiscreteHamiltonian, GridSpec, grid_points
 
-logger = logging.getLogger(__name__)
-
 # direct factorization below this size; iterative (ILU + LGMRES) above
 DIRECT_SOLVE_CAP = 50_000
-
-_POWER_MAXITER = 500
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +153,10 @@ def _local_positions(H, sel, name):
 class ShiftedSolver:
     """Residual-verified solver for (H - z) u = rhs at a fixed shift.
 
-    The factorization is computed once and is immutable afterwards, so a
-    solver instance may be shared read-only across threads.  Adjoint
-    solves reuse the same factors (H is Hermitian, so (H - z)^H = H - conj z).
+    The factorization is computed once and is immutable afterwards.
+    Adjoint solves reuse the same factors (H is Hermitian, so
+    (H - z)^H = H - conj z).  block_norm keeps the adjoint solve on the
+    last X it saw, so a solver is not safe to share across threads.
     """
 
     def __init__(self, H, shift, method="auto", tol=1e-10):
@@ -189,6 +186,8 @@ class ShiftedSolver:
                                                       fill_factor=20)
         except RuntimeError as exc:
             raise SolveError(f"factorization of (H - z) failed: {exc}") from exc
+        self._X_rows = None     # positions of the last X and its solve
+        self._X_solved = None
 
     @property
     def n(self):
@@ -253,27 +252,28 @@ class ShiftedSolver:
 
     # -- block norms ---------------------------------------------------------
 
-    def _block(self, rows, cols, trans):
-        rhs = np.zeros((self.n, cols.size), dtype=np.complex128)
-        rhs[cols, np.arange(cols.size)] = 1.0
-        return self._verified(rhs, trans)[rows, :]
-
-    def block_norm(self, X, Y, power_rtol=1e-8):
+    def block_norm(self, X, Y):
         """Largest singular value of the X x Y block of (H - z)^{-1}.
 
-        The block is assembled by solving on basis vectors from the
-        smaller of the two sets (adjoint solves when that is X, which is
-        exact: the adjoint block is the conjugate transpose), then the top
-        singular value is found by power iteration on B^H B with
-        deterministic start vectors.
+        One adjoint solve on X's basis vectors gives the columns of
+        (H - conj z)^{-1} chi_X; its Y rows are the conjugate transpose of
+        the block, which has the same singular values.  The solve is kept
+        for the last X, so pairs sharing X cost one solve.  The top
+        singular value is exact dense LAPACK (scipy.linalg.svdvals).
         """
         rows = _local_positions(self.H, X, "X")
-        cols = _local_positions(self.H, Y, "Y")
-        if cols.size <= rows.size:
-            B = self._block(rows, cols, "N")
-        else:
-            B = self._block(cols, rows, "H")
-        return _power_top_singular(B, rtol=power_rtol)
+        if not np.array_equal(rows, self._X_rows):
+            rhs = np.zeros((self.n, rows.size), dtype=np.complex128)
+            rhs[rows, np.arange(rows.size)] = 1.0
+            self._X_solved = self.solve_adjoint(rhs)
+            self._X_rows = rows
+        B = self._X_solved[_local_positions(self.H, Y, "Y"), :]
+        try:
+            return float(scipy.linalg.svdvals(B)[0])
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(
+                f"singular values of the {B.shape[1]} x {B.shape[0]} block "
+                f"did not converge: {exc}") from exc
 
 
 def solve_shifted(H, shift, rhs, method="auto", tol=1e-10):
@@ -281,15 +281,12 @@ def solve_shifted(H, shift, rhs, method="auto", tol=1e-10):
     return ShiftedSolver(H, shift, method=method, tol=tol).solve(rhs)
 
 
-def block_operator_norm(H, shift, X, Y, method="auto", tol=1e-10,
-                        power_rtol=1e-8):
+def block_operator_norm(H, shift, X, Y, method="auto", tol=1e-10):
     """||chi_X (H - z)^{-1} chi_Y|| for index sets or IndicatorSets X, Y."""
-    return ShiftedSolver(H, shift, method=method, tol=tol).block_norm(
-        X, Y, power_rtol=power_rtol)
+    return ShiftedSolver(H, shift, method=method, tol=tol).block_norm(X, Y)
 
 
-def boundary_green_norm(H, shift, center, L, r, depth=None, tol=1e-10,
-                        power_rtol=1e-8):
+def boundary_green_norm(H, shift, center, L, r, depth=None, tol=1e-10):
     """||chi_center (H - z)^{-1} chi_layer|| on a Dirichlet ball.
 
     H must already be the Dirichlet restriction to the ball of radius L
@@ -297,73 +294,4 @@ def boundary_green_norm(H, shift, center, L, r, depth=None, tol=1e-10,
     """
     X = indicator_set(H.grid, center, r, mask=H.mask)
     Y = boundary_layer_indices(center, L, r, H.grid, depth=depth)
-    return ShiftedSolver(H, shift, tol=tol).block_norm(X, Y,
-                                                       power_rtol=power_rtol)
-
-
-# ---------------------------------------------------------------------------
-# power iteration
-# ---------------------------------------------------------------------------
-
-def _power_run(B, v, rtol):
-    # Rayleigh estimates ||B v_k|| are nondecreasing lower bounds of the
-    # top singular value and their steps shrink geometrically with ratio
-    # rho = (sigma_2/sigma_1)^2, so the gap still ahead is about
-    # step * rho / (1 - rho).  Stop on that projected tail, not on the
-    # raw step: plain stagnation quits a few rtol short when the top two
-    # singular values are close.
-    v = v / np.linalg.norm(v)
-    est = 0.0
-    prev_step = np.inf
-    floor = max(64.0 * np.finfo(float).eps, 0.01 * rtol)
-    for _ in range(_POWER_MAXITER):
-        w = B @ v
-        new = float(np.linalg.norm(w))
-        if new == 0.0:
-            return 0.0, True
-        v = B.conj().T @ w
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return new, True
-        v = v / nv
-        if est > 0.0:
-            step = new - est
-            # round-off can jitter the step sign near convergence
-            if step <= floor * new:
-                return new, True
-            rho = step / prev_step
-            if rho < 1.0 and step * rho / (1.0 - rho) <= rtol * new:
-                return new, True
-            prev_step = step
-        else:
-            prev_step = new
-        est = new
-    return est, False
-
-
-def _power_top_singular(B, rtol=1e-8):
-    B = np.asarray(B)
-    if B.size == 0:
-        raise DomainError("empty block")
-    k = B.shape[1]
-    starts = [
-        np.ones(k),
-        np.arange(1.0, k + 1.0),
-        (-1.0) ** np.arange(k),
-    ]
-    est0, ok0 = _power_run(B, starts[0], rtol)
-    est1, ok1 = _power_run(B, starts[1], rtol)
-    best = max(est0, est1)
-    converged = ok0 and ok1
-    if best > 0 and abs(est0 - est1) > 10 * rtol * best:
-        est2, ok2 = _power_run(B, starts[2], rtol)
-        best = max(best, est2)
-        converged = converged and ok2
-        logger.debug("power iteration starts disagreed: %.3e %.3e %.3e",
-                     est0, est1, est2)
-    if not converged:
-        warnings.warn(
-            f"power iteration hit {_POWER_MAXITER} iterations; "
-            f"returning the (lower-bound) estimate {best:.6e}",
-            RuntimeWarning, stacklevel=2)
-    return best
+    return ShiftedSolver(H, shift, tol=tol).block_norm(X, Y)

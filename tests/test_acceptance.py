@@ -265,11 +265,7 @@ def test_criterion_04_large_disorder_decay():
 # 5: finite-volume criterion triggers and matches measured decay
 # ---------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore:power iteration hit")
 def test_criterion_05_criterion_decay_consistency():
-    # the deepest ball runs the power iteration into its lower-bound
-    # fallback on near-degenerate boundary blocks; that estimate is
-    # O(1)-accurate on a six-order margin, hence the filter above
     t0 = time.perf_counter()
     schedule = EpsilonSchedule((1e-2, 1e-3))
     reports = []

@@ -5,7 +5,9 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from fracmom import cli
@@ -92,6 +94,23 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_retired_c_const_key_exits_2(tmp_path, capsys):
+    doc = tiny_doc(tmp_path / "results")
+    doc["constants"] = {"C_const": 1.0}
+    code = cli.main(["moment", "--config", str(write_config(tmp_path, doc))])
+    assert code == 2
+    assert "C_const" in capsys.readouterr().err
+
+
+def test_singular_value_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def diverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(scipy.linalg, "svdvals", diverged)
+    code = cli.main(["moment", "--config", str(write_config(tmp_path))])
+    assert code == 3
+    assert "SVD did not converge" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # moment pipeline end to end
 
@@ -153,11 +172,16 @@ def test_worker_count_does_not_change_payloads(tmp_path):
     ("epsilon-scan", [1.0, 2.0], 1),
     ("decay", [1.0, 2.0], 2),      # one pair scan per E
     ("ids", [1.0, 2.0, 3.0], 1),
+    ("criterion", [1.0, 2.0], 2),  # one eps scan per (E, L, alpha)
 ])
 def test_subcommand_realization_count(tmp_path, monkeypatch, sub, energies,
                                       draws_per_N):
     doc = tiny_doc(tmp_path / "results")
     doc["run"].update(s=[0.3, 0.5], E=energies, eps=[0.1, 0.01])
+    if sub == "criterion":
+        # the criterion needs s < 1/3 and a ball with L > 24 r in the box
+        doc["model"]["grid"]["box"] = [60.0]
+        doc["run"].update(s=[0.2, 0.3], L=[26.0])
     seeds = []
     sample = ModelConfig.sample
 

@@ -49,7 +49,7 @@ def test_minimal_document_parses_with_defaults():
     # defaults
     assert cfg.radius == cfg.r == 1.0
     assert cfg.n_configs == 50
-    assert cfg.C_const == 1.0 and cfg.M_const == 1.0
+    assert cfg.M_const == 1.0
     assert cfg.depth is None
     assert cfg.output_dir == "results"
     assert cfg.formats == ("jsonl", "csv")

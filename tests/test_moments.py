@@ -1,6 +1,7 @@
 import ctypes
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
@@ -9,7 +10,7 @@ import pytest
 import scipy.sparse
 from hypothesis import example, given, settings, strategies as st
 
-from fracmom import moments
+from fracmom import model, moments
 from fracmom.errors import DomainError, SolveError
 from fracmom.model import (
     BackgroundFields,
@@ -267,6 +268,22 @@ def test_spawned_pool_workers_run_single_threaded_blas(monkeypatch):
                              master_seed=1, workers=2)
     assert [counts for counts, _ in per_sample] == [[1] * len(parent)] * 2
     assert blas_threads() == parent
+
+
+def bump_matrix_builds(H):
+    """(pid, bump-matrix cache misses) of this process; a sample job."""
+    time.sleep(0.05)    # every worker is up before a chunk is done
+    return os.getpid(), model._bump_matrix.cache_info().misses
+
+
+def test_pool_workers_unpickle_the_factory_once():
+    # each worker unpickles one chunk of tasks, factory included, so its
+    # bump matrix is built once and the cache serves every later sample
+    model._bump_matrix.cache_clear()
+    per_sample = map_samples(chain_config(npts=8), bump_matrix_builds, N=6,
+                             master_seed=1, workers=2)
+    assert [misses for _, misses in per_sample] != [0] * 6
+    assert all(misses <= 1 for _, misses in per_sample)
 
 
 def test_pooled_2d_norms_equal_serial_bitwise():

@@ -10,6 +10,8 @@ from fracmom.model import (
     ConstantVector,
     DiscreteHamiltonian,
     GridSpec,
+    LandauGauge,
+    ModelConfig,
     SingleSiteProfile,
     assemble_h0,
     assemble_hamiltonian,
@@ -19,6 +21,7 @@ from fracmom.model import (
     restrict_dirichlet,
     sample_couplings,
 )
+from fracmom.moments import sample_seed, scan_pair_norms
 from fracmom.resolvent import (
     IndicatorSet,
     ShiftedSolver,
@@ -331,12 +334,66 @@ def test_block_norm_oracle_equivalence(seed, lam, n):
     rng = np.random.default_rng(seed)
     X = np.sort(rng.choice(n, size=rng.integers(1, n // 2), replace=False))
     Y = np.sort(rng.choice(n, size=rng.integers(1, n // 2), replace=False))
-    # power_rtol is the projected relative error of the iteration, so ask
-    # two orders tighter than the assertion to leave headroom for cases
-    # where the top two singular values nearly tie
-    got = block_operator_norm(H, z, X, Y, power_rtol=1e-10)
+    got = block_operator_norm(H, z, X, Y)
     want = dense_block_norm(H, z.z, H.local_indices(X), H.local_indices(Y))
-    assert abs(got - want) <= 1e-8 * max(want, 1e-30)
+    assert abs(got - want) <= 1e-12 * max(want, 1e-30)
+
+
+def test_singular_value_failure_is_a_solve_error(monkeypatch):
+    def diverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(scipy.linalg, "svdvals", diverged)
+    _, H = disordered_chain(20, lam=1.0, seed=0)
+    with pytest.raises(SolveError, match="did not converge"):
+        block_operator_norm(H, SpectralShift(1.0, 1e-2), np.arange(3),
+                            np.arange(5, 9))
+
+
+# ---------------------------------------------------------------------------
+# ladders sharing X
+
+def test_ladder_shares_one_adjoint_solve_per_realization_and_shift(monkeypatch):
+    g = GridSpec(d=2, box=(8.0, 8.0), h=0.25)     # 31 x 31 points
+    cfg = ModelConfig(grid=g, background=BackgroundFields(A=LandauGauge(b=0.2)),
+                      profile=SingleSiteProfile(r=1.0, shape="cosine-bump",
+                                                u0=4.0),
+                      law=disorder_law(10.0, g))
+    X = indicator_set(g, (2.0, 4.0), 1.0)
+    Ys = [indicator_set(g, (2.0 + t, 4.0), 1.0) for t in (1.0, 2.0, 3.0, 4.0)]
+    shifts = [SpectralShift(E=4.0, eps=1e-2), SpectralShift(E=4.0, eps=1e-3)]
+    solves = []
+    verified = ShiftedSolver._verified
+
+    def counting(self, rhs, trans):
+        solves.append((trans, rhs.shape[1]))
+        return verified(self, rhs, trans)
+    monkeypatch.setattr(ShiftedSolver, "_verified", counting)
+
+    N = 2
+    norms = [scan_pair_norms(cfg, z, [(X, Y) for Y in Ys], N, master_seed=5)
+             for z in shifts]
+    assert solves == [("H", len(X))] * (N * len(shifts))
+    worst = 0.0
+    for i in range(N):
+        H = cfg.hamiltonian_for_seed(sample_seed(5, i))
+        rows = H.local_indices(X.indices)
+        for k, z in enumerate(shifts):
+            for j, Y in enumerate(Ys):
+                want = dense_block_norm(H, z.z, rows, H.local_indices(Y.indices))
+                worst = max(worst, abs(norms[k][i, j] - want) / want)
+    assert worst <= 1e-12
+
+    # a new X is solved afresh, and the old X again after it
+    solves.clear()
+    solver = ShiftedSolver(H, shifts[0])
+    got = [solver.block_norm(A, B) for A, B in [(X, Ys[0]), (Ys[0], X),
+                                                  (X, Ys[0])]]
+    assert solves == [("H", len(X)), ("H", len(Ys[0])), ("H", len(X))]
+    want = dense_block_norm(H, shifts[0].z, rows, H.local_indices(Ys[0].indices))
+    assert got[0] == got[2]
+    assert abs(got[0] - want) <= 1e-12 * want
+    want = dense_block_norm(H, shifts[0].z, H.local_indices(Ys[0].indices), rows)
+    assert abs(got[1] - want) <= 1e-12 * want
 
 
 # ---------------------------------------------------------------------------
