@@ -331,8 +331,6 @@ def build_parser():
         p.add_argument("--out", default=None)
     p = sub.add_parser("preset")
     p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--config", default=None,
-                   help="optional overrides are not supported; reserved")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None)
     return parser

@@ -17,7 +17,7 @@ from importlib import resources
 
 import jsonschema
 
-from .criterion import _ball_fits_box
+from .criterion import _ball_fits_box, default_center
 from .errors import ConfigError
 from .model import (
     BackgroundFields,
@@ -160,7 +160,7 @@ def _cross_checks(cfg: "ExperimentConfig"):
             if not L > min_L:
                 raise ConfigError(
                     f"run.L: ball radius {L} too small; needs L > {min_L}")
-            for alpha in cfg.alphas or (tuple(b / 2.0 for b in cfg.grid.box),):
+            for alpha in cfg.alphas or (default_center(cfg.grid),):
                 if not _ball_fits_box(cfg.grid, alpha, L):
                     raise ConfigError(
                         f"run.alphas: ball of radius {L} around {tuple(alpha)} "

@@ -215,6 +215,11 @@ class BallRestrictedModel:
                                   self.ball)
 
 
+def default_center(grid):
+    """The criterion's default center: the box center, rounded, as floats."""
+    return tuple(float(c) for c in np.round(np.asarray(grid.box) / 2.0))
+
+
 def _ball_fits_box(grid, alpha, L):
     alpha = np.asarray(alpha, dtype=float)
     return bool(np.all(alpha - L >= 0.0) and
@@ -222,15 +227,14 @@ def _ball_fits_box(grid, alpha, L):
 
 
 def estimate_raw_boundary_moment(config, s, E, L, schedule, N, master_seed,
-                                 alphas=None, depth=None, workers=None,
-                                 tol=1e-10):
+                                 alphas=None, depth=None, workers=None):
     """Max over centers of the stabilized boundary-layer moment.
 
     For each center alpha the Hamiltonian is restricted to the Dirichlet
     ball of radius L, and the moment of ||chi_alpha R chi_layer|| is
     scanned down the eps schedule with common seeds.  The supremum over
     all centers is approximated by the max over the supplied sample of
-    centers (default: the box center), relying on the translation
+    centers (default: the rounded box center), relying on the translation
     covariance of the ensemble.
 
     A scalar s gives one raw moment; a sequence of exponents gives one
@@ -245,7 +249,7 @@ def estimate_raw_boundary_moment(config, s, E, L, schedule, N, master_seed,
     grid = config.grid
     r = config.profile.r
     if alphas is None:
-        alphas = [tuple(np.round(np.asarray(grid.box) / 2.0))]
+        alphas = [default_center(grid)]
     shifts = schedule.shifts(E)
     best = [-math.inf] * len(exponents)
     for alpha in alphas:
@@ -256,7 +260,7 @@ def estimate_raw_boundary_moment(config, s, E, L, schedule, N, master_seed,
         X = indicator_set(grid, alpha, r, mask=ball)
         Y = boundary_layer_indices(alpha, L, r, grid, depth=depth)
         norms = scan_norms(BallRestrictedModel(config, ball), shifts, X, Y,
-                           N, master_seed, workers=workers, tol=tol)
+                           N, master_seed, workers=workers)
         for k, exponent in enumerate(exponents):
             means = [e.mean for e in estimates_from_norms(norms, exponent,
                                                           shifts)]
@@ -382,7 +386,7 @@ class ConsistencyReport:
 
 def verify_criterion_consistency(config, report, ladder, eps, N, master_seed,
                                  x0=None, axis=0, r2_threshold=0.8,
-                                 workers=None, tol=1e-10):
+                                 workers=None):
     """Measure moment decay along a distance ladder in the full box.
 
     Requires a triggered criterion (factor < 1).  Moments are estimated
@@ -409,7 +413,7 @@ def verify_criterion_consistency(config, report, ladder, eps, N, master_seed,
         x0, ladder, axis, lambda center, dist: indicator_set(grid, center, r))
     shift = SpectralShift(E=report.E, eps=eps)
     norms = scan_pair_norms(config, shift, [(X, Y) for Y in Ys], N,
-                            master_seed, workers=workers, tol=tol)
+                            master_seed, workers=workers)
     ests = estimates_from_norms(norms, report.s, [shift] * len(Ys),
                                 seed=master_seed)
     means = [e.mean for e in ests]

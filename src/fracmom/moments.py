@@ -224,12 +224,12 @@ def map_samples(factory, job, N, master_seed, workers=None):
     return [task(index) for index in range(N)]
 
 
-def _norm_grid(shifts, pairs, tol, H):
+def _norm_grid(shifts, pairs, H):
     # one factorization per shift, shared by every (X, Y) pair
     out = np.empty((len(shifts), len(pairs)))
     for k, shift in enumerate(shifts):
         try:
-            solver = ShiftedSolver(H, shift, tol=tol)
+            solver = ShiftedSolver(H, shift)
             for j, (X, Y) in enumerate(pairs):
                 out[k, j] = solver.block_norm(X, Y)
         except SolveError as exc:
@@ -238,14 +238,13 @@ def _norm_grid(shifts, pairs, tol, H):
     return out
 
 
-def _scan(factory, shifts, pairs, N, master_seed, workers, tol):
+def _scan(factory, shifts, pairs, N, master_seed, workers):
     """(N, len(shifts), len(pairs)) block norms, realizations shared."""
-    job = partial(_norm_grid, shifts, pairs, tol)
+    job = partial(_norm_grid, shifts, pairs)
     return np.array(map_samples(factory, job, N, master_seed, workers))
 
 
-def scan_norms(factory, shifts, X, Y, N, master_seed, workers=None,
-               tol=1e-10):
+def scan_norms(factory, shifts, X, Y, N, master_seed, workers=None):
     """(N, len(shifts)) block norms; row i uses the seed for sample i.
 
     All shifts share realizations.  Worker processes only change the
@@ -258,12 +257,10 @@ def scan_norms(factory, shifts, X, Y, N, master_seed, workers=None,
     for sh in shifts:
         if not isinstance(sh, SpectralShift):
             raise DomainError("shifts must be SpectralShift instances")
-    return _scan(factory, shifts, [(X, Y)], N, master_seed, workers,
-                 tol)[:, :, 0]
+    return _scan(factory, shifts, [(X, Y)], N, master_seed, workers)[:, :, 0]
 
 
-def scan_pair_norms(factory, shift, pairs, N, master_seed, workers=None,
-                    tol=1e-10):
+def scan_pair_norms(factory, shift, pairs, N, master_seed, workers=None):
     """(N, len(pairs)) block norms at one shift, shared factorization.
 
     All pairs see the same realizations and the same factorization of
@@ -276,8 +273,7 @@ def scan_pair_norms(factory, shift, pairs, N, master_seed, workers=None,
     pairs = list(pairs)
     if len(pairs) == 0:
         raise DomainError("need at least one (X, Y) pair")
-    return _scan(factory, [shift], pairs, N, master_seed, workers,
-                 tol)[:, 0, :]
+    return _scan(factory, [shift], pairs, N, master_seed, workers)[:, 0, :]
 
 
 def estimates_from_norms(norms, s, shifts, X=None, Y=None, seed=0,
@@ -324,18 +320,17 @@ def stability_verdict(means, tol=DEFAULT_STABILIZATION_TOL):
 # ---------------------------------------------------------------------------
 
 def estimate_fractional_moment(factory, s, shift, X, Y, N, master_seed,
-                               workers=None, tol=1e-10, diagnostic=False):
+                               workers=None, diagnostic=False):
     """Mean of N independent samples of ||chi_X (H - z)^{-1} chi_Y||^s."""
     if N < 2:
         raise DomainError("need N >= 2 for a standard error")
-    norms = scan_norms(factory, [shift], X, Y, N, master_seed,
-                       workers=workers, tol=tol)
+    norms = scan_norms(factory, [shift], X, Y, N, master_seed, workers)
     return estimates_from_norms(norms, s, [shift], X=X, Y=Y, seed=master_seed,
                                 diagnostic=diagnostic)[0]
 
 
 def epsilon_scan(factory, s, E, schedule, X, Y, N, master_seed, workers=None,
-                 tol=1e-10, diagnostic=False):
+                 diagnostic=False):
     """Moment estimates along a decreasing eps schedule, common seeds.
 
     The verdict compares the last two means: the scan "stabilized" when
@@ -346,8 +341,7 @@ def epsilon_scan(factory, s, E, schedule, X, Y, N, master_seed, workers=None,
     if N < 2:
         raise DomainError("need N >= 2 for a standard error")
     shifts = schedule.shifts(E)
-    norms = scan_norms(factory, shifts, X, Y, N, master_seed,
-                       workers=workers, tol=tol)
+    norms = scan_norms(factory, shifts, X, Y, N, master_seed, workers)
     estimates = estimates_from_norms(norms, s, shifts, X=X, Y=Y,
                                      seed=master_seed, diagnostic=diagnostic)
     verdict = stability_verdict([e.mean for e in estimates], tol=schedule.tol)
@@ -355,8 +349,7 @@ def epsilon_scan(factory, s, E, schedule, X, Y, N, master_seed, workers=None,
                              norms=norms)
 
 
-def holder_modulus(factory, s, z1, z2, X, Y, N, master_seed, workers=None,
-                   tol=1e-10):
+def holder_modulus(factory, s, z1, z2, X, Y, N, master_seed, workers=None):
     """|m(z1) - m(z2)| / |z1 - z2|^s with common-seed moment estimates m."""
     if not (isinstance(z1, SpectralShift) and isinstance(z2, SpectralShift)):
         raise DomainError("z1 and z2 must be SpectralShift instances")
@@ -366,7 +359,6 @@ def holder_modulus(factory, s, z1, z2, X, Y, N, master_seed, workers=None,
         raise DomainError(f"s must be in (0,1), got {s}")
     if N < 2:
         raise DomainError("need N >= 2 for a standard error")
-    norms = scan_norms(factory, [z1, z2], X, Y, N, master_seed,
-                       workers=workers, tol=tol)
+    norms = scan_norms(factory, [z1, z2], X, Y, N, master_seed, workers)
     m1, m2 = (norms ** s).mean(axis=0)
     return float(abs(m1 - m2) / abs(z1.z - z2.z) ** s)

@@ -18,8 +18,10 @@ import scipy.sparse.linalg
 from .errors import DomainError, SolveError
 from .model import DiscreteHamiltonian, GridSpec, grid_points
 
-# direct factorization below this size; iterative (ILU + LGMRES) above
+# the solve contract: direct LU up to this many points, ILU + LGMRES
+# above, and every solve verified to this relative residual per column
 DIRECT_SOLVE_CAP = 50_000
+SOLVE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -155,31 +157,28 @@ class ShiftedSolver:
 
     The factorization is computed once and is immutable afterwards.
     Adjoint solves reuse the same factors (H is Hermitian, so
-    (H - z)^H = H - conj z).  block_norm keeps the adjoint solve on the
+    (H - z)^H = H - conj z).  DIRECT_SOLVE_CAP and SOLVE_TOL are read
+    when the solver is built.  block_norm keeps the adjoint solve on the
     last X it saw, so a solver is not safe to share across threads.
     """
 
-    def __init__(self, H, shift, method="auto", tol=1e-10):
+    def __init__(self, H, shift):
         if not isinstance(H, DiscreteHamiltonian):
             raise DomainError("expected a DiscreteHamiltonian")
         self.H = H
         self.z = _as_z(shift)
-        self.tol = float(tol)
+        self.tol = SOLVE_TOL
         n = H.n
         A = (H.entries - self.z * scipy.sparse.identity(n, format="csr")).tocsc()
         A = A.astype(np.complex128)
-        if method == "auto":
-            method = "direct" if n <= DIRECT_SOLVE_CAP else "iterative"
-        if method not in ("direct", "iterative"):
-            raise DomainError(f"unknown solve method {method!r}")
-        self.method = method
+        self.method = "direct" if n <= DIRECT_SOLVE_CAP else "iterative"
         self._A = A.tocsr()
         try:
-            if method == "direct":
+            if self.method == "direct":
                 self._fac = scipy.sparse.linalg.splu(A)
             else:
-                # factorization quality follows the requested tolerance so a
-                # loose solve is genuinely loose; the residual check below is
+                # factorization quality follows the tolerance so a loose
+                # solve is genuinely loose; the residual check below is
                 # what actually enforces accuracy
                 drop = max(1e-5, self.tol)
                 self._fac = scipy.sparse.linalg.spilu(A, drop_tol=drop,
@@ -276,17 +275,17 @@ class ShiftedSolver:
                 f"did not converge: {exc}") from exc
 
 
-def solve_shifted(H, shift, rhs, method="auto", tol=1e-10):
+def solve_shifted(H, shift, rhs):
     """One-shot residual-verified solve of (H - z) u = rhs."""
-    return ShiftedSolver(H, shift, method=method, tol=tol).solve(rhs)
+    return ShiftedSolver(H, shift).solve(rhs)
 
 
-def block_operator_norm(H, shift, X, Y, method="auto", tol=1e-10):
+def block_operator_norm(H, shift, X, Y):
     """||chi_X (H - z)^{-1} chi_Y|| for index sets or IndicatorSets X, Y."""
-    return ShiftedSolver(H, shift, method=method, tol=tol).block_norm(X, Y)
+    return ShiftedSolver(H, shift).block_norm(X, Y)
 
 
-def boundary_green_norm(H, shift, center, L, r, depth=None, tol=1e-10):
+def boundary_green_norm(H, shift, center, L, r, depth=None):
     """||chi_center (H - z)^{-1} chi_layer|| on a Dirichlet ball.
 
     H must already be the Dirichlet restriction to the ball of radius L
@@ -294,4 +293,4 @@ def boundary_green_norm(H, shift, center, L, r, depth=None, tol=1e-10):
     """
     X = indicator_set(H.grid, center, r, mask=H.mask)
     Y = boundary_layer_indices(center, L, r, H.grid, depth=depth)
-    return ShiftedSolver(H, shift, tol=tol).block_norm(X, Y)
+    return ShiftedSolver(H, shift).block_norm(X, Y)

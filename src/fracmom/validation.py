@@ -1,10 +1,10 @@
 """Independent oracles and the weak level-set bound bench.
 
-Everything here deliberately avoids the sparse solver and the power
-iteration: dense inverses are refined to an explicit residual, block
-norms come from full SVDs, and the level-set measures are Riemann sums
-over an explicit eta grid.  Agreement between these paths and the
-production ones is what the oracle sweeps certify.
+Everything here deliberately avoids the sparse solver: dense inverses
+are refined to an explicit residual, block norms come from full SVDs,
+and the level-set measures are Riemann sums over an explicit eta grid.
+Agreement between these paths and the production ones is what the
+oracle sweeps certify.
 """
 
 import logging
@@ -30,6 +30,8 @@ DENSE_ORACLE_CAP = 500
 _HERM_TOL = 1e-10
 _PSD_TOL = 1e-12
 _KERNEL_TOL = 1e-12
+_ORACLE_RESID = 1e-10     # max-entry residual of the refined dense inverse
+_ORACLE_AGREEMENT = 1e-8  # sparse vs dense block norm, relative
 _SOLVE_CHUNK = 8192   # etas per batched solve; bounds the stacked systems
 
 
@@ -108,11 +110,11 @@ class HSOperator:
 # dense resolvent oracle
 # ---------------------------------------------------------------------------
 
-def dense_resolvent_oracle(H, shift, cap=DENSE_ORACLE_CAP, resid_tol=1e-10):
+def dense_resolvent_oracle(H, shift):
     """(H - z)^{-1} as a dense matrix with verified residual.
 
     The inverse is Newton-refined (R <- R + R(I - (H-z)R)) until the
-    max-entry residual of (H-z)R - I is below resid_tol.
+    max-entry residual of (H-z)R - I is below _ORACLE_RESID.
     """
     if isinstance(H, DiscreteHamiltonian):
         A = H.dense()
@@ -121,8 +123,9 @@ def dense_resolvent_oracle(H, shift, cap=DENSE_ORACLE_CAP, resid_tol=1e-10):
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DomainError("H must be a square matrix")
     n = A.shape[0]
-    if n > cap:
-        raise DomainError(f"dense oracle capped at {cap} points, got {n}")
+    if n > DENSE_ORACLE_CAP:
+        raise DomainError(
+            f"dense oracle capped at {DENSE_ORACLE_CAP} points, got {n}")
     z = _as_z(shift)
     M = A - z * np.eye(n)
     R = np.linalg.inv(M)
@@ -130,17 +133,16 @@ def dense_resolvent_oracle(H, shift, cap=DENSE_ORACLE_CAP, resid_tol=1e-10):
     for _ in range(4):
         defect = eye - M @ R
         worst = np.abs(defect).max()
-        if worst <= resid_tol:
+        if worst <= _ORACLE_RESID:
             return R
         R = R + R @ defect
-    raise SolveError(
-        f"oracle residual {worst:.3e} above {resid_tol:.1e} after refinement",
-        achieved=float(worst))
+    raise SolveError(f"oracle residual {worst:.3e} above {_ORACLE_RESID:.1e} "
+                     "after refinement", achieved=float(worst))
 
 
-def dense_block_norm_oracle(H, shift, X, Y, cap=DENSE_ORACLE_CAP):
+def dense_block_norm_oracle(H, shift, X, Y):
     """Largest singular value of the X x Y resolvent block, dense path."""
-    R = dense_resolvent_oracle(H, shift, cap=cap)
+    R = dense_resolvent_oracle(H, shift)
     if isinstance(H, DiscreteHamiltonian):
         rows = _local_positions(H, X, "X")
         cols = _local_positions(H, Y, "Y")
@@ -318,21 +320,21 @@ class OracleComparison:
                 "passed": self.passed}
 
 
-def oracle_compare(model, shift, X, Y, seed=0, tol=1e-8, method="auto",
-                   solver_tol=1e-10, cap=DENSE_ORACLE_CAP):
+def oracle_compare(model, shift, X, Y, seed=0):
     """Sparse-path block norm against the dense SVD twin.
 
     `model` is either an assembled Hamiltonian or a factory with
-    hamiltonian_for_seed.  Loosening solver_tol (with the iterative
-    method) is the intended negative control: the report then flags the
-    mismatch instead of raising.
+    hamiltonian_for_seed.  The two norms must agree to _ORACLE_AGREEMENT
+    relatively.  A loosened solve contract (resolvent.SOLVE_TOL on the
+    iterative path) is the intended negative control: the report then
+    flags the mismatch instead of raising.
     """
     if isinstance(model, DiscreteHamiltonian):
         H = model
     else:
         H = model.hamiltonian_for_seed(seed)
-    sparse = block_operator_norm(H, shift, X, Y, method=method, tol=solver_tol)
-    dense = dense_block_norm_oracle(H, shift, X, Y, cap=cap)
+    sparse = block_operator_norm(H, shift, X, Y)
+    dense = dense_block_norm_oracle(H, shift, X, Y)
     rel = abs(sparse - dense) / max(dense, 1e-300)
     return OracleComparison(sparse_norm=float(sparse), dense_norm=float(dense),
-                            rel_diff=float(rel), tol=tol)
+                            rel_diff=float(rel), tol=_ORACLE_AGREEMENT)

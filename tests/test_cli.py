@@ -288,10 +288,28 @@ def test_decay_requires_a_ladder(tmp_path):
 
 def test_ladder_ball_must_fit(tmp_path, capsys):
     doc = tiny_doc(tmp_path / "results")
-    doc["run"]["ladder"] = [2.0, 20.0]  # x0=6 + 20 = 26 > box 24
+    doc["run"]["ladder"] = [2.0, 4.0, 20.0]  # x0=6 + 20 = 26 > box 24
     assert cli.main(["decay", "--config",
                      str(write_config(tmp_path, doc))]) == 2
     assert "does not fit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["decay", "correlator"])
+def test_two_rung_ladder_exits_2_before_sampling(tmp_path, monkeypatch,
+                                                 capsys, sub):
+    doc = tiny_doc(tmp_path / "results")
+    doc["run"]["ladder"] = [2.0, 4.0]
+    seeds = []
+    sample = ModelConfig.sample
+
+    def counting(self, seed):
+        seeds.append(seed)
+        return sample(self, seed)
+    monkeypatch.setattr(ModelConfig, "sample", counting)
+    assert cli.main([sub, "--config", str(write_config(tmp_path, doc))]) == 2
+    assert "too short" in capsys.readouterr().err
+    assert seeds == []
+    assert not (tmp_path / "results" / "records.jsonl").exists()
 
 
 def test_validate_runs_oracles_and_benches(tmp_path, capsys):
@@ -306,14 +324,15 @@ def test_validate_runs_oracles_and_benches(tmp_path, capsys):
     assert "0 failures" in capsys.readouterr().out
 
 
-def test_validate_caps_grid_size(tmp_path):
+def test_validate_caps_grid_size(tmp_path, capsys):
     doc = tiny_doc(tmp_path / "results")
     doc["model"]["grid"] = {"d": 2, "box": [40.0, 40.0], "h": 1.0}
     doc["run"]["x0"] = [10.0, 10.0]
-    doc["run"]["ladder"] = [2.0]
+    doc["run"]["ladder"] = [2.0, 4.0, 6.0]
     doc["run"]["window"] = [1.0, 4.0]
     assert cli.main(["validate", "--config",
                      str(write_config(tmp_path, doc))]) == 2
+    assert "validate needs <= 500 grid points" in capsys.readouterr().err
 
 
 def test_validate_raises_on_recorded_failures(tmp_path, monkeypatch):
@@ -344,6 +363,14 @@ def test_preset_listing_names_everything(capsys):
 def test_unknown_preset_exits_2(capsys):
     assert cli.main(["preset", "mystery"]) == 2
     assert "unknown preset" in capsys.readouterr().err
+
+
+def test_preset_takes_no_config_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["preset", "band-edge", "--config", str(tmp_path / "x.json"),
+                  "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_get_preset_returns_fresh_copies():

@@ -214,7 +214,7 @@ def test_eps_must_strictly_decrease():
 
 def test_ladder_must_strictly_increase():
     doc = base_doc()
-    doc["run"]["ladder"] = [2.0, 2.0]
+    doc["run"]["ladder"] = [2.0, 4.0, 4.0]
     with pytest.raises(ConfigError, match="strictly increasing"):
         parse_config(doc)
 
@@ -279,6 +279,14 @@ def test_criterion_default_alpha_is_the_box_center():
     # touching the walls exactly is still inside the closed box
     doc["model"]["grid"]["box"] = [52.0]
     assert parse_config(doc).L_values == (26.0,)
+    # the center is rounded to whole coordinates, as the run rounds it:
+    # 26.0 in [0, 51], where the ball of radius 25.5 pokes out
+    doc["model"]["grid"] = {"d": 1, "box": [51.0], "h": 0.5}
+    doc["run"]["L"] = 25.5
+    with pytest.raises(ConfigError, match=r"around \(26\.0,\) exceeds"):
+        parse_config(doc)
+    doc["run"]["alphas"] = [[25.5]]
+    assert parse_config(doc).alphas == ((25.5,),)
 
 
 def test_points_must_lie_in_the_open_box():

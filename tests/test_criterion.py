@@ -240,7 +240,9 @@ def test_raw_boundary_moment_ball_must_fit():
 def test_raw_boundary_moment_warns_when_unstable():
     cfg = chain_config(60.0, lam=0.0)
     sch = EpsilonSchedule(eps=(1e-1, 1e-3), tol=1e-9)
-    with pytest.warns(RuntimeWarning, match="did not stabilize"):
+    # the default center reads as plain floats, (30.0,)
+    with pytest.warns(RuntimeWarning,
+                      match=r"alpha=\(30\.0,\), s=0\.2 did not stabilize"):
         estimate_raw_boundary_moment(cfg, 0.2, E=2.0, L=26.0, schedule=sch,
                                      N=2, master_seed=0)
 

@@ -4,6 +4,7 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
+from fracmom import resolvent
 from fracmom.errors import DomainError, SolveError
 from fracmom.model import (
     BackgroundFields,
@@ -178,7 +179,7 @@ def test_matrix_rhs_matches_columns():
         assert np.allclose(U[:, j], sol.solve(rhs[:, j]), atol=1e-12)
 
 
-def test_iterative_path_meets_same_contract():
+def test_iterative_path_meets_same_contract(monkeypatch):
     g = GridSpec(d=2, box=(8.0, 8.0), h=0.5)
     H0 = assemble_h0(g, BackgroundFields())
     law = disorder_law(2.0, g)
@@ -187,8 +188,12 @@ def test_iterative_path_meets_same_contract():
     z = SpectralShift(E=3.0, eps=1e-2)
     rng = np.random.default_rng(4)
     rhs = rng.standard_normal(H.n)
-    ud = solve_shifted(H, z, rhs, method="direct")
-    ui = solve_shifted(H, z, rhs, method="iterative")
+    assert ShiftedSolver(H, z).method == "direct"
+    ud = solve_shifted(H, z, rhs)
+    # the path follows the operator size, read when a solver is built
+    monkeypatch.setattr(resolvent, "DIRECT_SOLVE_CAP", 0)
+    assert ShiftedSolver(H, z).method == "iterative"
+    ui = solve_shifted(H, z, rhs)
     assert np.linalg.norm(ud - ui) <= 1e-8 * np.linalg.norm(ud)
 
 
