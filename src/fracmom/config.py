@@ -7,7 +7,6 @@ no matter where they were written.  FRACMOM_SEED overrides the master
 seed for quick reruns without editing the file.
 """
 
-import copy
 import hashlib
 import json
 import os
@@ -71,7 +70,6 @@ class ExperimentConfig:
     output_dir: str
     formats: tuple
     config_hash: str
-    raw: dict
 
     @property
     def grid(self):
@@ -97,7 +95,7 @@ def config_hash(data):
     return hashlib.sha256(canonical_bytes(data)).hexdigest()
 
 
-def _build_background(block):
+def _build_background(block, d):
     v0 = float(block.get("V0", 0.0))
     gauge = block.get("gauge", {"kind": "none"})
     kind = gauge.get("kind", "none")
@@ -106,10 +104,17 @@ def _build_background(block):
     elif kind == "constant":
         if "value" not in gauge:
             raise ConfigError("model.background.gauge: constant gauge needs value")
+        if len(gauge["value"]) != d:
+            raise ConfigError(
+                f"model.background.gauge: constant gauge value has "
+                f"{len(gauge['value'])} entries, grid is {d}d")
         A = ConstantVector(tuple(float(x) for x in gauge["value"]))
     else:
         if "b" not in gauge:
             raise ConfigError("model.background.gauge: landau gauge needs b")
+        if d != 2:
+            raise ConfigError(
+                f"model.background.gauge: landau gauge needs a 2d grid, got {d}d")
         A = LandauGauge(b=float(gauge["b"]))
     V0 = ConstantScalar(v0) if v0 != 0.0 else None
     return BackgroundFields(A=A, V0=V0, V0_min=min(0.0, v0))
@@ -125,7 +130,7 @@ def _build_model(block):
                                 u0=float(p["u0"]))
     law = disorder_law(float(block["law"]["lam"]), grid,
                        density=block["law"].get("density", "uniform"))
-    background = _build_background(block.get("background", {}))
+    background = _build_background(block.get("background", {}), grid.d)
     return ModelConfig(grid=grid, background=background, profile=profile,
                        law=law)
 
@@ -174,7 +179,6 @@ def parse_config(data, env=None):
     error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
     if error is not None:
         raise ConfigError(f"{error.json_path}: {error.message}")
-    data = copy.deepcopy(data)
     model = _build_model(data["model"])
     run = data["run"]
 
@@ -233,7 +237,6 @@ def parse_config(data, env=None):
         output_dir=str(output["dir"]),
         formats=tuple(output["formats"]),
         config_hash=config_hash(data),
-        raw=data,
     )
     _cross_checks(cfg)
     return cfg

@@ -9,12 +9,12 @@ modified distance, which the consistency check then measures directly.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError
-from .model import grid_points, restrict_dirichlet
+from .model import grid_points
 from .moments import (
     EpsilonSchedule,
     estimates_from_norms,
@@ -59,14 +59,14 @@ class ModifiedDistance:
         multi = np.round(x / self.grid.h).astype(np.int64) - 1
         snapped = (multi + 1) * self.grid.h
         if np.any(np.abs(x - snapped) > _GRID_SNAP):
-            raise DomainError(f"{tuple(x)} is not a grid point")
+            raise DomainError(f"{tuple(x.tolist())} is not a grid point")
         shape = np.asarray(self.grid.shape)
         if np.any(multi < 0) or np.any(multi >= shape):
-            raise DomainError(f"{tuple(x)} lies outside the box interior")
+            raise DomainError(f"{tuple(x.tolist())} lies outside the box interior")
         flat = int(np.ravel_multi_index(multi, self.grid.shape))
         pos = np.searchsorted(self.mask, flat)
         if pos >= self.mask.size or self.mask[pos] != flat:
-            raise DomainError(f"{tuple(x)} is outside the domain mask")
+            raise DomainError(f"{tuple(x.tolist())} is outside the domain mask")
         return x
 
     def to_complement(self, x):
@@ -203,18 +203,6 @@ def criterion_factor(s, lam, E, E0, L, d, raw_moment, M_const=1.0, r=None):
 # raw boundary moment
 # ---------------------------------------------------------------------------
 
-class BallRestrictedModel:
-    """Picklable factory: full-box realization, Dirichlet ball restriction."""
-
-    def __init__(self, config, ball):
-        self.config = config
-        self.ball = ball
-
-    def hamiltonian_for_seed(self, seed):
-        return restrict_dirichlet(self.config.hamiltonian_for_seed(seed),
-                                  self.ball)
-
-
 def default_center(grid):
     """The criterion's default center: the box center, rounded, as floats."""
     return tuple(float(c) for c in np.round(np.asarray(grid.box) / 2.0))
@@ -230,7 +218,7 @@ def estimate_raw_boundary_moment(config, s, E, L, schedule, N, master_seed,
                                  alphas=None, depth=None, workers=None):
     """Max over centers of the stabilized boundary-layer moment.
 
-    For each center alpha the Hamiltonian is restricted to the Dirichlet
+    For each center alpha every realization is assembled on the Dirichlet
     ball of radius L, and the moment of ||chi_alpha R chi_layer|| is
     scanned down the eps schedule with common seeds.  The supremum over
     all centers is approximated by the max over the supplied sample of
@@ -259,7 +247,7 @@ def estimate_raw_boundary_moment(config, s, E, L, schedule, N, master_seed,
         ball = ball_indices(grid, alpha, L)
         X = indicator_set(grid, alpha, r, mask=ball)
         Y = boundary_layer_indices(alpha, L, r, grid, depth=depth)
-        norms = scan_norms(BallRestrictedModel(config, ball), shifts, X, Y,
+        norms = scan_norms(replace(config, domain=ball), shifts, X, Y,
                            N, master_seed, workers=workers)
         for k, exponent in enumerate(exponents):
             means = [e.mean for e in estimates_from_norms(norms, exponent,
@@ -408,7 +396,7 @@ def verify_criterion_consistency(config, report, ladder, eps, N, master_seed,
     if len(ladder) < 3 or not all(b > a for a, b in zip(ladder, ladder[1:])):
         raise DomainError("ladder must be at least three increasing distances")
     if x0 is None:
-        x0 = tuple(np.round(np.asarray(grid.box) / 4.0))
+        x0 = tuple(np.round(np.asarray(grid.box) / 4.0).tolist())
     X, targets, Ys = ladder_sets(
         x0, ladder, axis, lambda center, dist: indicator_set(grid, center, r))
     shift = SpectralShift(E=report.E, eps=eps)

@@ -123,7 +123,7 @@ class ConstantScalar:
     value: float
 
     def __call__(self, q):
-        return self.value
+        return np.full(len(q), self.value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class ConstantVector:
     value: tuple
 
     def __call__(self, q):
-        return np.asarray(self.value, dtype=float)
+        return np.tile(np.asarray(self.value, dtype=float), (len(q), 1))
 
 
 @dataclass(frozen=True)
@@ -141,16 +141,16 @@ class LandauGauge:
     b: float
 
     def __call__(self, q):
-        return np.array([-self.b * q[1], 0.0])
+        return np.stack([-self.b * q[:, 1], np.zeros(len(q))], axis=1)
 
 
 @dataclass(frozen=True)
 class BackgroundFields:
     """Deterministic vector potential A and scalar potential V0.
 
-    A maps a grid point to a length-d array (None means zero); V0 maps a grid
-    point to a real number (None means zero) and must stay above the declared
-    bound V0_min at every grid point.
+    Both act on an (n, d) array of points at once.  A returns an (n, d)
+    array (None means zero); V0 returns an (n,) array of reals (None means
+    zero) and must stay above the declared bound V0_min at every grid point.
     """
 
     A: Callable | None = None
@@ -158,15 +158,22 @@ class BackgroundFields:
     V0_min: float = 0.0
 
 
-def _eval_scalar_field(fn, pts, name):
-    if fn is None:
-        return np.zeros(len(pts))
-    vals = np.empty(len(pts))
-    for k, q in enumerate(pts):
-        v = float(fn(q))
-        if not math.isfinite(v):
-            raise ConstructionError(f"{name} is not finite at point {tuple(q)}")
-        vals[k] = v
+def _field_values(fn, q, shape, name):
+    """fn evaluated on the points q, required to have exactly `shape`.
+
+    No broadcasting: a callable written for one point at a time returns
+    the wrong shape and is rejected instead of being misread.
+    """
+    vals = np.asarray(fn(q), dtype=float)
+    if vals.shape != shape:
+        raise ConstructionError(
+            f"{name} returned shape {vals.shape} on {len(q)} points, "
+            f"expected {shape}")
+    bad = ~np.isfinite(vals.reshape(len(q), -1)).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConstructionError(
+            f"{name} is not finite at point {tuple(q[k].tolist())}")
     return vals
 
 
@@ -427,7 +434,8 @@ def check_covering(profile: SingleSiteProfile, law: DisorderLaw, grid: GridSpec)
     if b_minus <= 0.0:
         worst = grid_points(grid)[int(np.argmin(cover))]
         raise CoveringError(
-            f"covering violated: grid point {tuple(worst)} has zero bump coverage")
+            f"covering violated: grid point {tuple(worst.tolist())} has zero "
+            "bump coverage")
     return b_minus, b_plus
 
 
@@ -459,10 +467,6 @@ class DiscreteHamiltonian:
     def n(self):
         return len(self.mask)
 
-    def points(self) -> np.ndarray:
-        """Coordinates of the active grid points, in mask order."""
-        return grid_points(self.grid)[self.mask]
-
     def local_indices(self, global_indices) -> np.ndarray:
         """Positions of the given global grid indices inside the mask."""
         gi = np.asarray(global_indices, dtype=np.int64)
@@ -486,11 +490,12 @@ def assemble_h0(grid: GridSpec, bg: BackgroundFields) -> DiscreteHamiltonian:
     pts = grid_points(grid)
     n = len(pts)
     h = grid.h
-    v0 = _eval_scalar_field(bg.V0, pts, "V0")
+    v0 = np.zeros(n) if bg.V0 is None else _field_values(bg.V0, pts, (n,), "V0")
     if np.any(v0 < bg.V0_min - 1e-12):
         k = int(np.argmin(v0 - bg.V0_min))
         raise ConstructionError(
-            f"V0({tuple(pts[k])}) = {v0[k]} below declared V0_min = {bg.V0_min}")
+            f"V0({tuple(pts[k].tolist())}) = {v0[k]} below declared "
+            f"V0_min = {bg.V0_min}")
 
     idx = np.arange(n).reshape(grid.shape)
     rows, cols, vals = [], [], []
@@ -506,13 +511,8 @@ def assemble_h0(grid: GridSpec, bg: BackgroundFields) -> DiscreteHamiltonian:
             theta = np.zeros(len(left))
         else:
             mids = (pts[left] + pts[right]) / 2.0
-            theta = np.empty(len(left))
-            for k, m in enumerate(mids):
-                a = np.asarray(bg.A(m), dtype=float)
-                if a.shape != (grid.d,) or not np.all(np.isfinite(a)):
-                    raise ConstructionError(
-                        f"A is not a finite length-{grid.d} vector at {tuple(m)}")
-                theta[k] = h * a[axis]
+            a = _field_values(bg.A, mids, mids.shape, "A")
+            theta = h * a[:, axis]
         if np.any(theta != 0.0):
             any_phase = True
         hop = -np.exp(-1j * theta) / h ** 2
@@ -553,8 +553,6 @@ def restrict_dirichlet(H: DiscreteHamiltonian, mask) -> DiscreteHamiltonian:
     mask = np.unique(np.asarray(mask, dtype=np.int64))
     if len(mask) == 0:
         raise ConstructionError("Dirichlet restriction to an empty mask")
-    if np.setdiff1d(mask, H.mask).size:
-        raise ConstructionError("restriction mask is not a subset of the active mask")
     pos = H.local_indices(mask)
     sub = H.entries[pos][:, pos].tocsr()
     return DiscreteHamiltonian(grid=H.grid, entries=sub, mask=mask)
@@ -597,19 +595,28 @@ def ground_energy(H: DiscreteHamiltonian) -> float:
 
 @dataclass(eq=False)
 class ModelConfig:
-    """Grid, background, bump profile and disorder law for one ensemble."""
+    """Grid, background, bump profile and disorder law for one ensemble.
+
+    domain, if given, holds the global grid indices of a Dirichlet
+    subdomain: H0 is restricted to it once, and every realization is
+    assembled on it directly.  None means the whole box.
+    """
 
     grid: GridSpec
     background: BackgroundFields
     profile: SingleSiteProfile
     law: DisorderLaw
+    domain: np.ndarray | None = None
 
     def __post_init__(self):
         self._h0 = None
 
     def h0(self) -> DiscreteHamiltonian:
         if self._h0 is None:
-            self._h0 = assemble_h0(self.grid, self.background)
+            h0 = assemble_h0(self.grid, self.background)
+            if self.domain is not None:
+                h0 = restrict_dirichlet(h0, self.domain)
+            self._h0 = h0
         return self._h0
 
     def covering(self):

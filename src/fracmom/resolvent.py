@@ -79,8 +79,7 @@ class IndicatorSet:
         return int(self.indices.size)
 
 
-def indicator_set(grid, center, radius, inner_radius=0.0, mask=None,
-                  allow_empty=False):
+def indicator_set(grid, center, radius, inner_radius=0.0, mask=None):
     """Open-ball (annulus if inner_radius > 0) indicator on the grid.
 
     Membership uses strict inequalities on the Euclidean distance.  If
@@ -100,10 +99,11 @@ def indicator_set(grid, center, radius, inner_radius=0.0, mask=None,
     idx = np.flatnonzero(sel).astype(np.int64)
     if mask is not None:
         idx = np.intersect1d(idx, np.asarray(mask, dtype=np.int64))
-    if idx.size == 0 and not allow_empty:
+    center = tuple(center.tolist())
+    if idx.size == 0:
         raise DomainError(
-            f"indicator around {tuple(center)} with radius {radius} catches no grid point")
-    return IndicatorSet(center=tuple(center), radius=float(radius),
+            f"indicator around {center} with radius {radius} catches no grid point")
+    return IndicatorSet(center=center, radius=float(radius),
                         indices=idx, inner_radius=float(inner_radius))
 
 

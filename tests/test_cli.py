@@ -85,6 +85,22 @@ def test_config_error_inside_runner_exits_2(tmp_path, capsys):
     assert "run.window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, gauge", [
+    ({"d": 1, "box": [24.0], "h": 1.0}, {"kind": "landau", "b": 0.2}),
+    ({"d": 3, "box": [4.0, 4.0, 4.0], "h": 1.0}, {"kind": "landau", "b": 0.2}),
+    ({"d": 1, "box": [24.0], "h": 1.0}, {"kind": "constant", "value": [0.1, 0.2]}),
+], ids=["landau-1d", "landau-3d", "constant-2-in-1d"])
+def test_gauge_of_the_wrong_dimension_exits_2(tmp_path, capsys, grid, gauge):
+    doc = tiny_doc(tmp_path / "results")
+    doc["model"]["grid"] = grid
+    doc["model"]["background"] = {"gauge": gauge}
+    doc["run"].update(x0=[2.0] * grid["d"], ladder=[0.5, 1.0, 1.5])
+    code = cli.main(["ids", "--config", str(write_config(tmp_path, doc))])
+    assert code == 2
+    assert "model.background.gauge" in capsys.readouterr().err
+    assert not (tmp_path / "results" / "records.jsonl").exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     def boom(cfg, sink, workers):
         raise NumericalError("stub blew up")
@@ -254,6 +270,26 @@ def test_criterion_rerun_in_new_process_is_byte_identical(tmp_path):
         subprocess.run([sys.executable, "-m", "fracmom.cli", "criterion",
                         "--config", str(path), "--out", str(tmp_path / out)],
                        env=env, check=True, capture_output=True, timeout=300)
+        records = read_records(tmp_path / out / "records.jsonl")
+        assert records and all(r.kind == "criterion" for r in records)
+        payloads.append([json.dumps(r.payload, sort_keys=True)
+                         for r in records])
+    assert payloads[0] == payloads[1]
+
+
+def test_pooled_criterion_matches_serial_bytewise(tmp_path):
+    # pool workers receive the ball-restricted model by pickling; a worker
+    # that lost the ball would sample the whole box
+    doc = landau_doc(tmp_path / "results")
+    doc["model"]["grid"] = {"d": 2, "box": [16.0, 16.0], "h": 1.0}
+    doc["run"].update(N=6, L=8.0)
+    del doc["run"]["alphas"]
+    doc["constants"] = {"depth": 3.0}
+    path = write_config(tmp_path, doc)
+    payloads = []
+    for out, extra in (("serial", []), ("pool", ["--workers", "2"])):
+        assert cli.main(["criterion", "--config", str(path),
+                         "--out", str(tmp_path / out)] + extra) == 0
         records = read_records(tmp_path / out / "records.jsonl")
         assert records and all(r.kind == "criterion" for r in records)
         payloads.append([json.dumps(r.payload, sort_keys=True)

@@ -192,11 +192,10 @@ def test_hash_tracks_run_changes():
     assert len(config_hash(doc)) == 64
 
 
-def test_parsed_config_carries_its_hash_and_raw():
+def test_parsed_config_carries_its_hash():
     doc = base_doc()
     cfg = parse_config(doc)
     assert cfg.config_hash == config_hash(doc)
-    assert cfg.raw["run"]["N"] == 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracmom.criterion import (
-    BallRestrictedModel,
     CriterionReport,
     DecayFit,
     ModifiedDistance,
@@ -61,11 +62,11 @@ def test_modified_distance_sees_holes():
 def test_modified_distance_domain_errors():
     g = GridSpec(d=1, box=(10.0,), h=1.0)
     m = ModifiedDistance(g, np.setdiff1d(np.arange(g.npoints), [4]))
-    with pytest.raises(DomainError):
-        m.distance((1.5,), (2.0,))  # off the grid
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^\(2\.5,\) is not a grid point$"):
+        m.distance((2.5,), (2.0,))  # off the grid
+    with pytest.raises(DomainError, match=r"^\(5\.0,\) is outside the domain mask$"):
         m.distance((5.0,), (2.0,))  # masked out
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^\(11\.0,\) lies outside the box"):
         m.distance((11.0,), (2.0,))  # outside the box
 
 
@@ -214,7 +215,7 @@ def test_raw_boundary_moment_homogeneous_alphas_agree():
         X = indicator_set(cfg.grid, a, 1.0, mask=ball)
         from fracmom.resolvent import boundary_layer_indices
         Y = boundary_layer_indices(a, 26.0, 1.0, cfg.grid)
-        res = epsilon_scan(BallRestrictedModel(cfg, ball), 0.2, 2.0, sch,
+        res = epsilon_scan(replace(cfg, domain=ball), 0.2, 2.0, sch,
                            X, Y, N=40, master_seed=4)
         stats.append((res.estimates[-1].mean, res.estimates[-1].stderr))
     gap = abs(stats[0][0] - stats[1][0])

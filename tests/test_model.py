@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,6 +20,7 @@ from fracmom.model import (
     DiscreteHamiltonian,
     GridSpec,
     LandauGauge,
+    ModelConfig,
     SingleSiteProfile,
     assemble_h0,
     assemble_hamiltonian,
@@ -119,10 +123,98 @@ def test_constant_vector_potential_is_gauge_trivial():
 
 def test_nonfinite_background_is_named():
     g = GridSpec(d=1, box=(5.0,), h=1.0)
-    with pytest.raises(ConstructionError, match="V0"):
-        assemble_h0(g, BackgroundFields(V0=lambda q: np.inf))
-    with pytest.raises(ConstructionError, match="below declared"):
+    spike = lambda q: np.where(q[:, 0] == 3.0, np.inf, 0.0)
+    with pytest.raises(ConstructionError, match=r"V0 is not finite at point \(3\.0,\)"):
+        assemble_h0(g, BackgroundFields(V0=spike))
+    bad_a = lambda q: np.where(q > 2.0, np.nan, 0.0)
+    with pytest.raises(ConstructionError, match=r"A is not finite at point \(2\.5,\)"):
+        assemble_h0(g, BackgroundFields(A=bad_a))
+    with pytest.raises(ConstructionError, match=r"V0\(\(1\.0,\)\) = -1\.0 below declared"):
         assemble_h0(g, BackgroundFields(V0=ConstantScalar(-1.0), V0_min=0.0))
+
+
+def test_per_point_background_is_rejected_by_shape():
+    # a callable written for one point returns a scalar or a length-d
+    # vector; neither may be broadcast over the grid
+    g = GridSpec(d=2, box=(4.0, 4.0), h=1.0)
+    with pytest.raises(ConstructionError, match=r"V0 returned shape \(\)"):
+        assemble_h0(g, BackgroundFields(V0=lambda q: 1.0))
+    with pytest.raises(ConstructionError, match=r"A returned shape \(2,\)"):
+        assemble_h0(g, BackgroundFields(A=lambda q: np.array([0.1, 0.0])))
+    with pytest.raises(ConstructionError, match=r"A returned shape \(6, 3\)"):
+        assemble_h0(g, BackgroundFields(A=ConstantVector((0.1, 0.0, 0.2))))
+
+
+def _per_point_h0(grid, bg):
+    # per-point reference: V0 called at each grid point and A at each edge
+    # midpoint, one (1, d) array at a time
+    pts = grid_points(grid)
+    n = len(pts)
+    h = grid.h
+    v0 = np.zeros(n)
+    if bg.V0 is not None:
+        for k, q in enumerate(pts):
+            v0[k] = float(bg.V0(q[None, :])[0])
+    idx = np.arange(n).reshape(grid.shape)
+    rows, cols, vals = [], [], []
+    any_phase = False
+    for axis in range(grid.d):
+        sl_lo = [slice(None)] * grid.d
+        sl_hi = [slice(None)] * grid.d
+        sl_lo[axis] = slice(0, -1)
+        sl_hi[axis] = slice(1, None)
+        left = idx[tuple(sl_lo)].ravel()
+        right = idx[tuple(sl_hi)].ravel()
+        theta = np.zeros(len(left))
+        if bg.A is not None:
+            for k, m in enumerate((pts[left] + pts[right]) / 2.0):
+                theta[k] = h * np.asarray(bg.A(m[None, :]), dtype=float)[0, axis]
+        any_phase = any_phase or bool(np.any(theta != 0.0))
+        hop = -np.exp(-1j * theta) / h ** 2
+        rows += [right, left]
+        cols += [left, right]
+        vals += [hop, np.conj(hop)]
+    vals = np.concatenate(vals)
+    if not any_phase:
+        vals = vals.real
+    off = scipy.sparse.coo_matrix(
+        (vals, (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return (off + scipy.sparse.diags(2 * grid.d / h ** 2 + v0)).tocsr()
+
+
+def _swirl(q):
+    # nonuniform field in any dimension: A_i depends on the next coordinate
+    return 0.3 * np.roll(q, -1, axis=1) ** 2 - 0.05 * q
+
+
+H0_CASES = [
+    (GridSpec(d=1, box=(6.0,), h=0.5), BackgroundFields()),
+    (GridSpec(d=1, box=(6.0,), h=0.5),
+     BackgroundFields(A=ConstantVector((0.7,)), V0=ConstantScalar(1.25))),
+    (GridSpec(d=1, box=(7.0,), h=1.0), BackgroundFields(A=ConstantVector((0.0,)))),
+    (GridSpec(d=2, box=(5.0, 4.0), h=0.5), BackgroundFields(A=LandauGauge(0.2))),
+    (GridSpec(d=2, box=(5.0, 4.0), h=0.5),
+     BackgroundFields(A=LandauGauge(0.2), V0=ConstantScalar(-3.0), V0_min=-3.0)),
+    (GridSpec(d=2, box=(3.0, 4.5), h=0.5),
+     BackgroundFields(A=ConstantVector((0.4, -0.9)))),
+    (GridSpec(d=2, box=(4.0, 4.0), h=0.5),
+     BackgroundFields(A=_swirl, V0=lambda q: q[:, 0] * (q[:, 1] - 2.2),
+                      V0_min=-8.0)),
+    (GridSpec(d=3, box=(2.0, 2.5, 3.0), h=0.5),
+     BackgroundFields(A=_swirl, V0=ConstantScalar(0.5))),
+    (GridSpec(d=3, box=(2.0, 2.0, 2.0), h=0.5),
+     BackgroundFields(A=ConstantVector((0.1, 0.2, 0.3)))),
+]
+
+
+@pytest.mark.parametrize("grid, bg", H0_CASES)
+def test_assemble_h0_matches_per_point_assembly(grid, bg):
+    got = assemble_h0(grid, bg).entries
+    want = _per_point_h0(grid, bg)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +504,31 @@ def test_restrict_errors():
         restrict_dirichlet(sub, np.array([4]))
 
 
+@pytest.mark.parametrize("grid, bg, center, L", [
+    (GridSpec(d=2, box=(12.0, 12.0), h=0.5), BackgroundFields(A=LandauGauge(0.2)),
+     (6.0, 6.0), 5.0),
+    (GridSpec(d=1, box=(40.0,), h=1.0), BackgroundFields(), (20.0,), 13.0),
+], ids=["landau-2d", "chain"])
+def test_domain_model_equals_per_sample_restriction(grid, bg, center, L):
+    cfg = ModelConfig(grid=grid, background=bg,
+                      profile=SingleSiteProfile(r=1.0, shape="cosine-bump", u0=2.0),
+                      law=disorder_law(3.0, grid))
+    ball = np.flatnonzero(np.linalg.norm(grid_points(grid) - center, axis=1) < L)
+    on_ball = replace(cfg, domain=ball)
+    assert on_ball.h0().n == ball.size
+    for seed in range(5):
+        got = on_ball.hamiltonian_for_seed(seed)
+        want = restrict_dirichlet(cfg.hamiltonian_for_seed(seed), ball)
+        assert np.array_equal(got.mask, want.mask)
+        assert got.entries.dtype == want.entries.dtype
+        assert np.array_equal(got.entries.indptr, want.entries.indptr)
+        assert np.array_equal(got.entries.indices, want.entries.indices)
+        assert got.entries.data.tobytes() == want.entries.data.tobytes()
+    # the domain survives pickling, as pool workers receive it
+    clone = pickle.loads(pickle.dumps(on_ball))
+    assert clone.h0().n == ball.size
+
+
 # ---------------------------------------------------------------------------
 # ground energy
 
@@ -485,7 +602,7 @@ class LandauGaugeLike:
         self.b = b
 
     def __call__(self, q):
-        return np.array([-self.b * q[1], 0.1 * q[0]])
+        return np.stack([-self.b * q[:, 1], 0.1 * q[:, 0]], axis=1)
 
 
 @settings(max_examples=15, deadline=None)

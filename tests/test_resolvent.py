@@ -90,10 +90,9 @@ def test_indicator_mask_and_empty():
     g = GridSpec(d=1, box=(4.0,), h=0.5)
     s = indicator_set(g, (2.0,), 1.0, mask=np.array([0, 1, 2]))
     assert s.indices.tolist() == [2]
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^indicator around \(2\.2,\) with"):
         indicator_set(g, (2.2,), 0.2)  # dist to nearest point is exactly 0.2
-    empty = indicator_set(g, (2.2,), 0.2, allow_empty=True)
-    assert len(empty) == 0
+    assert [type(c) for c in s.center] == [float]
     with pytest.raises(DomainError):
         indicator_set(g, (2.0, 2.0), 1.0)  # center dimension mismatch
     with pytest.raises(DomainError):
