@@ -51,8 +51,8 @@ print(f"{'L':>4} {'raw boundary moment':>22} {'criterion factor':>18} "
       f"{'triggered':>10}")
 for L in (26.0, 30.0, 40.0):
     cfg = chain(2.0 * L)  # the smallest box that holds the ball
-    raw = estimate_raw_boundary_moment(cfg, S, E, L, schedule, N=200,
-                                       master_seed=2024, alphas=[(L,)])
+    raw, = estimate_raw_boundary_moment(cfg, [S], [E], L, schedule, N=200,
+                                        master_seed=2024, alphas=[(L,)])[0]
     rep = criterion_factor(S, LAM, E, ground_energy(cfg.h0()), L, 1,
                            raw, M_const=1.0, r=1.0)
     reports.append(rep)

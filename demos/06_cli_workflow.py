@@ -48,7 +48,7 @@ config = {
         "ladder": [2.0, 4.0, 6.0, 8.0],
         "x0": [6.0],
     },
-    "output": {"dir": str(out), "formats": ["jsonl", "csv"]},
+    "output": {"dir": str(out)},
 }
 config_path = workdir / "exp.json"
 config_path.write_text(json.dumps(config, indent=2))

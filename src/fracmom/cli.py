@@ -70,10 +70,13 @@ def _ladder_sets(cfg: ExperimentConfig):
     return X, targets
 
 
-def _record(cfg, kind, payload):
-    return ResultRecord(experiment=cfg.experiment,
-                        config_hash=cfg.config_hash, kind=kind,
-                        payload=payload)
+def _check_counting_cap(cfg: ExperimentConfig, what):
+    # only a 1d operator is tridiagonal, counted by Sturm pivots at any size
+    if cfg.grid.d > 1 and cfg.grid.npoints > loc.INERTIA_DENSE_CAP:
+        raise ConfigError(
+            f"{what} counts eigenvalues densely on a {cfg.grid.d}d grid and "
+            f"needs <= {loc.INERTIA_DENSE_CAP} grid points, got "
+            f"{cfg.grid.npoints}")
 
 
 class _Sink:
@@ -85,28 +88,20 @@ class _Sink:
         self.records = []
 
     def add(self, kind, payload):
-        rec = _record(self.cfg, kind, payload)
+        rec = ResultRecord(experiment=self.cfg.experiment,
+                           config_hash=self.cfg.config_hash, kind=kind,
+                           payload=payload)
         self.records.append(rec)
-        if "jsonl" in self.cfg.formats:
-            append_records(self.dir / "records.jsonl", [rec])
+        append_records(self.dir / "records.jsonl", [rec])
         return rec
 
-    def emit_csv(self, *kinds):
-        if "csv" not in self.cfg.formats:
-            return
-        for kind in kinds:
-            emit_plot_data(self.records, kind, self.dir / f"{kind}.csv")
+    def emit_csv(self, kind):
+        emit_plot_data(self.records, kind, self.dir / f"{kind}.csv")
 
 
 # ---------------------------------------------------------------------------
 # subcommand runners
 # ---------------------------------------------------------------------------
-
-# Every subcommand scans its norms once and folds them at each s.  A
-# record is folded from a block of the shape it would have on its own
-# ((N, 1) per moment, (N, |eps|) per scan, (N, |ladder|) per decay):
-# numpy's axis-0 mean and std sum an (N, 1) array pairwise but the
-# columns of a wider one row by row, so a wider block changes the bits.
 
 def run_moment(cfg: ExperimentConfig, sink: _Sink, workers):
     X, Y = _moment_sets(cfg)
@@ -153,23 +148,21 @@ def run_criterion(cfg: ExperimentConfig, sink: _Sink, workers):
         raise ConfigError("run.L is required for criterion runs")
     schedule = moments.EpsilonSchedule(cfg.eps_schedule)
     E0 = ground_energy(cfg.model.h0())
-    # one scan per (E, L), folded at every s
-    raws = {(E, L): crit.estimate_raw_boundary_moment(
-                cfg.model, cfg.s_values, E, L, schedule, cfg.N,
+    # one scan per ball, folded at every (s, E)
+    raws = [crit.estimate_raw_boundary_moment(
+                cfg.model, cfg.s_values, cfg.E_values, L, schedule, cfg.N,
                 cfg.master_seed, alphas=cfg.alphas, depth=cfg.depth,
                 workers=workers)
-            for E in cfg.E_values for L in cfg.L_values}
+            for L in cfg.L_values]
+    # a custom boundary depth opts out of the default L > 24r regime gate;
+    # the config cross-checks already required L > depth + r in that case
+    gate_r = cfg.r if cfg.depth is None else None
     reports = []
     for k, s in enumerate(cfg.s_values):
-        for E in cfg.E_values:
-            for L in cfg.L_values:
-                raw = raws[E, L][k]
-                # a custom boundary depth opts out of the default L > 24r
-                # regime gate; the config cross-checks already required
-                # L > depth + r in that case
-                gate_r = cfg.r if cfg.depth is None else None
+        for j, E in enumerate(cfg.E_values):
+            for L, raw in zip(cfg.L_values, raws):
                 report = crit.criterion_factor(
-                    s, cfg.lam, E, E0, L, cfg.grid.d, raw,
+                    s, cfg.lam, E, E0, L, cfg.grid.d, raw[k, j],
                     M_const=cfg.M_const, r=gate_r)
                 reports.append(report)
                 sink.add("criterion", report.payload())
@@ -180,29 +173,31 @@ def run_criterion(cfg: ExperimentConfig, sink: _Sink, workers):
 
 
 def run_decay(cfg: ExperimentConfig, sink: _Sink, workers):
+    bad_s = [s for s in cfg.s_values if not s < 1.0]
+    if bad_s:
+        raise ConfigError(f"run.s: decay needs s < 1, got {bad_s}")
     X, targets = _ladder_sets(cfg)
     eps = cfg.eps_schedule[-1]
     shifts = [SpectralShift(E=E, eps=eps) for E in cfg.E_values]
-    scans = [moments.scan_pair_norms(cfg.model, shift,
-                                     [(X, Y) for Y in targets], cfg.N,
-                                     cfg.master_seed, workers=workers)
-             for shift in shifts]
+    norms = moments.scan_pair_norms(cfg.model, shifts,
+                                    [(X, Y) for Y in targets], cfg.N,
+                                    cfg.master_seed, workers=workers)
     fits = []
     for s in cfg.s_values:
-        for shift, norms in zip(shifts, scans):
-            E = shift.E
+        for k, shift in enumerate(shifts):
             ests = moments.estimates_from_norms(
-                norms, s, [shift] * len(targets), seed=cfg.master_seed)
+                norms[:, k, :], s, [shift] * len(targets),
+                seed=cfg.master_seed)
             pts = [(d, e.mean) for d, e in zip(cfg.ladder, ests)]
             fit = crit.fit_exponential_decay(
                 pts, stderrs=[e.stderr for e in ests])
             fits.append(fit)
             sink.add("fit", {
-                "quantity": "moment-decay", "s": s, "E": E, "eps": eps,
+                "quantity": "moment-decay", "s": s, "E": shift.E, "eps": eps,
                 "A": fit.A, "mu": fit.mu, "r2": fit.r2,
                 "points": [{"dist": d, "mean": e.mean, "stderr": e.stderr}
                            for d, e in zip(cfg.ladder, ests)]})
-            print(f"decay s={s} E={E}: mu={fit.mu:.4f} r2={fit.r2:.4f}")
+            print(f"decay s={s} E={shift.E}: mu={fit.mu:.4f} r2={fit.r2:.4f}")
     sink.emit_csv("decay")
     return fits
 
@@ -216,6 +211,7 @@ def run_correlator(cfg: ExperimentConfig, sink: _Sink, workers):
     if cfg.window is None:
         raise ConfigError("run.window is required for correlator runs")
     window = loc.EigenWindow(a=cfg.window[0], b=cfg.window[1])
+    _check_counting_cap(cfg, "correlator")
     X, targets = _ladder_sets(cfg)
     values = np.array(moments.map_samples(
         cfg.model, partial(_correlator_row, window, X, targets), cfg.N,
@@ -242,6 +238,7 @@ def run_correlator(cfg: ExperimentConfig, sink: _Sink, workers):
 
 
 def run_ids(cfg: ExperimentConfig, sink: _Sink, workers):
+    _check_counting_cap(cfg, "ids")
     counts = loc.ids_counts(cfg.model, cfg.E_values, cfg.N, cfg.master_seed,
                             workers=workers)
     vol = cfg.grid.volume
@@ -340,6 +337,8 @@ def main(argv=None):
     logging.basicConfig(level=logging.WARNING)
     args = build_parser().parse_args(argv)
     try:
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         if args.subcommand == "preset":
             if args.name is None:
                 from .presets import PRESETS, preset_names

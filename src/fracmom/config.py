@@ -32,7 +32,6 @@ from .model import (
 SEED_ENV = "FRACMOM_SEED"
 
 _DEFAULT_CONSTANTS = {"M_const": 1.0}
-_DEFAULT_OUTPUT = {"dir": "results", "formats": ["jsonl", "csv"]}
 
 
 @lru_cache(maxsize=1)
@@ -68,7 +67,6 @@ class ExperimentConfig:
     M_const: float
     depth: float | None
     output_dir: str
-    formats: tuple
     config_hash: str
 
     @property
@@ -128,8 +126,7 @@ def _build_model(block):
     profile = SingleSiteProfile(r=float(p["r"]),
                                 shape=p.get("shape", "indicator"),
                                 u0=float(p["u0"]))
-    law = disorder_law(float(block["law"]["lam"]), grid,
-                       density=block["law"].get("density", "uniform"))
+    law = disorder_law(float(block["law"]["lam"]), grid)
     background = _build_background(block.get("background", {}), grid.d)
     return ModelConfig(grid=grid, background=background, profile=profile,
                        law=law)
@@ -197,7 +194,6 @@ def parse_config(data, env=None):
     if L is not None and not isinstance(L, list):
         L = [L]
     constants = {**_DEFAULT_CONSTANTS, **data.get("constants", {})}
-    output = {**_DEFAULT_OUTPUT, **data.get("output", {})}
     alphas = run.get("alphas")
     x0 = run.get("x0")
     y0 = run.get("y0")
@@ -234,8 +230,7 @@ def parse_config(data, env=None):
         n_configs=int(run.get("n_configs", 50)),
         M_const=float(constants["M_const"]),
         depth=float(constants["depth"]) if "depth" in constants else None,
-        output_dir=str(output["dir"]),
-        formats=tuple(output["formats"]),
+        output_dir=str(data.get("output", {}).get("dir", "results")),
         config_hash=config_hash(data),
     )
     _cross_checks(cfg)

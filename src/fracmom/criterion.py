@@ -214,8 +214,9 @@ def _ball_fits_box(grid, alpha, L):
                 np.all(alpha + L <= np.asarray(grid.box)))
 
 
-def estimate_raw_boundary_moment(config, s, E, L, schedule, N, master_seed,
-                                 alphas=None, depth=None, workers=None):
+def estimate_raw_boundary_moment(config, s_values, energies, L, schedule, N,
+                                 master_seed, alphas=None, depth=None,
+                                 workers=None):
     """Max over centers of the stabilized boundary-layer moment.
 
     For each center alpha every realization is assembled on the Dirichlet
@@ -225,21 +226,21 @@ def estimate_raw_boundary_moment(config, s, E, L, schedule, N, master_seed,
     centers (default: the rounded box center), relying on the translation
     covariance of the ensemble.
 
-    A scalar s gives one raw moment; a sequence of exponents gives one
-    per s, every s folded from the same norm scan of each center, as
-    epsilon_scan would fold it.
+    Returns a (len(s_values), len(energies)) array.  Each center is
+    scanned once over every energy's schedule, and each (s, E) is folded
+    from its own eps block, as epsilon_scan would fold it.
     """
     if not isinstance(schedule, EpsilonSchedule):
         raise DomainError("expected an EpsilonSchedule")
     if N < 2:
         raise DomainError("need N >= 2 for a standard error")
-    exponents = list(s) if np.ndim(s) else [s]
     grid = config.grid
     r = config.profile.r
     if alphas is None:
         alphas = [default_center(grid)]
-    shifts = schedule.shifts(E)
-    best = [-math.inf] * len(exponents)
+    n_eps = len(schedule.eps)
+    shifts = [sh for E in energies for sh in schedule.shifts(E)]
+    best = np.full((len(s_values), len(energies)), -math.inf)
     for alpha in alphas:
         if not _ball_fits_box(grid, alpha, L):
             raise DomainError(
@@ -249,16 +250,19 @@ def estimate_raw_boundary_moment(config, s, E, L, schedule, N, master_seed,
         Y = boundary_layer_indices(alpha, L, r, grid, depth=depth)
         norms = scan_norms(replace(config, domain=ball), shifts, X, Y,
                            N, master_seed, workers=workers)
-        for k, exponent in enumerate(exponents):
-            means = [e.mean for e in estimates_from_norms(norms, exponent,
-                                                          shifts)]
-            if stability_verdict(means, tol=schedule.tol) != "stable":
-                warnings.warn(
-                    f"eps scan at alpha={tuple(alpha)}, s={exponent} did not "
-                    f"stabilize (last means {means[-2]:.3e}, {means[-1]:.3e}); "
-                    "using the last value", RuntimeWarning, stacklevel=2)
-            best[k] = max(best[k], means[-1])
-    return [float(b) for b in best] if np.ndim(s) else float(best[0])
+        for k, s in enumerate(s_values):
+            for j, E in enumerate(energies):
+                block = slice(j * n_eps, (j + 1) * n_eps)
+                means = [e.mean for e in estimates_from_norms(
+                    norms[:, block], s, shifts[block])]
+                if stability_verdict(means, tol=schedule.tol) != "stable":
+                    warnings.warn(
+                        f"eps scan at alpha={tuple(alpha)}, E={E}, s={s} did "
+                        f"not stabilize (last means {means[-2]:.3e}, "
+                        f"{means[-1]:.3e}); using the last value",
+                        RuntimeWarning, stacklevel=2)
+                best[k, j] = max(best[k, j], means[-1])
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +404,8 @@ def verify_criterion_consistency(config, report, ladder, eps, N, master_seed,
     X, targets, Ys = ladder_sets(
         x0, ladder, axis, lambda center, dist: indicator_set(grid, center, r))
     shift = SpectralShift(E=report.E, eps=eps)
-    norms = scan_pair_norms(config, shift, [(X, Y) for Y in Ys], N,
-                            master_seed, workers=workers)
+    norms = scan_pair_norms(config, [shift], [(X, Y) for Y in Ys], N,
+                            master_seed, workers=workers)[:, 0, :]
     ests = estimates_from_norms(norms, report.s, [shift] * len(Ys),
                                 seed=master_seed)
     means = [e.mean for e in ests]

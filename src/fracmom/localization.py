@@ -323,16 +323,14 @@ def _counts_below(energies, H):
     return [spectrum_count_below(H, E) for E in energies]
 
 
-def ids_counts(config, E, N, master_seed, workers=None):
-    """Per-realization eigenvalue counts below E, in sample order.
+def ids_counts(config, energies, N, master_seed, workers=None):
+    """(N, len(energies)) eigenvalue counts below each energy.
 
-    A scalar E gives shape (N,); a sequence of energies gives (N, len(E)),
-    every energy counted on the same realizations.
+    Rows are in sample order, and every energy is counted on the same
+    realizations.
     """
-    energies = list(E) if np.ndim(E) else [E]
-    counts = np.array(map_samples(config, partial(_counts_below, energies),
-                                  N, master_seed, workers), dtype=np.int64)
-    return counts if np.ndim(E) else counts[:, 0]
+    return np.array(map_samples(config, partial(_counts_below, energies),
+                                N, master_seed, workers), dtype=np.int64)
 
 
 def ids_estimate(config, E, N, master_seed, workers=None):
@@ -342,5 +340,5 @@ def ids_estimate(config, E, N, master_seed, workers=None):
     densities; the pivot count's strict-below convention stands in for
     the closed count.
     """
-    counts = ids_counts(config, E, N, master_seed, workers=workers)
+    counts = ids_counts(config, [E], N, master_seed, workers=workers)[:, 0]
     return float(counts.mean() / config.grid.volume)

@@ -205,22 +205,24 @@ def map_samples(factory, job, N, master_seed, workers=None):
     """[job(H_i) for i < N], H_i the realization drawn for sample i.
 
     H_i = factory.hamiltonian_for_seed(sample_seed(master_seed, i)).
-    With workers > 1 the samples run in a process pool of single-threaded
-    BLAS workers, so factory and job must pickle; this process keeps its
-    own BLAS thread count.  Results come back in sample order either way,
-    so they are identical for every worker count.
+    With workers > 1 the samples run in a pool of min(workers, N)
+    single-threaded BLAS processes, so factory and job must pickle; this
+    process keeps its own BLAS thread count.  Results come back in sample
+    order either way, so they are identical for every worker count.
     A SolveError names the sample index and seed that raised it.
     """
     if N < 1:
         raise DomainError("need at least one sample")
     task = partial(_run_sample, factory, job, master_seed)
     if workers is not None and workers > 1:
+        # a pool starts all its processes at once, so none beyond N
+        procs = min(workers, N)
         with _forking_with_single_thread_blas(), ProcessPoolExecutor(
-                max_workers=workers, initializer=_single_thread_blas) as pool:
+                max_workers=procs, initializer=_single_thread_blas) as pool:
             # one chunk per worker: the task, factory included, is
             # unpickled once per chunk, and the factory caches its
             # operator and bump matrix for every later sample
-            return list(pool.map(task, range(N), chunksize=-(-N // workers)))
+            return list(pool.map(task, range(N), chunksize=-(-N // procs)))
     return [task(index) for index in range(N)]
 
 
@@ -240,6 +242,11 @@ def _norm_grid(shifts, pairs, H):
 
 def _scan(factory, shifts, pairs, N, master_seed, workers):
     """(N, len(shifts), len(pairs)) block norms, realizations shared."""
+    shifts, pairs = list(shifts), list(pairs)
+    if not shifts or not all(isinstance(sh, SpectralShift) for sh in shifts):
+        raise DomainError("need a non-empty list of SpectralShift instances")
+    if not pairs:
+        raise DomainError("need at least one (X, Y) pair")
     job = partial(_norm_grid, shifts, pairs)
     return np.array(map_samples(factory, job, N, master_seed, workers))
 
@@ -251,34 +258,30 @@ def scan_norms(factory, shifts, X, Y, N, master_seed, workers=None):
     evaluation schedule: rows are placed by sample index before any
     aggregation, so results are identical for every worker count.
     """
-    shifts = list(shifts)
-    if len(shifts) == 0:
-        raise DomainError("need at least one shift")
-    for sh in shifts:
-        if not isinstance(sh, SpectralShift):
-            raise DomainError("shifts must be SpectralShift instances")
     return _scan(factory, shifts, [(X, Y)], N, master_seed, workers)[:, :, 0]
 
 
-def scan_pair_norms(factory, shift, pairs, N, master_seed, workers=None):
-    """(N, len(pairs)) block norms at one shift, shared factorization.
+def scan_pair_norms(factory, shifts, pairs, N, master_seed, workers=None):
+    """(N, len(shifts), len(pairs)) block norms, one draw per realization.
 
-    All pairs see the same realizations and the same factorization of
-    (H - z), so decay ladders come out of one sweep with common random
-    numbers across distances; consecutive pairs with the same X share
-    one adjoint solve per realization.
+    Every (shift, pair) cell sees the same realizations, and all pairs at
+    one shift share the factorization of (H - z), so decay ladders at
+    several energies come out of one sweep with common random numbers;
+    consecutive pairs with the same X share one adjoint solve per
+    realization and shift.
     """
-    if not isinstance(shift, SpectralShift):
-        raise DomainError("shift must be a SpectralShift")
-    pairs = list(pairs)
-    if len(pairs) == 0:
-        raise DomainError("need at least one (X, Y) pair")
-    return _scan(factory, [shift], pairs, N, master_seed, workers)[:, 0, :]
+    return _scan(factory, shifts, pairs, N, master_seed, workers)
 
 
 def estimates_from_norms(norms, s, shifts, X=None, Y=None, seed=0,
                          diagnostic=False):
-    """Fold a norm scan into per-shift MomentEstimates at exponent s."""
+    """Fold a norm scan into per-shift MomentEstimates at exponent s.
+
+    The bits depend on the block's width: numpy's axis-0 mean and std sum
+    an (N, 1) array pairwise but the columns of a wider one row by row.
+    So fold each record from a block of the shape it has on its own:
+    (N, 1) per moment, (N, |eps|) per eps scan, (N, |ladder|) per ladder.
+    """
     norms = np.asarray(norms, dtype=float)
     if norms.ndim != 2 or norms.shape[1] != len(shifts):
         raise DomainError("norms must be (N, len(shifts))")

@@ -247,8 +247,8 @@ def test_criterion_04_large_disorder_decay():
     X = indicator_set(cfg.grid, (16.0,), 1.0)
     targets = [indicator_set(cfg.grid, (16.0 + d,), 1.0) for d in ladder]
     shift = SpectralShift(E=8.0, eps=1e-3)
-    norms = scan_pair_norms(cfg, shift, [(X, Y) for Y in targets],
-                            N=200, master_seed=11)
+    norms = scan_pair_norms(cfg, [shift], [(X, Y) for Y in targets],
+                            N=200, master_seed=11)[:, 0, :]
     ests = estimates_from_norms(norms, 0.3, [shift] * len(ladder), seed=11)
     fit = fit_exponential_decay([(d, e.mean) for d, e in zip(ladder, ests)],
                                 stderrs=[e.stderr for e in ests])
@@ -272,9 +272,9 @@ def test_criterion_05_criterion_decay_consistency():
     for L in (26.0, 30.0, 40.0):
         cfg = chain(2.0 * L, LOCALIZED["h"], LOCALIZED["lam"],
                     LOCALIZED["u0"])
-        raw = estimate_raw_boundary_moment(
-            cfg, 0.3, 8.0, L, schedule, N=200, master_seed=2024,
-            alphas=[(L,)])
+        raw, = estimate_raw_boundary_moment(
+            cfg, [0.3], [8.0], L, schedule, N=200, master_seed=2024,
+            alphas=[(L,)])[0]
         E0 = ground_energy(cfg.h0())
         reports.append(criterion_factor(0.3, LOCALIZED["lam"], 8.0, E0, L,
                                         1, raw, M_const=1.0, r=1.0))

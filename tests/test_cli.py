@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,14 +11,21 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from fracmom import cli
+from fracmom import cli, moments
 from fracmom.config import load_config, parse_config
+from fracmom.criterion import (
+    criterion_factor,
+    estimate_raw_boundary_moment,
+    fit_exponential_decay,
+)
 from fracmom.errors import ConfigError, NumericalError
-from fracmom.model import ModelConfig
+from fracmom.model import ModelConfig, ground_energy
 from fracmom.moments import (
     EpsilonSchedule,
     epsilon_scan,
     estimate_fractional_moment,
+    estimates_from_norms,
+    scan_pair_norms,
 )
 from fracmom.presets import PRESETS, get_preset, preset_names
 from fracmom.records import read_records
@@ -53,6 +61,19 @@ def write_config(tmp_path, doc=None, name="exp.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return p
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The seed of every realization drawn while the test runs."""
+    seeds = []
+    sample = ModelConfig.sample
+
+    def counting(self, seed):
+        seeds.append(seed)
+        return sample(self, seed)
+    monkeypatch.setattr(ModelConfig, "sample", counting)
+    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +131,27 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_retired_c_const_key_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("block, key, value", [
+    ("constants", "C_const", 1.0),
+    ("law", "density", "uniform"),
+    ("output", "formats", ["jsonl", "csv"]),
+], ids=["C_const", "density", "formats"])
+def test_retired_c_const_key_exits_2(tmp_path, capsys, block, key, value):
     doc = tiny_doc(tmp_path / "results")
-    doc["constants"] = {"C_const": 1.0}
+    target = doc["model"] if block == "law" else doc
+    target.setdefault(block, {})[key] = value
     code = cli.main(["moment", "--config", str(write_config(tmp_path, doc))])
     assert code == 2
-    assert "C_const" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(tmp_path, capsys, draws, workers):
+    code = cli.main(["moment", "--config", str(write_config(tmp_path)),
+                     "--workers", workers])
+    assert code == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert draws == []
 
 
 def test_singular_value_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -180,48 +216,74 @@ def test_worker_count_does_not_change_payloads(tmp_path):
     assert [r.payload for r in serial] == [r.payload for r in pool]
 
 
-# ---------------------------------------------------------------------------
-# one scan per subcommand, folded at every s
+def test_pool_has_no_more_processes_than_samples(tmp_path, monkeypatch):
+    sizes = []
 
-@pytest.mark.parametrize("sub, energies, draws_per_N", [
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+    monkeypatch.setattr(moments, "ProcessPoolExecutor", Recording)
+    doc = tiny_doc(tmp_path / "results")
+    doc["run"]["N"] = 2
+    path = write_config(tmp_path, doc)
+    assert cli.main(["decay", "--config", str(path),
+                     "--out", str(tmp_path / "serial")]) == 0
+    assert cli.main(["decay", "--config", str(path),
+                     "--out", str(tmp_path / "pool"), "--workers", "3"]) == 0
+    assert sizes == [2]
+    serial = read_records(tmp_path / "serial" / "records.jsonl")
+    pool = read_records(tmp_path / "pool" / "records.jsonl")
+    assert [r.payload for r in serial] == [r.payload for r in pool]
+
+
+# ---------------------------------------------------------------------------
+# one draw per realization and ball, folded at every (s, E)
+
+def criterion_doc(out_dir):
+    # the criterion needs s < 1/3 and a ball with L > 24 r in the box
+    doc = tiny_doc(out_dir)
+    doc["model"]["grid"]["box"] = [60.0]
+    doc["run"].update(s=[0.2, 0.3], L=[26.0])
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore:eps scan at alpha")
+@pytest.mark.parametrize("sub, energies, balls", [
     ("moment", [1.0, 2.0], 1),
     ("epsilon-scan", [1.0, 2.0], 1),
-    ("decay", [1.0, 2.0], 2),      # one pair scan per E
+    ("decay", [1.0, 2.0], 1),
     ("ids", [1.0, 2.0, 3.0], 1),
-    ("criterion", [1.0, 2.0], 2),  # one eps scan per (E, L, alpha)
+    ("criterion", [1.0, 2.0], 1),
+    ("criterion", [1.0, 2.0], 2),  # L = 26 and 27: one scan per ball
 ])
-def test_subcommand_realization_count(tmp_path, monkeypatch, sub, energies,
-                                      draws_per_N):
-    doc = tiny_doc(tmp_path / "results")
-    doc["run"].update(s=[0.3, 0.5], E=energies, eps=[0.1, 0.01])
+def test_subcommand_realization_count(tmp_path, draws, sub, energies, balls):
+    doc = (criterion_doc if sub == "criterion" else tiny_doc)(
+        tmp_path / "results")
+    doc["run"].update(E=energies, eps=[0.1, 0.01])
     if sub == "criterion":
-        # the criterion needs s < 1/3 and a ball with L > 24 r in the box
-        doc["model"]["grid"]["box"] = [60.0]
-        doc["run"].update(s=[0.2, 0.3], L=[26.0])
-    seeds = []
-    sample = ModelConfig.sample
-
-    def counting(self, seed):
-        seeds.append(seed)
-        return sample(self, seed)
-    monkeypatch.setattr(ModelConfig, "sample", counting)
+        doc["run"]["L"] = [26.0 + k for k in range(balls)]
+    else:
+        doc["run"]["s"] = [0.3, 0.5]
     assert cli.main([sub, "--config", str(write_config(tmp_path, doc))]) == 0
     N = doc["run"]["N"]
-    assert len(seeds) == draws_per_N * N
-    assert len(set(seeds)) == N
+    assert len(draws) == balls * N
+    assert len(set(draws)) == N
 
 
+def dumps(payload):
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+@pytest.mark.filterwarnings("ignore:eps scan at alpha")
 def test_cli_moments_match_standalone_estimates_bytewise(tmp_path):
-    # each record must be folded from a block of its own shape, or numpy's
-    # axis-0 sums change order and the last bits of mean and stderr move
+    # every (s, E) record of a scan over all energies must equal the
+    # single-energy library call; see estimates_from_norms on block shapes
     doc = tiny_doc(tmp_path / "results")
     doc["run"].update(s=[0.3, 0.5], E=[1.0, 2.0], eps=[0.1, 0.01], N=25)
     path = write_config(tmp_path, doc)
     cfg = load_config(path)
     X, Y = cli._moment_sets(cfg)
-
-    def dumps(payload):
-        return json.dumps(payload, sort_keys=True).encode()
 
     assert cli.main(["moment", "--config", str(path),
                      "--out", str(tmp_path / "moment")]) == 0
@@ -242,6 +304,45 @@ def test_cli_moments_match_standalone_estimates_bytewise(tmp_path):
                 for est in epsilon_scan(cfg.model, s, E, schedule, X, Y,
                                         cfg.N, cfg.master_seed).estimates]
     assert [dumps(r.payload) for r in records] == [dumps(p) for p in expected]
+
+    assert cli.main(["decay", "--config", str(path),
+                     "--out", str(tmp_path / "decay")]) == 0
+    records = read_records(tmp_path / "decay" / "records.jsonl")
+    assert len(records) == 4
+    X, targets = cli._ladder_sets(cfg)
+    for rec in records:
+        p = rec.payload
+        shift = SpectralShift(E=p["E"], eps=p["eps"])
+        norms = scan_pair_norms(cfg.model, [shift], [(X, Y) for Y in targets],
+                                cfg.N, cfg.master_seed)[:, 0, :]
+        ests = estimates_from_norms(norms, p["s"], [shift] * len(targets),
+                                    seed=cfg.master_seed)
+        fit = fit_exponential_decay(
+            [(d, e.mean) for d, e in zip(cfg.ladder, ests)],
+            stderrs=[e.stderr for e in ests])
+        assert dumps(p) == dumps({
+            "quantity": "moment-decay", "s": p["s"], "E": p["E"],
+            "eps": p["eps"], "A": fit.A, "mu": fit.mu, "r2": fit.r2,
+            "points": [{"dist": d, "mean": e.mean, "stderr": e.stderr}
+                       for d, e in zip(cfg.ladder, ests)]})
+
+    doc = criterion_doc(tmp_path / "results")
+    doc["run"].update(E=[1.0, 2.0], L=[26.0, 27.0])
+    path = write_config(tmp_path, doc, name="criterion.json")
+    cfg = load_config(path)
+    assert cli.main(["criterion", "--config", str(path),
+                     "--out", str(tmp_path / "criterion")]) == 0
+    records = read_records(tmp_path / "criterion" / "records.jsonl")
+    assert len(records) == 8
+    E0 = ground_energy(cfg.model.h0())
+    for rec in records:
+        p = rec.payload
+        raw = estimate_raw_boundary_moment(
+            cfg.model, [p["s"]], [p["E"]], p["L"],
+            EpsilonSchedule(cfg.eps_schedule), cfg.N, cfg.master_seed)[0, 0]
+        report = criterion_factor(p["s"], cfg.lam, p["E"], E0, p["L"], 1, raw,
+                                  r=cfg.r)
+        assert dumps(p) == dumps(report.payload())
 
 
 def landau_doc(out_dir):
@@ -331,20 +432,34 @@ def test_ladder_ball_must_fit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sub", ["decay", "correlator"])
-def test_two_rung_ladder_exits_2_before_sampling(tmp_path, monkeypatch,
-                                                 capsys, sub):
+def test_two_rung_ladder_exits_2_before_sampling(tmp_path, draws, capsys, sub):
     doc = tiny_doc(tmp_path / "results")
     doc["run"]["ladder"] = [2.0, 4.0]
-    seeds = []
-    sample = ModelConfig.sample
-
-    def counting(self, seed):
-        seeds.append(seed)
-        return sample(self, seed)
-    monkeypatch.setattr(ModelConfig, "sample", counting)
     assert cli.main([sub, "--config", str(write_config(tmp_path, doc))]) == 2
     assert "too short" in capsys.readouterr().err
-    assert seeds == []
+    assert draws == []
+    assert not (tmp_path / "results" / "records.jsonl").exists()
+
+
+def test_decay_refuses_s_one_before_sampling(tmp_path, draws, capsys):
+    doc = tiny_doc(tmp_path / "results")
+    doc["run"]["s"] = [0.3, 1.0]
+    assert cli.main(["decay", "--config",
+                     str(write_config(tmp_path, doc))]) == 2
+    assert "run.s" in capsys.readouterr().err
+    assert draws == []
+    assert not (tmp_path / "results" / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("sub", ["ids", "correlator"])
+def test_counting_cap_exits_2_before_sampling(tmp_path, draws, capsys, sub):
+    # 39 x 39 = 1521 points: no tridiagonal count, and above the dense cap
+    doc = tiny_doc(tmp_path / "results")
+    doc["model"]["grid"] = {"d": 2, "box": [40.0, 40.0], "h": 1.0}
+    doc["run"].update(x0=[10.0, 10.0], ladder=[2.0, 4.0, 6.0])
+    assert cli.main([sub, "--config", str(write_config(tmp_path, doc))]) == 2
+    assert "needs <= 1500 grid points, got 1521" in capsys.readouterr().err
+    assert draws == []
     assert not (tmp_path / "results" / "records.jsonl").exists()
 
 

@@ -52,7 +52,6 @@ def test_minimal_document_parses_with_defaults():
     assert cfg.M_const == 1.0
     assert cfg.depth is None
     assert cfg.output_dir == "results"
-    assert cfg.formats == ("jsonl", "csv")
     assert cfg.L_values is None and cfg.window is None and cfg.ladder is None
 
 
@@ -179,7 +178,7 @@ def test_seed_override_does_not_change_hash():
 def test_hash_ignores_output_block():
     doc = base_doc()
     other = copy.deepcopy(doc)
-    other["output"] = {"dir": "elsewhere", "formats": ["csv"]}
+    other["output"] = {"dir": "elsewhere"}
     assert config_hash(doc) == config_hash(other)
     assert canonical_bytes(doc) == canonical_bytes(other)
 

@@ -188,9 +188,9 @@ def test_criterion_report_payload():
 def test_raw_boundary_moment_translation_invariant_at_zero_coupling():
     cfg = chain_config(80.0, lam=0.0)
     sch = EpsilonSchedule(eps=(1e-1, 1e-2))
-    vals = [estimate_raw_boundary_moment(cfg, 0.2, E=-1.0, L=26.0,
+    vals = [estimate_raw_boundary_moment(cfg, [0.2], [-1.0], L=26.0,
                                          schedule=sch, N=2, master_seed=0,
-                                         alphas=[a])
+                                         alphas=[a])[0, 0]
             for a in [(30.0,), (40.0,)]]
     assert vals[0] == pytest.approx(vals[1], rel=1e-10)
 
@@ -199,11 +199,12 @@ def test_raw_boundary_moment_translation_invariant_at_zero_coupling():
 def test_raw_boundary_moment_is_max_over_alphas():
     cfg = chain_config(80.0, lam=2.0)
     sch = EpsilonSchedule(eps=(1e-1, 1e-2))
-    kw = dict(s=0.2, E=2.0, L=26.0, schedule=sch, N=6, master_seed=4)
+    kw = dict(s_values=[0.2], energies=[2.0], L=26.0, schedule=sch, N=6,
+              master_seed=4)
     both = estimate_raw_boundary_moment(cfg, alphas=[(30.0,), (40.0,)], **kw)
     singles = [estimate_raw_boundary_moment(cfg, alphas=[a], **kw)
                for a in [(30.0,), (40.0,)]]
-    assert both == max(singles)
+    assert np.array_equal(both, np.maximum(*singles))
 
 
 def test_raw_boundary_moment_homogeneous_alphas_agree():
@@ -225,16 +226,18 @@ def test_raw_boundary_moment_homogeneous_alphas_agree():
 def test_raw_boundary_moment_default_alpha_is_box_center():
     cfg = chain_config(60.0, lam=0.0)
     sch = EpsilonSchedule(eps=(1e-1, 1e-2))
-    kw = dict(s=0.2, E=-1.0, L=26.0, schedule=sch, N=2, master_seed=0)
-    assert (estimate_raw_boundary_moment(cfg, **kw)
-            == estimate_raw_boundary_moment(cfg, alphas=[(30.0,)], **kw))
+    kw = dict(s_values=[0.2], energies=[-1.0], L=26.0, schedule=sch, N=2,
+              master_seed=0)
+    assert np.array_equal(
+        estimate_raw_boundary_moment(cfg, **kw),
+        estimate_raw_boundary_moment(cfg, alphas=[(30.0,)], **kw))
 
 
 def test_raw_boundary_moment_ball_must_fit():
     cfg = chain_config(60.0, lam=1.0)
     sch = EpsilonSchedule(eps=(1e-1, 1e-2))
     with pytest.raises(DomainError):
-        estimate_raw_boundary_moment(cfg, 0.2, E=2.0, L=26.0, schedule=sch,
+        estimate_raw_boundary_moment(cfg, [0.2], [2.0], L=26.0, schedule=sch,
                                      N=2, master_seed=0, alphas=[(10.0,)])
 
 
@@ -243,8 +246,9 @@ def test_raw_boundary_moment_warns_when_unstable():
     sch = EpsilonSchedule(eps=(1e-1, 1e-3), tol=1e-9)
     # the default center reads as plain floats, (30.0,)
     with pytest.warns(RuntimeWarning,
-                      match=r"alpha=\(30\.0,\), s=0\.2 did not stabilize"):
-        estimate_raw_boundary_moment(cfg, 0.2, E=2.0, L=26.0, schedule=sch,
+                      match=r"alpha=\(30\.0,\), E=2\.0, s=0\.2 did not "
+                            r"stabilize"):
+        estimate_raw_boundary_moment(cfg, [0.2], [2.0], L=26.0, schedule=sch,
                                      N=2, master_seed=0)
 
 

@@ -321,11 +321,11 @@ def test_ids_counts_many_energies_match_one_at_a_time():
     assert counts.shape == (6, 3)
     for j, E in enumerate(energies):
         assert np.array_equal(counts[:, j],
-                              ids_counts(cfg, E, N=6, master_seed=9))
+                              ids_counts(cfg, [E], N=6, master_seed=9)[:, 0])
 
 
 def test_ids_worker_determinism():
     cfg = chain_config(30.0, lam=2.0)
-    serial = ids_counts(cfg, 3.0, N=6, master_seed=9)
-    pooled = ids_counts(cfg, 3.0, N=6, master_seed=9, workers=2)
+    serial = ids_counts(cfg, [3.0], N=6, master_seed=9)
+    pooled = ids_counts(cfg, [3.0], N=6, master_seed=9, workers=2)
     assert np.array_equal(serial, pooled)

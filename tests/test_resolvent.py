@@ -374,8 +374,8 @@ def test_ladder_shares_one_adjoint_solve_per_realization_and_shift(monkeypatch):
     monkeypatch.setattr(ShiftedSolver, "_verified", counting)
 
     N = 2
-    norms = [scan_pair_norms(cfg, z, [(X, Y) for Y in Ys], N, master_seed=5)
-             for z in shifts]
+    norms = scan_pair_norms(cfg, shifts, [(X, Y) for Y in Ys], N,
+                            master_seed=5)
     assert solves == [("H", len(X))] * (N * len(shifts))
     worst = 0.0
     for i in range(N):
@@ -384,7 +384,7 @@ def test_ladder_shares_one_adjoint_solve_per_realization_and_shift(monkeypatch):
         for k, z in enumerate(shifts):
             for j, Y in enumerate(Ys):
                 want = dense_block_norm(H, z.z, rows, H.local_indices(Y.indices))
-                worst = max(worst, abs(norms[k][i, j] - want) / want)
+                worst = max(worst, abs(norms[i, k, j] - want) / want)
     assert worst <= 1e-12
 
     # a new X is solved afresh, and the old X again after it
