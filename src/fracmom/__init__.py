@@ -31,10 +31,8 @@ from .errors import (
 )
 from .localization import (
     EigenWindow,
-    eigenfunction_correlator,
     eigenfunction_decay_rate,
     eigensolve_window,
-    ids_estimate,
     localization_center,
 )
 from .model import (
@@ -62,18 +60,14 @@ from .records import ResultRecord, append_records, emit_plot_data, read_records
 from .resolvent import (
     ShiftedSolver,
     SpectralShift,
-    ball_indices,
     block_operator_norm,
-    boundary_green_norm,
     boundary_layer_indices,
     indicator_set,
-    solve_shifted,
 )
 from .validation import (
     DissipativeOperator,
     HSOperator,
     dense_block_norm_oracle,
-    dense_resolvent_oracle,
     oracle_compare,
     weak_l1_levelset_measure,
 )
@@ -106,15 +100,11 @@ __all__ = [
     "SolveError",
     "SpectralShift",
     "append_records",
-    "ball_indices",
     "block_operator_norm",
-    "boundary_green_norm",
     "boundary_layer_indices",
     "criterion_factor",
     "dense_block_norm_oracle",
-    "dense_resolvent_oracle",
     "disorder_law",
-    "eigenfunction_correlator",
     "eigenfunction_decay_rate",
     "eigensolve_window",
     "emit_plot_data",
@@ -124,7 +114,6 @@ __all__ = [
     "fit_exponential_decay",
     "ground_energy",
     "holder_modulus",
-    "ids_estimate",
     "indicator_set",
     "load_config",
     "localization_center",
@@ -136,7 +125,6 @@ __all__ = [
     "sample_seed",
     "scan_norms",
     "scan_pair_norms",
-    "solve_shifted",
     "verify_criterion_consistency",
     "weak_l1_levelset_measure",
 ]

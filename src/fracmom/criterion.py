@@ -9,7 +9,7 @@ modified distance, which the consistency check then measures directly.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .moments import (
 )
 from .resolvent import (
     SpectralShift,
-    ball_indices,
     boundary_layer_indices,
     indicator_set,
 )
@@ -48,7 +47,7 @@ class ModifiedDistance:
         self.grid = grid
         if mask is None:
             mask = np.arange(grid.npoints, dtype=np.int64)
-        self.mask = np.asarray(mask, dtype=np.int64)
+        self.mask = np.unique(np.asarray(mask, dtype=np.int64))
         comp = np.setdiff1d(np.arange(grid.npoints, dtype=np.int64), self.mask)
         self._holes = grid_points(grid)[comp] if comp.size else None
 
@@ -245,10 +244,10 @@ def estimate_raw_boundary_moment(config, s_values, energies, L, schedule, N,
         if not _ball_fits_box(grid, alpha, L):
             raise DomainError(
                 f"ball of radius {L} around {tuple(alpha)} exceeds the box {grid.box}")
-        ball = ball_indices(grid, alpha, L)
+        ball = indicator_set(grid, alpha, L).indices
         X = indicator_set(grid, alpha, r, mask=ball)
         Y = boundary_layer_indices(alpha, L, r, grid, depth=depth)
-        norms = scan_norms(replace(config, domain=ball), shifts, X, Y,
+        norms = scan_norms(config.on_domain(ball), shifts, X, Y,
                            N, master_seed, workers=workers)
         for k, s in enumerate(s_values):
             for j, E in enumerate(energies):

@@ -220,7 +220,12 @@ def _check_residuals(H, vals, vecs):
 # ---------------------------------------------------------------------------
 
 def correlator_from_pairs(pairs, H, X, Y):
-    """Rank-one sum over a precomputed window eigenbasis."""
+    """Sum over window eigenpairs of ||chi_X psi|| * ||chi_Y psi||.
+
+    `pairs` is eigensolve_window(H, window).  The rank-one sum
+    upper-bounds the trace norm of chi_X g(H) P_window chi_Y over
+    |g| <= 1; disorder averaging belongs to the caller's sampling loop.
+    """
     if len(pairs) == 0:
         return 0.0
     lx = _local_positions(H, X, "X")
@@ -228,15 +233,6 @@ def correlator_from_pairs(pairs, H, X, Y):
     nx = np.linalg.norm(pairs.vectors[lx, :], axis=0)
     ny = np.linalg.norm(pairs.vectors[ly, :], axis=0)
     return float(np.sum(nx * ny))
-
-
-def eigenfunction_correlator(H, window, X, Y):
-    """Sum over window eigenpairs of ||chi_X psi|| * ||chi_Y psi||.
-
-    Upper-bounds the trace norm of chi_X g(H) P_window chi_Y over
-    |g| <= 1; disorder averaging belongs to the caller's sampling loop.
-    """
-    return correlator_from_pairs(eigensolve_window(H, window), H, X, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +323,10 @@ def ids_counts(config, energies, N, master_seed, workers=None):
     """(N, len(energies)) eigenvalue counts below each energy.
 
     Rows are in sample order, and every energy is counted on the same
-    realizations.
+    realizations.  The counts are strictly below E: ties at exactly E
+    have probability zero under continuous coupling densities, so they
+    stand in for the closed count #{eigenvalues <= E}.  The IDS per unit
+    continuum volume is counts.mean(axis=0) / config.grid.volume.
     """
     return np.array(map_samples(config, partial(_counts_below, energies),
                                 N, master_seed, workers), dtype=np.int64)
-
-
-def ids_estimate(config, E, N, master_seed, workers=None):
-    """E[#eigenvalues <= E] per unit continuum volume.
-
-    Ties at exactly E have probability zero under continuous coupling
-    densities; the pivot count's strict-below convention stands in for
-    the closed count.
-    """
-    counts = ids_counts(config, [E], N, master_seed, workers=workers)[:, 0]
-    return float(counts.mean() / config.grid.volume)

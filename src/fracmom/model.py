@@ -10,7 +10,7 @@ iid couplings, one per lattice site, each coupling a pure function of
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -618,6 +618,16 @@ class ModelConfig:
                 h0 = restrict_dirichlet(h0, self.domain)
             self._h0 = h0
         return self._h0
+
+    def on_domain(self, domain) -> "ModelConfig":
+        """The same ensemble on a Dirichlet subdomain of this model's domain.
+
+        Its H0 is restricted from this model's cached H0, so a scan over
+        many balls assembles the box once.
+        """
+        sub = replace(self, domain=domain)
+        sub._h0 = restrict_dirichlet(self.h0(), domain)
+        return sub
 
     def covering(self):
         return check_covering(self.profile, self.law, self.grid)

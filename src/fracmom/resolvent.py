@@ -107,11 +107,6 @@ def indicator_set(grid, center, radius, inner_radius=0.0, mask=None):
                         indices=idx, inner_radius=float(inner_radius))
 
 
-def ball_indices(grid, center, radius, mask=None):
-    """Flat grid indices with |q - center| < radius (strict)."""
-    return indicator_set(grid, center, radius, mask=mask).indices
-
-
 def boundary_layer_indices(center, L, r, grid, depth=None):
     """Layer of points whose distance to the ball complement is in (r, depth).
 
@@ -275,22 +270,6 @@ class ShiftedSolver:
                 f"did not converge: {exc}") from exc
 
 
-def solve_shifted(H, shift, rhs):
-    """One-shot residual-verified solve of (H - z) u = rhs."""
-    return ShiftedSolver(H, shift).solve(rhs)
-
-
 def block_operator_norm(H, shift, X, Y):
     """||chi_X (H - z)^{-1} chi_Y|| for index sets or IndicatorSets X, Y."""
-    return ShiftedSolver(H, shift).block_norm(X, Y)
-
-
-def boundary_green_norm(H, shift, center, L, r, depth=None):
-    """||chi_center (H - z)^{-1} chi_layer|| on a Dirichlet ball.
-
-    H must already be the Dirichlet restriction to the ball of radius L
-    around `center`; chi_center is the bump-sized ball of radius r.
-    """
-    X = indicator_set(H.grid, center, r, mask=H.mask)
-    Y = boundary_layer_indices(center, L, r, H.grid, depth=depth)
     return ShiftedSolver(H, shift).block_norm(X, Y)

@@ -1,10 +1,10 @@
 """Independent oracles and the weak level-set bound bench.
 
-Everything here deliberately avoids the sparse solver: dense inverses
-are refined to an explicit residual, block norms come from full SVDs,
-and the level-set measures are Riemann sums over an explicit eta grid.
-Agreement between these paths and the production ones is what the
-oracle sweeps certify.
+Everything here deliberately avoids the sparse solver: dense column
+solves are refined to an explicit residual, block norms come from full
+SVDs, and the level-set measures are Riemann sums over an explicit eta
+grid.  Agreement between these paths and the production ones is what
+the oracle sweeps certify.
 """
 
 import logging
@@ -30,7 +30,7 @@ DENSE_ORACLE_CAP = 500
 _HERM_TOL = 1e-10
 _PSD_TOL = 1e-12
 _KERNEL_TOL = 1e-12
-_ORACLE_RESID = 1e-10     # max-entry residual of the refined dense inverse
+_ORACLE_RESID = 1e-10     # max-entry residual of the refined column solve
 _ORACLE_AGREEMENT = 1e-8  # sparse vs dense block norm, relative
 _SOLVE_CHUNK = 8192   # etas per batched solve; bounds the stacked systems
 
@@ -107,49 +107,44 @@ class HSOperator:
 
 
 # ---------------------------------------------------------------------------
-# dense resolvent oracle
+# dense block-norm oracle
 # ---------------------------------------------------------------------------
 
-def dense_resolvent_oracle(H, shift):
-    """(H - z)^{-1} as a dense matrix with verified residual.
+def dense_block_norm_oracle(H, shift, X, Y):
+    """Largest singular value of the X x Y resolvent block, dense path.
 
-    The inverse is Newton-refined (R <- R + R(I - (H-z)R)) until the
-    max-entry residual of (H-z)R - I is below _ORACLE_RESID.
+    Solves (H - z) C = chi_Y on the |Y| columns with dense LAPACK, then
+    refines C (C <- C + (H - z)^{-1} D with D = chi_Y - (H - z) C) until
+    the max-entry residual of D is below _ORACLE_RESID, and returns the
+    top singular value of C's X rows.
     """
     if isinstance(H, DiscreteHamiltonian):
-        A = H.dense()
-    else:
-        A = np.asarray(H)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DomainError("H must be a square matrix")
-    n = A.shape[0]
-    if n > DENSE_ORACLE_CAP:
-        raise DomainError(
-            f"dense oracle capped at {DENSE_ORACLE_CAP} points, got {n}")
-    z = _as_z(shift)
-    M = A - z * np.eye(n)
-    R = np.linalg.inv(M)
-    eye = np.eye(n)
-    for _ in range(4):
-        defect = eye - M @ R
-        worst = np.abs(defect).max()
-        if worst <= _ORACLE_RESID:
-            return R
-        R = R + R @ defect
-    raise SolveError(f"oracle residual {worst:.3e} above {_ORACLE_RESID:.1e} "
-                     "after refinement", achieved=float(worst))
-
-
-def dense_block_norm_oracle(H, shift, X, Y):
-    """Largest singular value of the X x Y resolvent block, dense path."""
-    R = dense_resolvent_oracle(H, shift)
-    if isinstance(H, DiscreteHamiltonian):
+        n = H.n
         rows = _local_positions(H, X, "X")
         cols = _local_positions(H, Y, "Y")
     else:
+        H = np.asarray(H)
+        if H.ndim != 2 or H.shape[0] != H.shape[1]:
+            raise DomainError("H must be a square matrix")
+        n = H.shape[0]
         rows = np.asarray(X, dtype=np.int64).ravel()
         cols = np.asarray(Y, dtype=np.int64).ravel()
-    return float(scipy.linalg.svdvals(R[np.ix_(rows, cols)])[0])
+    if n > DENSE_ORACLE_CAP:
+        raise DomainError(
+            f"dense oracle capped at {DENSE_ORACLE_CAP} points, got {n}")
+    A = H.dense() if isinstance(H, DiscreteHamiltonian) else H
+    M = A - _as_z(shift) * np.eye(n)
+    rhs = np.zeros((n, cols.size), dtype=M.dtype)
+    rhs[cols, np.arange(cols.size)] = 1.0
+    C = np.linalg.solve(M, rhs)
+    for _ in range(4):
+        defect = rhs - M @ C
+        worst = np.abs(defect).max()
+        if worst <= _ORACLE_RESID:
+            return float(scipy.linalg.svdvals(C[rows])[0])
+        C = C + np.linalg.solve(M, defect)
+    raise SolveError(f"oracle residual {worst:.3e} above {_ORACLE_RESID:.1e} "
+                     "after refinement", achieved=float(worst))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from fracmom.criterion import (
     moment_bound,
     verify_criterion_consistency,
 )
+from fracmom import model
 from fracmom.errors import DomainError
 from fracmom.model import (
     BackgroundFields,
@@ -22,9 +23,10 @@ from fracmom.model import (
     ModelConfig,
     SingleSiteProfile,
     disorder_law,
+    ground_energy,
 )
 from fracmom.moments import EpsilonSchedule, epsilon_scan
-from fracmom.resolvent import ball_indices, indicator_set
+from fracmom.resolvent import boundary_layer_indices, indicator_set
 
 
 def chain_config(box, lam, h=0.5, u0=1.0):
@@ -57,6 +59,10 @@ def test_modified_distance_sees_holes():
     # x exits through the hole (1), y through the wall (2); direct is 4
     assert m.distance((4.0,), (8.0,)) == 3.0
     assert ModifiedDistance(g).distance((4.0,), (8.0,)) == 4.0
+    # hole 1 + wall 1 beats direct 5, whatever order the mask is given in
+    assert modified_distance((4.0,), (9.0,), mask, g) == 2.0
+    assert modified_distance((4.0,), (9.0,), mask[::-1], g) == 2.0
+    assert ModifiedDistance(g, mask[::-1]).to_complement((4.0,)) == 1.0
 
 
 def test_modified_distance_domain_errors():
@@ -207,14 +213,34 @@ def test_raw_boundary_moment_is_max_over_alphas():
     assert np.array_equal(both, np.maximum(*singles))
 
 
+@pytest.mark.filterwarnings("ignore:eps scan at alpha")
+def test_raw_boundary_moment_assembles_the_box_once(monkeypatch):
+    # every ball restricts the parent's cached H0: on 81 points with
+    # 2 L x 2 centers, one full-box assembly (the E0 one) instead of 5
+    calls = []
+    assemble = model.assemble_h0
+
+    def counting(grid, bg):
+        calls.append(grid.npoints)
+        return assemble(grid, bg)
+    monkeypatch.setattr(model, "assemble_h0", counting)
+    cfg = chain_config(82.0, lam=2.0, h=1.0)
+    ground_energy(cfg.h0())
+    sch = EpsilonSchedule(eps=(1e-1, 1e-2))
+    for L in (25.0, 26.0):
+        estimate_raw_boundary_moment(cfg, [0.2], [2.0], L=L, schedule=sch,
+                                     N=2, master_seed=3,
+                                     alphas=[(40.0,), (42.0,)])
+    assert calls == [81]
+
+
 def test_raw_boundary_moment_homogeneous_alphas_agree():
     cfg = chain_config(80.0, lam=2.0)
     sch = EpsilonSchedule(eps=(1e-1, 1e-2))
     stats = []
     for a in [(30.0,), (40.0,)]:
-        ball = ball_indices(cfg.grid, a, 26.0)
+        ball = indicator_set(cfg.grid, a, 26.0).indices
         X = indicator_set(cfg.grid, a, 1.0, mask=ball)
-        from fracmom.resolvent import boundary_layer_indices
         Y = boundary_layer_indices(a, 26.0, 1.0, cfg.grid)
         res = epsilon_scan(replace(cfg, domain=ball), 0.2, 2.0, sch,
                            X, Y, N=40, master_seed=4)

@@ -9,11 +9,9 @@ from fracmom.localization import (
     EigenWindow,
     correlator_from_pairs,
     count_in_window,
-    eigenfunction_correlator,
     eigenfunction_decay_rate,
     eigensolve_window,
     ids_counts,
-    ids_estimate,
     localization_center,
     spectrum_count_below,
 )
@@ -168,14 +166,15 @@ def test_eigensolve_count_agrees_with_pivots(seed, lo, width):
 def test_correlator_empty_window_is_zero():
     g, H = disordered_chain(20, lam=1.0, seed=0)
     X = indicator_set(g, (3.0,), 1.0)
-    assert eigenfunction_correlator(H, EigenWindow(-3.0, -1.0), X, X) == 0.0
+    pairs = eigensolve_window(H, EigenWindow(-3.0, -1.0))
+    assert correlator_from_pairs(pairs, H, X, X) == 0.0
 
 
 def test_correlator_full_domain_counts_states():
     g, H = disordered_chain(14, lam=1.0, seed=3)
     full = np.arange(H.n)
     w = EigenWindow(-1.0, 100.0)
-    val = eigenfunction_correlator(H, w, full, full)
+    val = correlator_from_pairs(eigensolve_window(H, w), H, full, full)
     assert val == pytest.approx(H.n, abs=1e-10)
 
 
@@ -184,14 +183,15 @@ def test_correlator_matches_dense_oracle():
     X = indicator_set(g, (4.0,), 1.0)
     Y = indicator_set(g, (11.0,), 1.0)
     w = EigenWindow(0.5, 4.0)
-    got = eigenfunction_correlator(H, w, X, Y)
+    pairs = eigensolve_window(H, w)
+    got = correlator_from_pairs(pairs, H, X, Y)
     ev, vecs = np.linalg.eigh(H.dense())
     keep = (ev > w.a) & (ev < w.b)
     want = sum(np.linalg.norm(vecs[X.indices, i]) * np.linalg.norm(vecs[Y.indices, i])
                for i in np.flatnonzero(keep))
     assert got == pytest.approx(want, abs=1e-10)
-    assert got == eigenfunction_correlator(H, w, Y, X)  # symmetry
-    assert got <= len(eigensolve_window(H, w)) + 1e-12
+    assert got == correlator_from_pairs(pairs, H, Y, X)  # symmetry
+    assert got <= len(pairs) + 1e-12
 
 
 def test_correlator_decays_at_strong_disorder():
@@ -290,27 +290,34 @@ def test_window_eigenfunctions_localized_at_strong_disorder():
 
 def test_ids_zero_below_spectrum():
     cfg = chain_config(20.0, lam=1.0)
-    assert ids_estimate(cfg, -1.0, N=3, master_seed=0) == 0.0
+    counts = ids_counts(cfg, [-1.0], N=3, master_seed=0)
+    assert counts.mean() / cfg.grid.volume == 0.0
 
 
 def test_ids_saturates_above_spectrum():
     cfg = chain_config(20.0, lam=1.0)
     top = 4.0 / cfg.grid.h ** 2 + cfg.law.lam * 2.0 + 1.0
-    val = ids_estimate(cfg, top, N=3, master_seed=0)
-    assert val == cfg.grid.npoints / cfg.grid.volume
+    counts = ids_counts(cfg, [top], N=3, master_seed=0)
+    assert counts.mean() / cfg.grid.volume == cfg.grid.npoints / cfg.grid.volume
 
 
 def test_ids_closed_form_at_zero_coupling():
     cfg = chain_config(11.0, lam=0.0, h=1.0)
     want = int(np.sum(closed_form(10, 1.0) < 2.0)) / 11.0
-    assert ids_estimate(cfg, 2.0, N=4, master_seed=1) == pytest.approx(want)
+    counts = ids_counts(cfg, [2.0], N=4, master_seed=1)
+    assert counts.mean() / cfg.grid.volume == pytest.approx(want)
 
 
 def test_ids_monotone_and_box_consistent():
-    a = ids_estimate(chain_config(30.0, lam=1.0), 2.0, N=30, master_seed=5)
-    b = ids_estimate(chain_config(30.0, lam=1.0), 4.0, N=30, master_seed=5)
+    def ids(box, E):
+        cfg = chain_config(box, lam=1.0)
+        counts = ids_counts(cfg, [E], N=30, master_seed=5)
+        return counts.mean() / cfg.grid.volume
+
+    a = ids(30.0, 2.0)
+    b = ids(30.0, 4.0)
     assert a <= b
-    big = ids_estimate(chain_config(60.0, lam=1.0), 2.0, N=30, master_seed=5)
+    big = ids(60.0, 2.0)
     assert abs(big - a) <= 0.1 * max(big, a)
 
 

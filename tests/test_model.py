@@ -514,19 +514,24 @@ def test_domain_model_equals_per_sample_restriction(grid, bg, center, L):
                       profile=SingleSiteProfile(r=1.0, shape="cosine-bump", u0=2.0),
                       law=disorder_law(3.0, grid))
     ball = np.flatnonzero(np.linalg.norm(grid_points(grid) - center, axis=1) < L)
-    on_ball = replace(cfg, domain=ball)
-    assert on_ball.h0().n == ball.size
-    for seed in range(5):
-        got = on_ball.hamiltonian_for_seed(seed)
-        want = restrict_dirichlet(cfg.hamiltonian_for_seed(seed), ball)
-        assert np.array_equal(got.mask, want.mask)
-        assert got.entries.dtype == want.entries.dtype
-        assert np.array_equal(got.entries.indptr, want.entries.indptr)
-        assert np.array_equal(got.entries.indices, want.entries.indices)
-        assert got.entries.data.tobytes() == want.entries.data.tobytes()
-    # the domain survives pickling, as pool workers receive it
-    clone = pickle.loads(pickle.dumps(on_ball))
-    assert clone.h0().n == ball.size
+    # a domain model built from scratch, and one restricted from the
+    # parent's cached H0
+    for on_ball in (replace(cfg, domain=ball), cfg.on_domain(ball)):
+        assert on_ball.h0().n == ball.size
+        for seed in range(5):
+            got = on_ball.hamiltonian_for_seed(seed)
+            want = restrict_dirichlet(cfg.hamiltonian_for_seed(seed), ball)
+            assert np.array_equal(got.mask, want.mask)
+            assert got.entries.dtype == want.entries.dtype
+            assert np.array_equal(got.entries.indptr, want.entries.indptr)
+            assert np.array_equal(got.entries.indices, want.entries.indices)
+            assert got.entries.data.tobytes() == want.entries.data.tobytes()
+        # the domain survives pickling, as pool workers receive it
+        clone = pickle.loads(pickle.dumps(on_ball))
+        assert clone.h0().n == ball.size
+    # a subdomain must lie inside the model's own domain
+    with pytest.raises(ConstructionError):
+        cfg.on_domain(ball).on_domain(np.setdiff1d(np.arange(grid.npoints), ball))
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,9 @@ from fracmom.resolvent import (
     ShiftedSolver,
     _local_positions,
     SpectralShift,
-    ball_indices,
     block_operator_norm,
-    boundary_green_norm,
     boundary_layer_indices,
     indicator_set,
-    solve_shifted,
 )
 
 
@@ -144,7 +141,7 @@ def test_boundary_layer_custom_depth():
 def test_scalar_solve_closed_form():
     H = scalar_h(3.0)
     z = SpectralShift(E=1.0, eps=0.5)
-    u = solve_shifted(H, z, np.array([1.0]))
+    u = ShiftedSolver(H, z).solve(np.array([1.0]))
     assert abs(u[0] - 1.0 / (3.0 - z.z)) < 1e-14
 
 
@@ -153,7 +150,7 @@ def test_identity_solve_closed_form():
     H = DiscreteHamiltonian(grid=g, entries=scipy.sparse.identity(5, format="csr"),
                             mask=np.arange(5))
     rhs = np.arange(1.0, 6.0)
-    u = solve_shifted(H, 1j, rhs)
+    u = ShiftedSolver(H, 1j).solve(rhs)
     assert np.allclose(u, rhs / (1.0 - 1j), atol=1e-14)
 
 
@@ -162,7 +159,7 @@ def test_solve_matches_dense_oracle():
     z = SpectralShift(E=2.0, eps=1e-3)
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal(50)
-    u = solve_shifted(H, z, rhs)
+    u = ShiftedSolver(H, z).solve(rhs)
     ref = np.linalg.solve(H.dense() - z.z * np.eye(50), rhs)
     assert np.linalg.norm(u - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -188,11 +185,11 @@ def test_iterative_path_meets_same_contract(monkeypatch):
     rng = np.random.default_rng(4)
     rhs = rng.standard_normal(H.n)
     assert ShiftedSolver(H, z).method == "direct"
-    ud = solve_shifted(H, z, rhs)
+    ud = ShiftedSolver(H, z).solve(rhs)
     # the path follows the operator size, read when a solver is built
     monkeypatch.setattr(resolvent, "DIRECT_SOLVE_CAP", 0)
     assert ShiftedSolver(H, z).method == "iterative"
-    ui = solve_shifted(H, z, rhs)
+    ui = ShiftedSolver(H, z).solve(rhs)
     assert np.linalg.norm(ud - ui) <= 1e-8 * np.linalg.norm(ud)
 
 
@@ -212,13 +209,13 @@ def test_adjoint_solve_residual_and_conjugation():
 def test_singular_shift_raises():
     H = scalar_h(2.0)
     with pytest.raises(SolveError):
-        solve_shifted(H, 2.0 + 0.0j, np.array([1.0]))
+        ShiftedSolver(H, 2.0 + 0.0j).solve(np.array([1.0]))
 
 
 def test_rhs_shape_mismatch():
     _, H = disordered_chain(10, lam=1.0, seed=0)
     with pytest.raises(DomainError):
-        solve_shifted(H, SpectralShift(1.0, 1e-2), np.ones(11))
+        ShiftedSolver(H, SpectralShift(1.0, 1e-2)).solve(np.ones(11))
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +398,18 @@ def test_ladder_shares_one_adjoint_solve_per_realization_and_shift(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# boundary green norms
+# boundary green norms: ||chi_center (H - z)^{-1} chi_layer|| on a Dirichlet
+# ball, chi_center the bump-sized ball of radius r around the center
 
 def test_boundary_green_norm_resolvent_bound():
     g = GridSpec(d=1, box=(60.0,), h=0.5)
     H = assemble_h0(g, BackgroundFields())
-    ball = ball_indices(g, (30.0,), 30.0)
+    ball = indicator_set(g, (30.0,), 30.0).indices
     Hball = restrict_dirichlet(H, ball)
     z = SpectralShift(E=1.0, eps=1e3)
-    assert boundary_green_norm(Hball, z, (30.0,), 30.0, 1.0) <= (1 + 1e-9) / 1e3
+    X = indicator_set(g, (30.0,), 1.0, mask=ball)
+    Y = boundary_layer_indices((30.0,), 30.0, 1.0, g)
+    assert ShiftedSolver(Hball, z).block_norm(X, Y) <= (1 + 1e-9) / 1e3
 
 
 def test_boundary_green_norm_deterministic_at_zero_coupling():
@@ -417,13 +417,16 @@ def test_boundary_green_norm_deterministic_at_zero_coupling():
     H0 = assemble_h0(g, BackgroundFields())
     law = disorder_law(0.0, g)
     p = SingleSiteProfile()
+    ball = indicator_set(g, (30.0,), 30.0).indices
+    X = indicator_set(g, (30.0,), 1.0, mask=ball)
+    Y = boundary_layer_indices((30.0,), 30.0, 1.0, g)
     vals = []
     for seed in (0, 1):
         v = realize_potential(sample_couplings(law, seed), p, law, g)
         H = assemble_hamiltonian(H0, v, 0.0)
-        Hball = restrict_dirichlet(H, ball_indices(g, (30.0,), 30.0))
+        Hball = restrict_dirichlet(H, ball)
         z = SpectralShift(E=2.0, eps=1e-2)
-        vals.append(boundary_green_norm(Hball, z, (30.0,), 30.0, 1.0))
+        vals.append(ShiftedSolver(Hball, z).block_norm(X, Y))
     assert vals[0] == vals[1]
 
 
@@ -434,11 +437,12 @@ def test_boundary_green_norm_matches_dense_oracle():
     p = SingleSiteProfile(r=1.0, u0=1.0)
     v = realize_potential(sample_couplings(law, 21), p, law, g)
     H = assemble_hamiltonian(H0, v, 10.0)
-    Hball = restrict_dirichlet(H, ball_indices(g, (30.0,), 30.0))
+    Hball = restrict_dirichlet(H, indicator_set(g, (30.0,), 30.0).indices)
     z = SpectralShift(E=2.0, eps=1e-3)
-    got = boundary_green_norm(Hball, z, (30.0,), 30.0, 1.0)
-    X = Hball.local_indices(indicator_set(g, (30.0,), 1.0, mask=Hball.mask).indices)
+    center = indicator_set(g, (30.0,), 1.0, mask=Hball.mask)
     layer = boundary_layer_indices((30.0,), 30.0, 1.0, g)
+    got = ShiftedSolver(Hball, z).block_norm(center, layer)
+    X = Hball.local_indices(center.indices)
     Y = Hball.local_indices(np.intersect1d(layer.indices, Hball.mask))
     want = dense_block_norm(Hball, z.z, X, Y)
     assert abs(got - want) <= 1e-8 * want

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fracmom import resolvent
-from fracmom.errors import DomainError
+from fracmom import resolvent, validation
+from fracmom.errors import DomainError, SolveError
 from fracmom.model import (
     BackgroundFields,
     GridSpec,
+    LandauGauge,
     ModelConfig,
     SingleSiteProfile,
     disorder_law,
@@ -24,7 +25,6 @@ from fracmom.validation import (
     _hs_norms_over_grid,
     _measures,
     dense_block_norm_oracle,
-    dense_resolvent_oracle,
     oracle_compare,
     weak_l1_levelset_measure,
 )
@@ -95,54 +95,108 @@ class TestHSOperator:
 
 
 # ---------------------------------------------------------------------------
-# dense resolvent oracle
+# dense block-norm oracle
 # ---------------------------------------------------------------------------
+
+def random_hermitian(seed, n, complex_entries=False):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n))
+    if complex_entries:
+        B = B + 1j * rng.standard_normal((n, n))
+    return (B + B.conj().T) / 2.0
+
 
 class TestDenseResolventOracle:
     def test_scalar(self):
-        R = dense_resolvent_oracle(np.array([[3.0]]), 1.0 + 0.5j)
-        assert R[0, 0] == pytest.approx(1.0 / (2.0 - 0.5j), rel=1e-14)
+        got = dense_block_norm_oracle(np.array([[3.0]]), 1.0 + 0.5j, [0], [0])
+        assert got == pytest.approx(1.0 / abs(2.0 - 0.5j), rel=1e-14)
 
     def test_diagonal_matrix_elementwise(self):
         d = np.array([1.0, 4.0, -2.0])
-        R = dense_resolvent_oracle(np.diag(d), SpectralShift(E=0.5, eps=1e-2))
-        assert np.allclose(np.diag(R), 1.0 / (d - (0.5 + 1e-2j)), rtol=1e-12)
-        off = R - np.diag(np.diag(R))
-        assert np.abs(off).max() < 1e-14
+        shift = SpectralShift(E=0.5, eps=1e-2)
+        for i in range(3):
+            got = dense_block_norm_oracle(np.diag(d), shift, [i], [i])
+            assert got == pytest.approx(1.0 / abs(d[i] - shift.z), rel=1e-12)
+            for j in set(range(3)) - {i}:
+                assert dense_block_norm_oracle(np.diag(d), shift, [i], [j]) < 1e-14
 
-    def test_residual_bound_holds(self):
-        rng = np.random.default_rng(11)
-        B = rng.standard_normal((100, 100))
-        H = (B + B.T) / 2.0
+    def test_residual_bound_holds(self, monkeypatch):
+        # with X = every row the SVD sees all of C, so its residual is checked
+        H = random_hermitian(11, 100)
         z = 0.3 + 1e-4j
-        R = dense_resolvent_oracle(H, z)
-        defect = (H - z * np.eye(100)) @ R - np.eye(100)
+        seen = []
+        svdvals = scipy.linalg.svdvals
+
+        def spy(B):
+            seen.append(B.copy())
+            return svdvals(B)
+        monkeypatch.setattr(scipy.linalg, "svdvals", spy)
+        Y = [3, 40, 41, 97]
+        got = dense_block_norm_oracle(H, z, np.arange(100), Y)
+        (C,) = seen
+        assert C.shape == (100, 4)
+        defect = (H - z * np.eye(100)) @ C - np.eye(100)[:, Y]
         assert np.abs(defect).max() <= 1e-10
+        assert got == svdvals(C)[0]
+
+    def test_refinement_repairs_a_perturbed_solve(self, monkeypatch):
+        H = random_hermitian(13, 40)
+        z = -0.4 + 1e-3j
+        ref = scipy.linalg.svdvals(
+            np.linalg.inv(H - z * np.eye(40))[np.ix_([0, 1, 2], [30, 31])])[0]
+        calls = []
+        solve = np.linalg.solve
+
+        def perturbed_first(M, b):
+            calls.append(b.shape)
+            return solve(M, b) + (1e-6 if len(calls) == 1 else 0.0)
+        monkeypatch.setattr(np.linalg, "solve", perturbed_first)
+        got = dense_block_norm_oracle(H, z, [0, 1, 2], [30, 31])
+        assert calls == [(40, 2), (40, 2)]  # one solve, one refinement
+        assert got == pytest.approx(ref, rel=1e-9)
+
+    def test_solve_error_after_refinement(self, monkeypatch):
+        monkeypatch.setattr(validation, "_ORACLE_RESID", 0.0)
+        with pytest.raises(SolveError, match="after refinement") as exc:
+            dense_block_norm_oracle(random_hermitian(14, 30), 0.2 + 1e-3j,
+                                    [0, 1], [20, 21])
+        assert exc.value.achieved > 0.0
 
     def test_adjoint_symmetry(self):
-        # R(z)^H must equal R(conj z) for Hermitian H
-        rng = np.random.default_rng(12)
-        B = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
-        H = (B + B.conj().T) / 2.0
+        # R(z)^H = R(conj z) for Hermitian H, so block (X, Y) at z and
+        # block (Y, X) at conj z share their singular values
+        H = random_hermitian(12, 60, complex_entries=True)
         z = -0.7 + 2e-3j
-        R = dense_resolvent_oracle(H, z)
-        Rbar = dense_resolvent_oracle(H, np.conj(z))
-        assert np.abs(R.conj().T - Rbar).max() < 1e-12
+        X, Y = np.arange(0, 10), np.arange(30, 45)
+        got = dense_block_norm_oracle(H, z, X, Y)
+        assert got == pytest.approx(
+            dense_block_norm_oracle(H, np.conj(z), Y, X), rel=1e-12)
 
     def test_accepts_hamiltonian(self):
         config = chain_config(lam=0.0, box=12.0)
         H = config.hamiltonian_for_seed(0)
-        R = dense_resolvent_oracle(H, -1.0 + 0.0j)
-        expected = np.linalg.inv(H.dense() + np.eye(H.n))
-        assert np.allclose(R, expected, rtol=1e-10, atol=1e-12)
+        X = indicator_set(H.grid, center=(2.0,), radius=1.5)
+        Y = indicator_set(H.grid, center=(8.0,), radius=2.5)
+        got = dense_block_norm_oracle(H, -1.0 + 0.0j, X, Y)
+        R = np.linalg.inv(H.dense() + np.eye(H.n))
+        rows, cols = H.local_indices(X.indices), H.local_indices(Y.indices)
+        want = scipy.linalg.svdvals(R[np.ix_(rows, cols)])[0]
+        assert got == pytest.approx(want, rel=1e-10)
+        # global index arrays select the same block as IndicatorSets
+        assert dense_block_norm_oracle(H, -1.0 + 0.0j, X.indices,
+                                       Y.indices) == got
 
     def test_cap_enforced(self):
         with pytest.raises(DomainError, match="capped"):
-            dense_resolvent_oracle(np.eye(DENSE_ORACLE_CAP + 1), 1j)
+            dense_block_norm_oracle(np.eye(DENSE_ORACLE_CAP + 1), 1j, [0], [0])
+        # an operator above the cap is refused before it is made dense
+        H = chain_config(lam=0.0, box=DENSE_ORACLE_CAP + 2.0).hamiltonian_for_seed(0)
+        with pytest.raises(DomainError, match="capped"):
+            dense_block_norm_oracle(H, 1j, [0], [1])
 
     def test_rejects_non_square(self):
         with pytest.raises(DomainError, match="square"):
-            dense_resolvent_oracle(np.ones((2, 3)), 1j)
+            dense_block_norm_oracle(np.ones((2, 3)), 1j, [0], [0])
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +371,25 @@ class TestOracleCompare:
                              seed=44)
         assert rep.passed, rep.payload()
 
-    def test_matches_dense_block_oracle(self):
-        config = chain_config(lam=2.0, box=16.0)
-        H = config.hamiltonian_for_seed(9)
-        X = indicator_set(H.grid, center=(4.0,), radius=1.5)
-        Y = indicator_set(H.grid, center=(12.0,), radius=1.5)
+    @pytest.mark.parametrize("seed, gauge", [
+        (9, None), (3, None), (17, None), (5, LandauGauge(0.2)),
+    ], ids=["chain-9", "chain-3", "chain-17", "landau-2d"])
+    def test_matches_dense_block_oracle(self, seed, gauge):
+        if gauge is None:
+            config = chain_config(lam=2.0, box=16.0)
+            cx, cy = (4.0,), (12.0,)
+        else:
+            # complex entries: 15 x 15 box points in a uniform field
+            grid = GridSpec(d=2, box=(8.0, 8.0), h=0.5)
+            config = ModelConfig(grid=grid,
+                                 background=BackgroundFields(A=gauge),
+                                 profile=SingleSiteProfile(r=1.0, u0=1.0),
+                                 law=disorder_law(2.0, grid))
+            cx, cy = (2.5, 2.5), (5.5, 5.0)
+        H = config.hamiltonian_for_seed(seed)
+        assert np.iscomplexobj(H.entries.data) == (gauge is not None)
+        X = indicator_set(H.grid, center=cx, radius=1.5)
+        Y = indicator_set(H.grid, center=cy, radius=1.5)
         z = SpectralShift(E=0.8, eps=1e-2)
         dense = dense_block_norm_oracle(H, z, X, Y)
         R = np.linalg.inv(H.dense() - z.z * np.eye(H.n))
