@@ -449,6 +449,53 @@ def realize_potential(rz: DisorderRealization, profile, law, grid) -> np.ndarray
 # ---------------------------------------------------------------------------
 # Hamiltonians
 
+@dataclass(frozen=True, eq=False)
+class StoredPattern:
+    """Where a fixed CSR pattern keeps its diagonal and its transpose.
+
+    entries.data[diagonal[i]] is the stored (i, i) entry, and
+    entries.data[transpose] is the data of the transposed matrix on the
+    same index arrays (the pattern is symmetric).
+    """
+
+    diagonal: np.ndarray
+    transpose: np.ndarray
+
+
+def _stored_pattern(entries):
+    """entries as sorted CSR with every diagonal slot stored, and its pattern.
+
+    A missing diagonal entry is inserted once as an explicit zero, so a
+    diagonal update never meets a second code path.  A pattern that is
+    not symmetric cannot be Hermitian entry by entry and is refused.
+    """
+    A = scipy.sparse.csr_matrix(entries)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ConstructionError(f"operator entries must be square, got {A.shape}")
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    on_diag = A.indices == rows
+    if np.count_nonzero(on_diag) < n:     # no duplicates: one slot per row
+        missing = np.setdiff1d(np.arange(n), rows[on_diag])
+        coo = A.tocoo()
+        A = scipy.sparse.csr_matrix(
+            (np.concatenate([coo.data, np.zeros(missing.size, dtype=A.dtype)]),
+             (np.concatenate([coo.row, missing]),
+              np.concatenate([coo.col, missing]))), shape=A.shape)
+        rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        on_diag = A.indices == rows
+    transpose = np.lexsort((rows, A.indices))
+    if not (np.array_equal(A.indices[transpose], rows)
+            and np.array_equal(rows[transpose], A.indices)):
+        raise ConstructionError(
+            "operator pattern is not symmetric: a Hermitian operator stores "
+            "(i, j) exactly when it stores (j, i)")
+    return A, StoredPattern(diagonal=np.flatnonzero(on_diag), transpose=transpose)
+
+
 @dataclass(eq=False)
 class DiscreteHamiltonian:
     """Hermitian sparse operator on the active grid points.
@@ -456,12 +503,26 @@ class DiscreteHamiltonian:
     mask holds the sorted global grid indices that remain after Dirichlet
     restriction; entries is the principal submatrix on those points.  The
     matrix is immutable by convention; e0 caches the ground energy.
+
+    entries is a sorted CSR matrix with a symmetric pattern and a stored
+    diagonal entry in every row, exact zeros included; pattern says where
+    those entries sit in entries.data.  Both are settled once, when H0 is
+    assembled or restricted (or a hand-built matrix is given: a missing
+    diagonal slot is inserted then).  A realization and a shift H - z
+    differ from H0 only on the diagonal, so they copy entries.data, update
+    it at pattern.diagonal and share the index arrays and the pattern;
+    only such operators pass pattern in.
     """
 
     grid: GridSpec
     entries: scipy.sparse.csr_matrix
     mask: np.ndarray
     e0: float | None = None
+    pattern: StoredPattern | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.pattern is None:
+            self.entries, self.pattern = _stored_pattern(self.entries)
 
     @property
     def n(self):
@@ -482,10 +543,11 @@ class DiscreteHamiltonian:
 def assemble_h0(grid: GridSpec, bg: BackgroundFields) -> DiscreteHamiltonian:
     """Deterministic part: 2d+1-point Laplacian with edge phases plus V0.
 
-    Diagonal entries are 2d/h^2 + V0(q).  The edge from q to q' = q + h e_i
-    carries the hopping H[q', q] = -exp(-i theta)/h^2 with theta the midpoint
-    rule for the line integral of A along the edge, and the reverse entry is
-    the conjugate, so the matrix is Hermitian entry by entry.
+    Diagonal entries are 2d/h^2 + V0(q), each one stored, an exact zero
+    too.  The edge from q to q' = q + h e_i carries the hopping
+    H[q', q] = -exp(-i theta)/h^2 with theta the midpoint rule for the line
+    integral of A along the edge, and the reverse entry is the conjugate,
+    so the matrix is Hermitian entry by entry.
     """
     pts = grid_points(grid)
     n = len(pts)
@@ -535,7 +597,12 @@ def assemble_h0(grid: GridSpec, bg: BackgroundFields) -> DiscreteHamiltonian:
 
 
 def assemble_hamiltonian(h0: DiscreteHamiltonian, potential, lam) -> DiscreteHamiltonian:
-    """H = H0 + lam * diag(potential), potential given on the full grid."""
+    """H = H0 + lam * diag(potential), potential given on the full grid.
+
+    The realization copies H0's stored entries, adds lam * potential at
+    the diagonal slots and shares H0's index arrays and pattern, so every
+    diagonal slot stays stored, exact zeros included.
+    """
     potential = np.asarray(potential, dtype=float)
     if potential.shape != (h0.grid.npoints,):
         raise ConstructionError(
@@ -544,8 +611,12 @@ def assemble_hamiltonian(h0: DiscreteHamiltonian, potential, lam) -> DiscreteHam
         raise ConstructionError("coupling lambda must be >= 0")
     if lam == 0:
         return h0
-    ent = (h0.entries + scipy.sparse.diags(lam * potential[h0.mask])).tocsr()
-    return DiscreteHamiltonian(grid=h0.grid, entries=ent, mask=h0.mask)
+    ent = h0.entries
+    data = ent.data.astype(np.result_type(ent.dtype, potential.dtype))
+    data[h0.pattern.diagonal] += lam * potential[h0.mask]
+    ent = scipy.sparse.csr_matrix((data, ent.indices, ent.indptr), shape=ent.shape)
+    return DiscreteHamiltonian(grid=h0.grid, entries=ent, mask=h0.mask,
+                               pattern=h0.pattern)
 
 
 def restrict_dirichlet(H: DiscreteHamiltonian, mask) -> DiscreteHamiltonian:
@@ -661,7 +732,8 @@ class OneSiteModel:
     def hamiltonian_for_seed(self, seed) -> DiscreteHamiltonian:
         law = disorder_law(1.0, sites=np.array([[0]]))
         eta = sample_couplings(law, seed).eta[0]
-        entries = scipy.sparse.csr_matrix(np.array([[eta]]))
+        entries = scipy.sparse.csr_matrix(
+            (np.array([eta]), np.array([0]), np.array([0, 1])), shape=(1, 1))
         grid = GridSpec(d=1, box=(4.0,), h=1.0)
         return DiscreteHamiltonian(grid=grid, entries=entries,
                                    mask=np.array([0]))

@@ -155,6 +155,12 @@ class ShiftedSolver:
     (H - z)^H = H - conj z).  DIRECT_SOLVE_CAP and SOLVE_TOL are read
     when the solver is built.  block_norm keeps the adjoint solve on the
     last X it saw, so a solver is not safe to share across threads.
+
+    H - z and H - conj z are built once, in place on H's stored pattern:
+    H's entries cast to complex, with z (conj z) subtracted at the
+    diagonal slots.  The shift stays inside the matrix entries, and every
+    residual is formed from them: H @ u - z * u cancels near a resonance
+    and misses SOLVE_TOL where the stored entries meet it.
     """
 
     def __init__(self, H, shift):
@@ -163,11 +169,18 @@ class ShiftedSolver:
         self.H = H
         self.z = _as_z(shift)
         self.tol = SOLVE_TOL
-        n = H.n
-        A = (H.entries - self.z * scipy.sparse.identity(n, format="csr")).tocsc()
-        A = A.astype(np.complex128)
-        self.method = "direct" if n <= DIRECT_SOLVE_CAP else "iterative"
-        self._A = A.tocsr()
+        ent, pattern = H.entries, H.pattern
+        data = ent.data.astype(np.complex128)
+        data[pattern.diagonal] -= self.z
+        # (H - z)^T, whose CSR arrays are the CSC arrays of H - z; its
+        # conjugate is H - conj z, as H is Hermitian entry by entry
+        data_t = data[pattern.transpose]
+        arrays = (ent.indices, ent.indptr)
+        self._A = scipy.sparse.csr_matrix((data, *arrays), shape=ent.shape)
+        self._AH = scipy.sparse.csr_matrix((data_t.conj(), *arrays),
+                                           shape=ent.shape)
+        A = scipy.sparse.csc_matrix((data_t, *arrays), shape=ent.shape)
+        self.method = "direct" if H.n <= DIRECT_SOLVE_CAP else "iterative"
         try:
             if self.method == "direct":
                 self._fac = scipy.sparse.linalg.splu(A)
@@ -190,13 +203,13 @@ class ShiftedSolver:
     # -- core solves --------------------------------------------------------
 
     def _apply(self, u, trans):
-        return self._A @ u if trans == "N" else self._A.conj().T @ u
+        return (self._A if trans == "N" else self._AH) @ u
 
     def _raw_solve(self, rhs, trans):
         if self.method == "direct":
             return self._fac.solve(rhs, trans=trans)
         out = np.empty(rhs.shape, dtype=np.complex128, order="F")
-        A = self._A if trans == "N" else self._A.conj().T.tocsr()
+        A = self._A if trans == "N" else self._AH
         M = scipy.sparse.linalg.LinearOperator(
             A.shape, matvec=lambda v: self._fac.solve(v, trans=trans))
         cols = rhs.reshape(rhs.shape[0], -1)

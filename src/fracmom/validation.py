@@ -129,6 +129,9 @@ def dense_block_norm_oracle(H, shift, X, Y):
         n = H.shape[0]
         rows = np.asarray(X, dtype=np.int64).ravel()
         cols = np.asarray(Y, dtype=np.int64).ravel()
+        for name, idx in (("X", rows), ("Y", cols)):
+            if idx.size == 0:
+                raise DomainError(f"{name} is empty")
     if n > DENSE_ORACLE_CAP:
         raise DomainError(
             f"dense oracle capped at {DENSE_ORACLE_CAP} points, got {n}")

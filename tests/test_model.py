@@ -12,15 +12,18 @@ from fracmom.errors import (
     DensityError,
     NonConvergenceError,
 )
+from fracmom import model
 from fracmom.model import (
     DENSE_EIG_CAP,
     BackgroundFields,
     ConstantScalar,
     ConstantVector,
     DiscreteHamiltonian,
+    DisorderRealization,
     GridSpec,
     LandauGauge,
     ModelConfig,
+    OneSiteModel,
     SingleSiteProfile,
     assemble_h0,
     assemble_hamiltonian,
@@ -34,6 +37,7 @@ from fracmom.model import (
     restrict_dirichlet,
     sample_couplings,
 )
+from fracmom.resolvent import ShiftedSolver, SpectralShift
 
 import scipy.sparse
 import scipy.sparse.linalg
@@ -532,6 +536,123 @@ def test_domain_model_equals_per_sample_restriction(grid, bg, center, L):
     # a subdomain must lie inside the model's own domain
     with pytest.raises(ConstructionError):
         cfg.on_domain(ball).on_domain(np.setdiff1d(np.arange(grid.npoints), ball))
+
+
+# ---------------------------------------------------------------------------
+# fixed-pattern operators: realizations and shifts update stored entries
+
+def _sparse_add_realization(h0, potential, lam):
+    # the sparse-add assembly, kept as the oracle for the slot update
+    return (h0.entries + scipy.sparse.diags(lam * potential[h0.mask])).tocsr()
+
+
+def _sparse_shift(H, z):
+    # the sparse-add shift, kept as the oracle for the in-place shift:
+    # SuperLU's CSC, the CSR residual operator and its adjoint
+    A = (H.entries - z * scipy.sparse.identity(H.n, format="csr")).tocsc()
+    A = A.astype(np.complex128)
+    return A, A.tocsr(), A.tocsr().conj().T.tocsr()
+
+
+def _assert_same_csr(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def _realizations(grid, bg):
+    """A realization on the box and on a subdomain with holes, and its oracle."""
+    law = disorder_law(1.5, grid)
+    profile = SingleSiteProfile(r=1.0, shape="cosine-bump", u0=2.0)
+    v = realize_potential(sample_couplings(law, 7), profile, law, grid)
+    h0 = assemble_h0(grid, bg)
+    sub = restrict_dirichlet(h0, np.flatnonzero(np.arange(grid.npoints) % 5 != 2))
+    for base in (h0, sub):
+        yield assemble_hamiltonian(base, v, 1.5), _sparse_add_realization(base, v, 1.5)
+
+
+@pytest.mark.parametrize("grid, bg", H0_CASES)
+def test_realization_matches_sparse_add(grid, bg):
+    for H, want in _realizations(grid, bg):
+        _assert_same_csr(H.entries, want)
+
+
+@pytest.mark.parametrize("grid, bg", H0_CASES)
+def test_shift_matches_sparse_shift(grid, bg, monkeypatch):
+    factored = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording_splu(A):
+        factored.append(A)
+        return splu(A)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    for H, _ in _realizations(grid, bg):
+        for z in (SpectralShift(E=2.0, eps=1e-3).z, -0.5 - 0.25j):
+            solver = ShiftedSolver(H, z)
+            csc, csr, adj = _sparse_shift(H, z)
+            assert factored[-1].format == "csc"
+            _assert_same_csr(factored[-1], csc)
+            _assert_same_csr(solver._A, csr)
+            _assert_same_csr(solver._AH, adj)
+
+
+@pytest.mark.parametrize("grid, A", [
+    (GridSpec(d=1, box=(5.0,), h=0.5), None),
+    (GridSpec(d=2, box=(3.0, 2.5), h=0.5), LandauGauge(0.2)),
+], ids=["chain", "landau-2d"])
+def test_zero_diagonal_keeps_its_slot(grid, A):
+    # V0 = -2d/h^2 cancels the kinetic diagonal exactly: the sparse add
+    # drops those entries, the stored pattern keeps them as zeros
+    bg = BackgroundFields(A=A, V0=ConstantScalar(-2 * grid.d / grid.h ** 2),
+                          V0_min=-2 * grid.d / grid.h ** 2)
+    H0 = assemble_h0(grid, bg)
+    n = grid.npoints
+    assert np.array_equal(H0.entries.indices[H0.pattern.diagonal], np.arange(n))
+    assert np.all(H0.entries.data[H0.pattern.diagonal] == 0.0)
+    assert np.array_equal(H0.dense(), _per_point_h0(grid, bg).toarray())
+    # a realization that leaves some sums at zero keeps those slots too
+    v = np.where(np.arange(n) % 2 == 0, 0.0, 1.0)
+    H = assemble_hamiltonian(H0, v, 2.0)
+    assert H.entries.nnz == H0.entries.nnz
+    assert np.array_equal(H.entries.diagonal(), 2.0 * v)
+    u = ShiftedSolver(H, 1.0 + 0.5j).solve(np.ones(n))
+    assert np.allclose(u, np.linalg.solve(H.dense() - (1.0 + 0.5j) * np.eye(n),
+                                          np.ones(n)), rtol=0, atol=1e-12)
+
+
+def test_one_site_model_stores_its_slot(monkeypatch):
+    # a coupling of exactly 0.0 still gets a stored 1 x 1 entry
+    def zero_coupling(law, seed):
+        return DisorderRealization(seed=seed, sites=law.sites, eta=np.zeros(1))
+    monkeypatch.setattr(model, "sample_couplings", zero_coupling)
+    H = OneSiteModel().hamiltonian_for_seed(3)
+    assert H.entries.nnz == 1
+    assert np.array_equal(H.pattern.diagonal, [0])
+    z = 0.5 + 1e-6j
+    assert ShiftedSolver(H, z).solve(np.array([1.0]))[0] == pytest.approx(
+        1.0 / (0.0 - z), rel=1e-14)
+
+
+def test_hand_built_operator_gets_its_diagonal_slots_at_construction():
+    g = GridSpec(d=1, box=(4.0,), h=1.0)
+    M = np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 0.0]])
+    H = DiscreteHamiltonian(grid=g, entries=scipy.sparse.csr_matrix(M),
+                            mask=np.arange(3))
+    assert H.entries.nnz == 7
+    assert H.entries.has_canonical_format
+    assert np.array_equal(H.entries.indices[H.pattern.diagonal], np.arange(3))
+    assert np.array_equal(H.dense(), M)
+    z = 0.3 + 0.2j
+    u = ShiftedSolver(H, z).solve(np.arange(1.0, 4.0))
+    assert np.allclose(u, np.linalg.solve(M - z * np.eye(3), np.arange(1.0, 4.0)),
+                       rtol=0, atol=1e-14)
+    # an explicit zero stored on one side only leaves the pattern
+    # unsymmetric, which no Hermitian operator has
+    lop = scipy.sparse.csr_matrix((np.array([1.0, 0.0, 1.0]), np.array([0, 1, 1]),
+                                   np.array([0, 2, 3])), shape=(2, 2))
+    with pytest.raises(ConstructionError, match="not symmetric"):
+        DiscreteHamiltonian(grid=g, entries=lop, mask=np.arange(2))
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,14 @@ class TestDenseResolventOracle:
         with pytest.raises(DomainError, match="capped"):
             dense_block_norm_oracle(H, 1j, [0], [1])
 
+    @pytest.mark.parametrize("X, Y", [([], [1]), ([1], [])], ids=["X", "Y"])
+    def test_empty_set_of_a_matrix_is_a_domain_error(self, X, Y):
+        # the operator path refuses an empty set through _local_positions;
+        # a raw matrix gets the same error
+        name = "X" if len(X) == 0 else "Y"
+        with pytest.raises(DomainError, match=f"{name} is empty"):
+            dense_block_norm_oracle(np.eye(3), 1j, X, Y)
+
     def test_rejects_non_square(self):
         with pytest.raises(DomainError, match="square"):
             dense_block_norm_oracle(np.ones((2, 3)), 1j, [0], [0])
