@@ -24,7 +24,6 @@ from fracmom import (
     epsilon_scan,
     indicator_set,
 )
-from fracmom.moments import estimates_from_norms, stability_verdict
 
 # mid-spectrum energy on a moderately disordered chain, 256 points
 grid = GridSpec(d=1, box=(64.25,), h=0.25)
@@ -38,14 +37,13 @@ schedule = EpsilonSchedule((1e-2, 1e-3, 1e-4, 1e-5, 1.5e-6, 1e-6))
 
 print(f"scanning eps = {schedule.eps} at E = {E}, N = 200 realizations")
 
-scan = epsilon_scan(config, 0.3, E, schedule, X, Y, N=200, master_seed=2024)
-# the same norms, re-weighted with exponent 1 (diagnostic mode)
-diag = estimates_from_norms(scan.norms, 1.0, schedule.shifts(E),
-                            seed=2024, diagnostic=True)
+# one scan of the norms, folded at s = 0.3 and at s = 1 (diagnostic mode)
+[[scan], [diag]] = epsilon_scan(config, [0.3, 1.0], [E], schedule, X, Y,
+                                N=200, master_seed=2024, diagnostic=True)
 
 print(f"\n{'eps':>10}   {'mean (s=0.3)':>14} {'se/mean':>8}   "
       f"{'mean (s=1.0)':>14} {'se/mean':>8}")
-for e3, e1 in zip(scan.estimates, diag):
+for e3, e1 in zip(scan.estimates, diag.estimates):
     print(f"{e3.eps:10.1e}   {e3.mean:14.6g} {e3.stderr / e3.mean:8.3f}   "
           f"{e1.mean:14.6g} {e1.stderr / e1.mean:8.3f}")
 
@@ -53,12 +51,12 @@ means = scan.means
 change = abs(means[-1] - means[-2]) / abs(means[-1])
 print(f"\ns = 0.3 verdict: {scan.verdict} "
       f"(last two means differ by {100 * change:.2f}%)")
-diag_verdict = stability_verdict([e.mean for e in diag], tol=schedule.tol)
-print(f"s = 1.0 verdict: {diag_verdict} (the mean grew "
-      f"{diag[0].mean:.3g} -> {diag[-1].mean:.3g} over the schedule)")
+print(f"s = 1.0 verdict: {diag.verdict} (the mean grew "
+      f"{diag.means[0]:.3g} -> {diag.means[-1]:.3g} over the schedule)")
 
 # share of the mean carried by the single largest realization
-share1 = diag[-1].sample_max / (diag[-1].N * diag[-1].mean)
+top = diag.estimates[-1]
+share1 = top.sample_max / (top.N * top.mean)
 last = scan.estimates[-1]
 share3 = last.sample_max / (last.N * last.mean)
 print(f"at eps = {last.eps:.1e} the largest single realization carries "

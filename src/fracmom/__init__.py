@@ -52,6 +52,7 @@ from .moments import (
     epsilon_scan,
     estimate_fractional_moment,
     holder_modulus,
+    ladder_moments,
     sample_seed,
     scan_norms,
     scan_pair_norms,
@@ -115,6 +116,7 @@ __all__ = [
     "ground_energy",
     "holder_modulus",
     "indicator_set",
+    "ladder_moments",
     "load_config",
     "localization_center",
     "modified_distance",

@@ -61,13 +61,11 @@ def _moment_sets(cfg: ExperimentConfig):
 def _ladder_sets(cfg: ExperimentConfig):
     if cfg.ladder is None:
         raise ConfigError("run.ladder is required for this subcommand")
-
-    def ball(center, dist):
-        what = "run.x0" if dist is None else f"run.ladder point {dist}"
-        return _ball(cfg, center, what)
-    X, _, targets = crit.ladder_sets(
-        cfg.x0 or _default_point(cfg.grid, 0.25), cfg.ladder, cfg.axis, ball)
-    return X, targets
+    x0 = cfg.x0 or _default_point(cfg.grid, 0.25)
+    centers = crit.ladder_centers(x0, cfg.ladder, cfg.axis)
+    return _ball(cfg, x0, "run.x0"), [
+        _ball(cfg, y, f"run.ladder point {dist}")
+        for y, dist in zip(centers, cfg.ladder)]
 
 
 def _check_counting_cap(cfg: ExperimentConfig, what):
@@ -107,15 +105,13 @@ def run_moment(cfg: ExperimentConfig, sink: _Sink, workers):
     X, Y = _moment_sets(cfg)
     shifts = [SpectralShift(E=E, eps=eps)
               for E in cfg.E_values for eps in cfg.eps_schedule]
-    norms = moments.scan_norms(cfg.model, shifts, X, Y, cfg.N,
-                               cfg.master_seed, workers=workers)
-    for s in cfg.s_values:
-        for k, shift in enumerate(shifts):
-            est, = moments.estimates_from_norms(
-                norms[:, k:k + 1], s, [shift], X=X, Y=Y,
-                seed=cfg.master_seed, diagnostic=(s == 1.0))
+    table = moments.estimate_fractional_moment(
+        cfg.model, cfg.s_values, shifts, X, Y, cfg.N, cfg.master_seed,
+        workers=workers, diagnostic=True)
+    for row in table:
+        for est in row:
             sink.add("moment", est.payload())
-            print(f"moment s={s} E={shift.E} eps={shift.eps}: "
+            print(f"moment s={est.s} E={est.E} eps={est.eps}: "
                   f"{est.mean:.6g} +- {est.stderr:.2g}")
     sink.emit_csv("moment")
 
@@ -123,23 +119,16 @@ def run_moment(cfg: ExperimentConfig, sink: _Sink, workers):
 def run_epsilon_scan(cfg: ExperimentConfig, sink: _Sink, workers):
     if len(cfg.eps_schedule) < 2:
         raise ConfigError("run.eps: a scan needs at least two values")
-    schedule = moments.EpsilonSchedule(cfg.eps_schedule)
     X, Y = _moment_sets(cfg)
-    shifts = [sh for E in cfg.E_values for sh in schedule.shifts(E)]
-    norms = moments.scan_norms(cfg.model, shifts, X, Y, cfg.N,
-                               cfg.master_seed, workers=workers)
-    n_eps = len(schedule.eps)
-    for s in cfg.s_values:
-        for j, E in enumerate(cfg.E_values):
-            block = slice(j * n_eps, (j + 1) * n_eps)
-            ests = moments.estimates_from_norms(
-                norms[:, block], s, shifts[block], X=X, Y=Y,
-                seed=cfg.master_seed, diagnostic=(s == 1.0))
-            for est in ests:
+    table = moments.epsilon_scan(
+        cfg.model, cfg.s_values, cfg.E_values,
+        moments.EpsilonSchedule(cfg.eps_schedule), X, Y, cfg.N,
+        cfg.master_seed, workers=workers, diagnostic=True)
+    for s, row in zip(cfg.s_values, table):
+        for E, scan in zip(cfg.E_values, row):
+            for est in scan.estimates:
                 sink.add("moment", est.payload())
-            verdict = moments.stability_verdict([e.mean for e in ests],
-                                                tol=schedule.tol)
-            print(f"epsilon-scan s={s} E={E}: verdict {verdict}")
+            print(f"epsilon-scan s={s} E={E}: verdict {scan.verdict}")
     sink.emit_csv("epsilon-scan")
 
 
@@ -172,6 +161,15 @@ def run_criterion(cfg: ExperimentConfig, sink: _Sink, workers):
     return reports
 
 
+def _add_fit(sink: _Sink, points, stderrs, **fields):
+    """Fit moment ~ A exp(-mu dist) to (dist, mean) points; record the fit."""
+    fit = crit.fit_exponential_decay(points, stderrs=stderrs)
+    sink.add("fit", {**fields, "A": fit.A, "mu": fit.mu, "r2": fit.r2,
+                     "points": [{"dist": d, "mean": m, "stderr": float(se)}
+                                for (d, m), se in zip(fit.points, stderrs)]})
+    return fit
+
+
 def run_decay(cfg: ExperimentConfig, sink: _Sink, workers):
     bad_s = [s for s in cfg.s_values if not s < 1.0]
     if bad_s:
@@ -179,24 +177,17 @@ def run_decay(cfg: ExperimentConfig, sink: _Sink, workers):
     X, targets = _ladder_sets(cfg)
     eps = cfg.eps_schedule[-1]
     shifts = [SpectralShift(E=E, eps=eps) for E in cfg.E_values]
-    norms = moments.scan_pair_norms(cfg.model, shifts,
-                                    [(X, Y) for Y in targets], cfg.N,
-                                    cfg.master_seed, workers=workers)
+    table = moments.ladder_moments(cfg.model, cfg.s_values, shifts, X,
+                                   targets, cfg.N, cfg.master_seed,
+                                   workers=workers)
     fits = []
-    for s in cfg.s_values:
-        for k, shift in enumerate(shifts):
-            ests = moments.estimates_from_norms(
-                norms[:, k, :], s, [shift] * len(targets),
-                seed=cfg.master_seed)
-            pts = [(d, e.mean) for d, e in zip(cfg.ladder, ests)]
-            fit = crit.fit_exponential_decay(
-                pts, stderrs=[e.stderr for e in ests])
+    for s, row in zip(cfg.s_values, table):
+        for shift, ests in zip(shifts, row):
+            fit = _add_fit(sink, [(d, e.mean)
+                                  for d, e in zip(cfg.ladder, ests)],
+                           [e.stderr for e in ests], quantity="moment-decay",
+                           s=s, E=shift.E, eps=eps)
             fits.append(fit)
-            sink.add("fit", {
-                "quantity": "moment-decay", "s": s, "E": shift.E, "eps": eps,
-                "A": fit.A, "mu": fit.mu, "r2": fit.r2,
-                "points": [{"dist": d, "mean": e.mean, "stderr": e.stderr}
-                           for d, e in zip(cfg.ladder, ests)]})
             print(f"decay s={s} E={shift.E}: mu={fit.mu:.4f} r2={fit.r2:.4f}")
     sink.emit_csv("decay")
     return fits
@@ -222,15 +213,9 @@ def run_correlator(cfg: ExperimentConfig, sink: _Sink, workers):
         sink.add("correlator", {
             "dist": d, "value": float(m), "stderr": float(se),
             "window_lo": window.a, "window_hi": window.b})
-    fit = crit.fit_exponential_decay(list(zip(cfg.ladder, means)),
-                                     stderrs=stderrs)
-    sink.add("fit", {"quantity": "correlator-decay", "A": fit.A,
-                     "mu": fit.mu, "r2": fit.r2,
-                     "window_lo": window.a, "window_hi": window.b,
-                     "points": [{"dist": float(d), "mean": float(m),
-                                 "stderr": float(se)}
-                                for d, m, se in zip(cfg.ladder, means,
-                                                    stderrs)]})
+    fit = _add_fit(sink, list(zip(cfg.ladder, means)), stderrs,
+                   quantity="correlator-decay", window_lo=window.a,
+                   window_hi=window.b)
     print(f"correlator window=({window.a}, {window.b}): "
           f"mu={fit.mu:.4f} r2={fit.r2:.4f}")
     sink.emit_csv("correlator")

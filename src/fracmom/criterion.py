@@ -15,13 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import grid_points
-from .moments import (
-    EpsilonSchedule,
-    estimates_from_norms,
-    scan_norms,
-    scan_pair_norms,
-    stability_verdict,
-)
+from .moments import epsilon_scan, ladder_moments
 from .resolvent import (
     SpectralShift,
     boundary_layer_indices,
@@ -225,36 +219,30 @@ def estimate_raw_boundary_moment(config, s_values, energies, L, schedule, N,
     centers (default: the rounded box center), relying on the translation
     covariance of the ensemble.
 
-    Returns a (len(s_values), len(energies)) array.  Each center is
-    scanned once over every energy's schedule, and each (s, E) is folded
-    from its own eps block, as epsilon_scan would fold it.
+    Returns a (len(s_values), len(energies)) array.  Each center is one
+    epsilon_scan over every energy's schedule, and every center is
+    checked against the box before any draw.
     """
-    if not isinstance(schedule, EpsilonSchedule):
-        raise DomainError("expected an EpsilonSchedule")
-    if N < 2:
-        raise DomainError("need N >= 2 for a standard error")
     grid = config.grid
     r = config.profile.r
     if alphas is None:
         alphas = [default_center(grid)]
-    n_eps = len(schedule.eps)
-    shifts = [sh for E in energies for sh in schedule.shifts(E)]
-    best = np.full((len(s_values), len(energies)), -math.inf)
     for alpha in alphas:
         if not _ball_fits_box(grid, alpha, L):
             raise DomainError(
                 f"ball of radius {L} around {tuple(alpha)} exceeds the box {grid.box}")
+    best = np.full((len(s_values), len(energies)), -math.inf)
+    for alpha in alphas:
         ball = indicator_set(grid, alpha, L).indices
         X = indicator_set(grid, alpha, r, mask=ball)
         Y = boundary_layer_indices(alpha, L, r, grid, depth=depth)
-        norms = scan_norms(config.on_domain(ball), shifts, X, Y,
-                           N, master_seed, workers=workers)
+        table = epsilon_scan(config.on_domain(ball), s_values, energies,
+                             schedule, X, Y, N, master_seed, workers=workers)
         for k, s in enumerate(s_values):
             for j, E in enumerate(energies):
-                block = slice(j * n_eps, (j + 1) * n_eps)
-                means = [e.mean for e in estimates_from_norms(
-                    norms[:, block], s, shifts[block])]
-                if stability_verdict(means, tol=schedule.tol) != "stable":
+                scan = table[k][j]
+                means = scan.means
+                if not scan.stable:
                     warnings.warn(
                         f"eps scan at alpha={tuple(alpha)}, E={E}, s={s} did "
                         f"not stabilize (last means {means[-2]:.3e}, "
@@ -330,20 +318,10 @@ def fit_exponential_decay(points, stderrs=None):
 # consistency check
 # ---------------------------------------------------------------------------
 
-def ladder_sets(x0, ladder, axis, ball):
-    """The set X at x0 and one set Y per rung, centered at x0 + dist e_axis.
-
-    ball(center, dist) builds the set around a center; dist is None for
-    x0, so a caller can name a point that does not fit.  Returns
-    (X, rung centers, rung sets), the rungs in ladder order.
-    """
-    X = ball(tuple(x0), None)
-    centers = []
-    for dist in ladder:
-        y = list(x0)
-        y[axis] += dist
-        centers.append(tuple(y))
-    return X, centers, [ball(y, dist) for y, dist in zip(centers, ladder)]
+def ladder_centers(x0, ladder, axis):
+    """The rung centers x0 + dist e_axis, in ladder order."""
+    return [tuple(x + dist if i == axis else x for i, x in enumerate(x0))
+            for dist in ladder]
 
 
 @dataclass(frozen=True)
@@ -400,13 +378,12 @@ def verify_criterion_consistency(config, report, ladder, eps, N, master_seed,
         raise DomainError("ladder must be at least three increasing distances")
     if x0 is None:
         x0 = tuple(np.round(np.asarray(grid.box) / 4.0).tolist())
-    X, targets, Ys = ladder_sets(
-        x0, ladder, axis, lambda center, dist: indicator_set(grid, center, r))
-    shift = SpectralShift(E=report.E, eps=eps)
-    norms = scan_pair_norms(config, [shift], [(X, Y) for Y in Ys], N,
-                            master_seed, workers=workers)[:, 0, :]
-    ests = estimates_from_norms(norms, report.s, [shift] * len(Ys),
-                                seed=master_seed)
+    targets = ladder_centers(x0, ladder, axis)
+    Ys = [indicator_set(grid, y, r) for y in targets]
+    [[ests]] = ladder_moments(config, [report.s],
+                              [SpectralShift(E=report.E, eps=eps)],
+                              indicator_set(grid, x0, r), Ys, N, master_seed,
+                              workers=workers)
     means = [e.mean for e in ests]
     stderrs = [e.stderr for e in ests]
     metric = ModifiedDistance(grid)

@@ -700,9 +700,6 @@ class ModelConfig:
         sub._h0 = restrict_dirichlet(self.h0(), domain)
         return sub
 
-    def covering(self):
-        return check_covering(self.profile, self.law, self.grid)
-
     def sample(self, seed) -> DisorderRealization:
         return sample_couplings(self.law, seed)
 

@@ -11,7 +11,7 @@ shifts are not drowned in resampling noise.
 import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -32,6 +32,12 @@ def sample_seed(master_seed, index):
 
 def _center_of(sel):
     return tuple(sel.center) if isinstance(sel, IndicatorSet) else None
+
+
+def _check_exponent(s, diagnostic):
+    if not (0.0 < s < 1.0 or (s == 1.0 and diagnostic)):
+        raise DomainError(
+            f"s must be in (0,1); s=1.0 needs diagnostic=True (got {s})")
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +65,7 @@ class MomentEstimate:
     diagnostic: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.s < 1.0 or (self.s == 1.0 and self.diagnostic)):
-            raise DomainError(
-                f"s must be in (0,1); s=1.0 needs diagnostic=True (got {self.s})")
+        _check_exponent(self.s, self.diagnostic)
         if self.N < 1:
             raise DomainError("need at least one sample")
         if not (self.mean >= 0.0 and self.stderr >= 0.0):
@@ -119,7 +123,6 @@ class EpsilonSchedule:
 class EpsilonScanResult:
     estimates: tuple
     verdict: str
-    norms: np.ndarray = field(repr=False, compare=False, default=None)
 
     @property
     def means(self):
@@ -285,9 +288,6 @@ def estimates_from_norms(norms, s, shifts, X=None, Y=None, seed=0,
     norms = np.asarray(norms, dtype=float)
     if norms.ndim != 2 or norms.shape[1] != len(shifts):
         raise DomainError("norms must be (N, len(shifts))")
-    if not (0.0 < s < 1.0 or (s == 1.0 and diagnostic)):
-        raise DomainError(
-            f"s must be in (0,1); s=1.0 needs diagnostic=True (got {s})")
     N = norms.shape[0]
     powers = norms ** s
     means = powers.mean(axis=0)
@@ -322,34 +322,69 @@ def stability_verdict(means, tol=DEFAULT_STABILIZATION_TOL):
 # public estimators
 # ---------------------------------------------------------------------------
 
-def estimate_fractional_moment(factory, s, shift, X, Y, N, master_seed,
-                               workers=None, diagnostic=False):
-    """Mean of N independent samples of ||chi_X (H - z)^{-1} chi_Y||^s."""
+def _check_estimates(s_values, N, diagnostic=False):
+    # before any draw, not after the scan
     if N < 2:
         raise DomainError("need N >= 2 for a standard error")
-    norms = scan_norms(factory, [shift], X, Y, N, master_seed, workers)
-    return estimates_from_norms(norms, s, [shift], X=X, Y=Y, seed=master_seed,
-                                diagnostic=diagnostic)[0]
+    for s in s_values:
+        _check_exponent(s, diagnostic)
 
 
-def epsilon_scan(factory, s, E, schedule, X, Y, N, master_seed, workers=None,
-                 diagnostic=False):
-    """Moment estimates along a decreasing eps schedule, common seeds.
+def estimate_fractional_moment(factory, s_values, shifts, X, Y, N, master_seed,
+                               workers=None, diagnostic=False):
+    """Moments of ||chi_X (H - z)^{-1} chi_Y||^s, indexed [s][shift].
 
-    The verdict compares the last two means: the scan "stabilized" when
-    they differ by less than the schedule tolerance relatively.
+    One scan over all shifts; each estimate is folded from its own (N, 1)
+    column (see estimates_from_norms).  diagnostic=True permits s = 1.0,
+    and exactly the s = 1.0 estimates are marked diagnostic.
+    """
+    _check_estimates(s_values, N, diagnostic)
+    norms = scan_norms(factory, shifts, X, Y, N, master_seed, workers)
+    return [[estimates_from_norms(norms[:, k:k + 1], s, [shift], X=X, Y=Y,
+                                  seed=master_seed, diagnostic=(s == 1.0))[0]
+             for k, shift in enumerate(shifts)] for s in s_values]
+
+
+def epsilon_scan(factory, s_values, energies, schedule, X, Y, N, master_seed,
+                 workers=None, diagnostic=False):
+    """EpsilonScanResults down the eps schedule, indexed [s][E].
+
+    One scan over every energy's schedule; each (s, E) is folded from its
+    own (N, |eps|) block (see estimates_from_norms).  The verdict compares
+    the last two means: the scan "stabilized" when they differ by less
+    than the schedule tolerance relatively.  diagnostic=True permits
+    s = 1.0, as in estimate_fractional_moment.
     """
     if not isinstance(schedule, EpsilonSchedule):
         raise DomainError("expected an EpsilonSchedule")
-    if N < 2:
-        raise DomainError("need N >= 2 for a standard error")
-    shifts = schedule.shifts(E)
+    _check_estimates(s_values, N, diagnostic)
+    n = len(schedule.eps)
+    shifts = [sh for E in energies for sh in schedule.shifts(E)]
     norms = scan_norms(factory, shifts, X, Y, N, master_seed, workers)
-    estimates = estimates_from_norms(norms, s, shifts, X=X, Y=Y,
-                                     seed=master_seed, diagnostic=diagnostic)
-    verdict = stability_verdict([e.mean for e in estimates], tol=schedule.tol)
-    return EpsilonScanResult(estimates=tuple(estimates), verdict=verdict,
-                             norms=norms)
+
+    def fold(s, j):
+        ests = estimates_from_norms(norms[:, j:j + n], s, shifts[j:j + n],
+                                    X=X, Y=Y, seed=master_seed,
+                                    diagnostic=(s == 1.0))
+        verdict = stability_verdict([e.mean for e in ests], tol=schedule.tol)
+        return EpsilonScanResult(estimates=tuple(ests), verdict=verdict)
+    return [[fold(s, j) for j in range(0, len(shifts), n)] for s in s_values]
+
+
+def ladder_moments(factory, s_values, shifts, X, Ys, N, master_seed,
+                   workers=None):
+    """Rung estimates of X against each Y in Ys, indexed [s][shift].
+
+    One scan over all shifts and rungs; each (s, shift) ladder is a list
+    in Ys order, folded from its own (N, |Ys|) block (see
+    estimates_from_norms).
+    """
+    _check_estimates(s_values, N)
+    norms = scan_pair_norms(factory, shifts, [(X, Y) for Y in Ys], N,
+                            master_seed, workers)
+    return [[estimates_from_norms(norms[:, k, :], s, [shift] * len(Ys),
+                                  seed=master_seed)
+             for k, shift in enumerate(shifts)] for s in s_values]
 
 
 def holder_modulus(factory, s, z1, z2, X, Y, N, master_seed, workers=None):

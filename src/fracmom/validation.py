@@ -132,6 +132,8 @@ def dense_block_norm_oracle(H, shift, X, Y):
         for name, idx in (("X", rows), ("Y", cols)):
             if idx.size == 0:
                 raise DomainError(f"{name} is empty")
+            if idx.min() < 0 or idx.max() >= n:
+                raise DomainError(f"{name} has an index outside [0, {n})")
     if n > DENSE_ORACLE_CAP:
         raise DomainError(
             f"dense oracle capped at {DENSE_ORACLE_CAP} points, got {n}")

@@ -50,12 +50,10 @@ from fracmom.moments import (
     EpsilonSchedule,
     epsilon_scan,
     estimate_fractional_moment,
-    estimates_from_norms,
     holder_modulus,
+    ladder_moments,
     sample_seed,
     scan_norms,
-    scan_pair_norms,
-    stability_verdict,
 )
 from fracmom.records import read_records
 from fracmom.resolvent import (
@@ -131,8 +129,8 @@ def test_criterion_01_oracle_equivalence():
 def test_criterion_02_one_site_closed_form():
     t0 = time.perf_counter()
     site = np.array([0])
-    est = estimate_fractional_moment(
-        OneSiteModel(), 0.5, SpectralShift(E=0.5, eps=1e-6), site, site,
+    [[est]] = estimate_fractional_moment(
+        OneSiteModel(), [0.5], [SpectralShift(E=0.5, eps=1e-6)], site, site,
         N=10_000, master_seed=2024)
     exact = 2.0 * math.sqrt(2.0)  # (e^{1-s} + (1-e)^{1-s})/(1-s) at s=e=1/2
     elapsed = time.perf_counter() - t0
@@ -162,8 +160,9 @@ def test_criterion_03_eps_stability_at_small_s():
     cfg = chain(**_SCAN_MODEL)
     assert cfg.grid.npoints == 256
     X, Y = _scan_sets(cfg)
-    scan = epsilon_scan(cfg, 0.3, _SCAN_E, EpsilonSchedule(_SCAN_SCHEDULE),
-                        X, Y, N=200, master_seed=2024)
+    [[scan]] = epsilon_scan(cfg, [0.3], [_SCAN_E],
+                            EpsilonSchedule(_SCAN_SCHEDULE), X, Y, N=200,
+                            master_seed=2024)
     means = scan.means
     change = abs(means[-1] - means[-2]) / abs(means[-1])
     last = scan.estimates[-1]
@@ -210,22 +209,17 @@ def test_criterion_03_diagnostic_blowup_at_s_one():
     """
     cfg = chain(**_SCAN_MODEL)
     X, Y = _scan_sets(cfg)
-    schedule = EpsilonSchedule(_SCAN_SCHEDULE)
-    scan = epsilon_scan(cfg, 0.3, _SCAN_E, schedule, X, Y,
-                        N=200, master_seed=2024)
-    shifts = schedule.shifts(_SCAN_E)
-    # identical realizations, exponent 1: reuse the scanned norms
-    ests = estimates_from_norms(scan.norms, 1.0, shifts,
-                                seed=2024, diagnostic=True)
-    means = [e.mean for e in ests]
+    # identical realizations at both exponents: one scan, folded twice
+    [[control], [diag]] = epsilon_scan(
+        cfg, [0.3, 1.0], [_SCAN_E], EpsilonSchedule(_SCAN_SCHEDULE), X, Y,
+        N=200, master_seed=2024, diagnostic=True)
+    means = diag.means
     assert means[-1] > 10.0 * means[0], "s=1 mean failed to blow up"
-    verdict = stability_verdict(means, tol=schedule.tol)
-    share = _largest_sample_share(ests[-1])
+    verdict = diag.verdict
+    share = _largest_sample_share(diag.estimates[-1])
 
-    control = estimates_from_norms(scan.norms, 0.3, shifts, seed=2024)
-    control_verdict = stability_verdict([e.mean for e in control],
-                                        tol=schedule.tol)
-    control_share = _largest_sample_share(control[-1])
+    control_verdict = control.verdict
+    control_share = _largest_sample_share(control.estimates[-1])
     print(f"criterion 03 s=1.0 diagnostic: mean grew {means[0]:.3g} -> "
           f"{means[-1]:.3g}, verdict {verdict}, largest-sample share "
           f"{share:.3f}; s=0.3 control: verdict {control_verdict}, "
@@ -246,10 +240,8 @@ def test_criterion_04_large_disorder_decay():
     ladder = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0)
     X = indicator_set(cfg.grid, (16.0,), 1.0)
     targets = [indicator_set(cfg.grid, (16.0 + d,), 1.0) for d in ladder]
-    shift = SpectralShift(E=8.0, eps=1e-3)
-    norms = scan_pair_norms(cfg, [shift], [(X, Y) for Y in targets],
-                            N=200, master_seed=11)[:, 0, :]
-    ests = estimates_from_norms(norms, 0.3, [shift] * len(ladder), seed=11)
+    [[ests]] = ladder_moments(cfg, [0.3], [SpectralShift(E=8.0, eps=1e-3)],
+                              X, targets, N=200, master_seed=11)
     fit = fit_exponential_decay([(d, e.mean) for d, e in zip(ladder, ests)],
                                 stderrs=[e.stderr for e in ests])
     elapsed = time.perf_counter() - t0

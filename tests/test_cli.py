@@ -19,7 +19,7 @@ from fracmom.criterion import (
     fit_exponential_decay,
 )
 from fracmom.errors import ConfigError, NumericalError
-from fracmom.model import ModelConfig, ground_energy
+from fracmom.model import ground_energy
 from fracmom.moments import (
     EpsilonSchedule,
     epsilon_scan,
@@ -61,19 +61,6 @@ def write_config(tmp_path, doc=None, name="exp.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return p
-
-
-@pytest.fixture
-def draws(monkeypatch):
-    """The seed of every realization drawn while the test runs."""
-    seeds = []
-    sample = ModelConfig.sample
-
-    def counting(self, seed):
-        seeds.append(seed)
-        return sample(self, seed)
-    monkeypatch.setattr(ModelConfig, "sample", counting)
-    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +278,21 @@ def test_cli_moments_match_standalone_estimates_bytewise(tmp_path):
     assert len(records) == 8
     for rec in records:
         p = rec.payload
-        est = estimate_fractional_moment(
-            cfg.model, p["s"], SpectralShift(E=p["E"], eps=p["eps"]), X, Y,
-            cfg.N, cfg.master_seed)
+        [[est]] = estimate_fractional_moment(
+            cfg.model, [p["s"]], [SpectralShift(E=p["E"], eps=p["eps"])],
+            X, Y, cfg.N, cfg.master_seed)
         assert dumps(p) == dumps(est.payload())
 
     assert cli.main(["epsilon-scan", "--config", str(path),
                      "--out", str(tmp_path / "scan")]) == 0
     records = read_records(tmp_path / "scan" / "records.jsonl")
     schedule = EpsilonSchedule(cfg.eps_schedule)
-    expected = [est.payload() for s in cfg.s_values for E in cfg.E_values
-                for est in epsilon_scan(cfg.model, s, E, schedule, X, Y,
-                                        cfg.N, cfg.master_seed).estimates]
+    expected = []
+    for s in cfg.s_values:
+        for E in cfg.E_values:
+            [[scan]] = epsilon_scan(cfg.model, [s], [E], schedule, X, Y,
+                                    cfg.N, cfg.master_seed)
+            expected += [est.payload() for est in scan.estimates]
     assert [dumps(r.payload) for r in records] == [dumps(p) for p in expected]
 
     assert cli.main(["decay", "--config", str(path),

@@ -242,8 +242,8 @@ def test_raw_boundary_moment_homogeneous_alphas_agree():
         ball = indicator_set(cfg.grid, a, 26.0).indices
         X = indicator_set(cfg.grid, a, 1.0, mask=ball)
         Y = boundary_layer_indices(a, 26.0, 1.0, cfg.grid)
-        res = epsilon_scan(replace(cfg, domain=ball), 0.2, 2.0, sch,
-                           X, Y, N=40, master_seed=4)
+        [[res]] = epsilon_scan(replace(cfg, domain=ball), [0.2], [2.0], sch,
+                               X, Y, N=40, master_seed=4)
         stats.append((res.estimates[-1].mean, res.estimates[-1].stderr))
     gap = abs(stats[0][0] - stats[1][0])
     assert gap <= 3.0 * np.hypot(stats[0][1], stats[1][1])
@@ -259,12 +259,28 @@ def test_raw_boundary_moment_default_alpha_is_box_center():
         estimate_raw_boundary_moment(cfg, alphas=[(30.0,)], **kw))
 
 
-def test_raw_boundary_moment_ball_must_fit():
+def test_raw_boundary_moment_ball_must_fit(draws):
     cfg = chain_config(60.0, lam=1.0)
     sch = EpsilonSchedule(eps=(1e-1, 1e-2))
+    # every center is checked before the first one is scanned
+    for alphas in ([(10.0,)], [(30.0,), (10.0,)]):
+        with pytest.raises(DomainError):
+            estimate_raw_boundary_moment(cfg, [0.2], [2.0], L=26.0,
+                                         schedule=sch, N=2, master_seed=0,
+                                         alphas=alphas)
+    assert draws == []
+
+
+@pytest.mark.parametrize("bad", [
+    dict(schedule=(1e-1, 1e-2)), dict(N=1), dict(s_values=[0.2, 1.0])],
+    ids=["schedule", "N", "s"])
+def test_raw_boundary_moment_input_checks_precede_any_draw(draws, bad):
+    cfg = chain_config(60.0, lam=1.0)
+    kw = dict(s_values=[0.2], energies=[2.0], L=26.0,
+              schedule=EpsilonSchedule(eps=(1e-1, 1e-2)), N=2, master_seed=0)
     with pytest.raises(DomainError):
-        estimate_raw_boundary_moment(cfg, [0.2], [2.0], L=26.0, schedule=sch,
-                                     N=2, master_seed=0, alphas=[(10.0,)])
+        estimate_raw_boundary_moment(cfg, **{**kw, **bad})
+    assert draws == []
 
 
 def test_raw_boundary_moment_warns_when_unstable():

@@ -29,6 +29,7 @@ from fracmom.moments import (
     estimate_fractional_moment,
     estimates_from_norms,
     holder_modulus,
+    ladder_moments,
     map_samples,
     sample_seed,
     scan_norms,
@@ -150,7 +151,8 @@ def test_zero_coupling_gives_exact_constant():
     z = SpectralShift(E=2.0, eps=1e-2)
     X = indicator_set(cfg.grid, (3.0,), 1.0)
     Y = indicator_set(cfg.grid, (8.0,), 1.0)
-    est = estimate_fractional_moment(cfg, 0.5, z, X, Y, N=8, master_seed=0)
+    [[est]] = estimate_fractional_moment(cfg, [0.5], [z], X, Y, N=8,
+                                         master_seed=0)
     m = block_operator_norm(cfg.hamiltonian_for_seed(0), z, X, Y)
     assert est.mean == m ** 0.5
     assert est.stderr == 0.0
@@ -161,29 +163,33 @@ def test_zero_coupling_gives_exact_constant():
 def test_one_site_closed_form():
     # E|eta - e|^{-s} = (e^{1-s} + (1-e)^{1-s}) / (1-s) = 2 sqrt 2 at s=e=1/2
     z = SpectralShift(E=0.5, eps=1e-6)
-    est = estimate_fractional_moment(OneSiteModel(), 0.5, z, SITE, SITE,
-                                     N=1500, master_seed=7)
+    [[est]] = estimate_fractional_moment(OneSiteModel(), [0.5], [z], SITE,
+                                         SITE, N=1500, master_seed=7)
     assert est.x is None and est.y is None
     assert abs(est.mean - 2.0 * np.sqrt(2.0)) < 3.0 * est.stderr
 
 
-def test_estimator_input_gates():
+def test_estimator_input_gates(draws):
     cfg = chain_config(npts=10, lam=1.0)
     z = SpectralShift(E=2.0, eps=1e-2)
     X = indicator_set(cfg.grid, (2.0,), 1.0)
     with pytest.raises(DomainError):
-        estimate_fractional_moment(cfg, 1.0, z, X, X, N=4, master_seed=0)
+        estimate_fractional_moment(cfg, [0.5, 1.0], [z], X, X, N=4,
+                                   master_seed=0)
     with pytest.raises(DomainError):
-        estimate_fractional_moment(cfg, 0.5, z, X, X, N=1, master_seed=0)
-    est = estimate_fractional_moment(cfg, 1.0, z, X, X, N=4, master_seed=0,
-                                     diagnostic=True)
-    assert est.diagnostic and est.s == 1.0
+        estimate_fractional_moment(cfg, [0.5], [z], X, X, N=1, master_seed=0)
+    assert draws == []
+    # diagnostic=True permits s = 1.0 and marks exactly those estimates
+    [[est3], [est1]] = estimate_fractional_moment(
+        cfg, [0.3, 1.0], [z], X, X, N=4, master_seed=0, diagnostic=True)
+    assert not est3.diagnostic
+    assert est1.diagnostic and est1.s == 1.0
 
 
 def test_payload_record_shape():
     z = SpectralShift(E=0.5, eps=1e-3)
-    est = estimate_fractional_moment(OneSiteModel(), 0.5, z, SITE, SITE,
-                                     N=4, master_seed=1)
+    [[est]] = estimate_fractional_moment(OneSiteModel(), [0.5], [z], SITE,
+                                         SITE, N=4, master_seed=1)
     p = est.payload()
     assert sorted(p) == ["E", "N", "eps", "mean", "s", "seed", "stderr",
                          "x", "y"]
@@ -193,7 +199,7 @@ def test_payload_record_shape():
 def test_failure_reports_sample_seed():
     z = SpectralShift(E=0.5, eps=1e-3)
     with pytest.raises(SolveError, match="seed"):
-        estimate_fractional_moment(BrokenModel(), 0.5, z, SITE, SITE,
+        estimate_fractional_moment(BrokenModel(), [0.5], [z], SITE, SITE,
                                    N=4, master_seed=3)
 
 
@@ -205,9 +211,9 @@ def test_scan_common_random_numbers_bitwise():
     X = indicator_set(cfg.grid, (3.0,), 1.0)
     Y = indicator_set(cfg.grid, (9.0,), 1.0)
     sch = EpsilonSchedule(eps=(1e-1, 1e-2))
-    a = epsilon_scan(cfg, 0.3, 2.0, sch, X, Y, N=5, master_seed=11)
-    b = epsilon_scan(cfg, 0.3, 2.0, sch, X, Y, N=5, master_seed=11)
-    assert np.array_equal(a.norms, b.norms)
+    [[a]] = epsilon_scan(cfg, [0.3], [2.0], sch, X, Y, N=5, master_seed=11)
+    [[b]] = epsilon_scan(cfg, [0.3], [2.0], sch, X, Y, N=5, master_seed=11)
+    assert repr(a) == repr(b)
     assert a.means.tolist() == b.means.tolist()
 
 
@@ -307,7 +313,7 @@ def test_scan_below_spectrum_is_stable_and_increasing():
     X = indicator_set(cfg.grid, (3.0,), 1.0)
     Y = indicator_set(cfg.grid, (7.0,), 1.0)
     sch = EpsilonSchedule.geometric(1e-1, 1e-4, 4)
-    res = epsilon_scan(cfg, 0.5, -5.0, sch, X, Y, N=3, master_seed=2)
+    [[res]] = epsilon_scan(cfg, [0.5], [-5.0], sch, X, Y, N=3, master_seed=2)
     assert res.stable
     assert np.all(np.diff(res.means) >= -1e-9 * res.means[0])
 
@@ -316,25 +322,55 @@ def test_huge_eps_scaling():
     cfg = chain_config(npts=20, lam=0.0)
     X = indicator_set(cfg.grid, (3.0,), 1.0)
     s = 0.5
-    m1 = estimate_fractional_moment(cfg, s, SpectralShift(2.0, 1e3), X, X,
-                                    N=2, master_seed=0).mean
-    m2 = estimate_fractional_moment(cfg, s, SpectralShift(2.0, 2e3), X, X,
-                                    N=2, master_seed=0).mean
+    [[e1, e2]] = estimate_fractional_moment(
+        cfg, [s], [SpectralShift(2.0, 1e3), SpectralShift(2.0, 2e3)], X, X,
+        N=2, master_seed=0)
+    m1, m2 = e1.mean, e2.mean
     assert m2 < m1
     assert m1 / m2 == pytest.approx(2.0 ** s, rel=0.05)
 
 
-def test_mid_spectrum_scan_runs_with_diagnostic_exponent():
+def test_mid_spectrum_scan_runs_with_diagnostic_exponent(draws):
     cfg = chain_config(npts=24, lam=2.0)
     X = indicator_set(cfg.grid, (4.0,), 1.0)
     sch = EpsilonSchedule(eps=(1e-1, 3e-2, 1e-2))
-    res = epsilon_scan(cfg, 0.3, 4.0, sch, X, X, N=10, master_seed=9)
+    [[res], [diag]] = epsilon_scan(cfg, [0.3, 1.0], [4.0], sch, X, X, N=10,
+                                   master_seed=9, diagnostic=True)
     assert res.verdict in ("stable", "unstable")
-    diag = estimates_from_norms(res.norms, 1.0, sch.shifts(4.0), X=X, Y=X,
-                                seed=9, diagnostic=True)
-    assert all(e.s == 1.0 and e.diagnostic for e in diag)
+    assert not any(e.diagnostic for e in res.estimates)
+    assert all(e.s == 1.0 and e.diagnostic for e in diag.estimates)
+    assert len(draws) == 10
     with pytest.raises(DomainError):
-        estimates_from_norms(res.norms, 1.0, sch.shifts(4.0))
+        epsilon_scan(cfg, [0.3, 1.0], [4.0], sch, X, X, N=10, master_seed=9)
+    assert len(draws) == 10
+
+
+@pytest.mark.parametrize("estimator", ["moment", "epsilon-scan", "ladder"])
+def test_list_call_equals_one_element_calls_on_one_draw(draws, estimator):
+    # every [s][E] cell of a 2 x 2 call is the one-element call's estimate,
+    # and the 2 x 2 call draws each of its N realizations once
+    cfg = chain_config(npts=24, lam=2.0)
+    X = indicator_set(cfg.grid, (3.0,), 1.0)
+    Ys = [indicator_set(cfg.grid, (3.0 + d,), 1.0) for d in (2.0, 4.0, 6.0)]
+    sch = EpsilonSchedule(eps=(1e-1, 1e-2))
+
+    def shifts(energies):
+        return [SpectralShift(E=E, eps=1e-2) for E in energies]
+    call = {
+        "moment": lambda s, E: estimate_fractional_moment(
+            cfg, s, shifts(E), X, Ys[0], N=5, master_seed=11),
+        "epsilon-scan": lambda s, E: epsilon_scan(
+            cfg, s, E, sch, X, Ys[0], N=5, master_seed=11),
+        "ladder": lambda s, E: ladder_moments(
+            cfg, s, shifts(E), X, Ys, N=5, master_seed=11),
+    }[estimator]
+    s_values, energies = [0.3, 0.5], [1.0, 2.0]
+    table = call(s_values, energies)
+    assert len(draws) == len(set(draws)) == 5
+    for row, s in zip(table, s_values):
+        for cell, E in zip(row, energies):
+            [[single]] = call([s], [E])
+            assert repr(cell) == repr(single)
 
 
 # ---------------------------------------------------------------------------

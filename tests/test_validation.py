@@ -202,6 +202,17 @@ class TestDenseResolventOracle:
         with pytest.raises(DomainError, match=f"{name} is empty"):
             dense_block_norm_oracle(np.eye(3), 1j, X, Y)
 
+    @pytest.mark.parametrize("X, Y", [([-1], [0]), ([5], [0]), ([0], [-1]),
+                                      ([0], [7]), ([0, 3], [1])],
+                             ids=["X<0", "X>=n", "Y<0", "Y>=n", "X=n"])
+    def test_index_outside_a_matrix_is_a_domain_error(self, X, Y):
+        # a negative index must not wrap to the last row, nor a large one
+        # surface as a bare IndexError
+        name = "X" if min(X) < 0 or max(X) >= 3 else "Y"
+        with pytest.raises(DomainError,
+                           match=rf"{name} has an index outside \[0, 3\)"):
+            dense_block_norm_oracle(np.eye(3), 1j, X, Y)
+
     def test_rejects_non_square(self):
         with pytest.raises(DomainError, match="square"):
             dense_block_norm_oracle(np.ones((2, 3)), 1j, [0], [0])
