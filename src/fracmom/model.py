@@ -451,15 +451,12 @@ def realize_potential(rz: DisorderRealization, profile, law, grid) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class StoredPattern:
-    """Where a fixed CSR pattern keeps its diagonal and its transpose.
+    """Where a fixed CSR pattern keeps its diagonal.
 
-    entries.data[diagonal[i]] is the stored (i, i) entry, and
-    entries.data[transpose] is the data of the transposed matrix on the
-    same index arrays (the pattern is symmetric).
+    entries.data[diagonal[i]] is the stored (i, i) entry.
     """
 
     diagonal: np.ndarray
-    transpose: np.ndarray
 
 
 def _stored_pattern(entries):
@@ -493,7 +490,7 @@ def _stored_pattern(entries):
         raise ConstructionError(
             "operator pattern is not symmetric: a Hermitian operator stores "
             "(i, j) exactly when it stores (j, i)")
-    return A, StoredPattern(diagonal=np.flatnonzero(on_diag), transpose=transpose)
+    return A, StoredPattern(diagonal=np.flatnonzero(on_diag))
 
 
 @dataclass(eq=False)

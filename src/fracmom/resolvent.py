@@ -3,9 +3,12 @@
 Everything downstream (moment estimates, boundary criteria, correlators)
 reduces to norms of blocks chi_X (H - z)^{-1} chi_Y with Im z > 0.  The
 solver keeps one factorization per (H, z) and reuses it for every block
-and for adjoint solves, so scans over many (X, Y) pairs pay for the
+and for forward solves, so scans over many (X, Y) pairs pay for the
 factorization once, and pairs that share X (a decay ladder) share one
-adjoint solve as well.
+adjoint solve as well.  A block norm is an adjoint solve, with
+H - conj z, so that is the matrix factored: SuperLU's solve with the
+conjugate-transposed factors runs one right-hand side at a time, its
+plain solve all of a block's columns at once.
 """
 
 from dataclasses import dataclass
@@ -150,17 +153,23 @@ def _local_positions(H, sel, name):
 class ShiftedSolver:
     """Residual-verified solver for (H - z) u = rhs at a fixed shift.
 
-    The factorization is computed once and is immutable afterwards.
-    Adjoint solves reuse the same factors (H is Hermitian, so
-    (H - z)^H = H - conj z).  DIRECT_SOLVE_CAP and SOLVE_TOL are read
+    One factorization is computed and is immutable afterwards.  It is of
+    H - conj z, the matrix block_norm solves with: SuperLU solves all
+    columns of a block at once with its factors (trans="N"), but solves
+    with their conjugate transpose (trans="H") one column at a time.
+    Forward solves take the transposed path (H is Hermitian, so
+    (H - conj z)^H = H - z).  DIRECT_SOLVE_CAP and SOLVE_TOL are read
     when the solver is built.  block_norm keeps the adjoint solve on the
     last X it saw, so a solver is not safe to share across threads.
 
     H - z and H - conj z are built once, in place on H's stored pattern:
     H's entries cast to complex, with z (conj z) subtracted at the
-    diagonal slots.  The shift stays inside the matrix entries, and every
-    residual is formed from them: H @ u - z * u cancels near a resonance
-    and misses SOLVE_TOL where the stored entries meet it.
+    diagonal slots.  The factored CSC arrays are H's conjugated entries
+    minus conj z on the same index arrays, since the CSC arrays of a
+    matrix are the CSR arrays of its transpose and (H - conj z)^T =
+    conj(H) - conj z.  The shift stays inside the matrix entries, and
+    every residual is formed from them: H @ u - z * u cancels near a
+    resonance and misses SOLVE_TOL where the stored entries meet it.
     """
 
     def __init__(self, H, shift):
@@ -169,17 +178,22 @@ class ShiftedSolver:
         self.H = H
         self.z = _as_z(shift)
         self.tol = SOLVE_TOL
-        ent, pattern = H.entries, H.pattern
+        ent = H.entries
+        zbar = self.z.conjugate()
+
+        def shifted(data, w):
+            data[H.pattern.diagonal] -= w
+            return data, ent.indices, ent.indptr
+
         data = ent.data.astype(np.complex128)
-        data[pattern.diagonal] -= self.z
-        # (H - z)^T, whose CSR arrays are the CSC arrays of H - z; its
-        # conjugate is H - conj z, as H is Hermitian entry by entry
-        data_t = data[pattern.transpose]
-        arrays = (ent.indices, ent.indptr)
-        self._A = scipy.sparse.csr_matrix((data, *arrays), shape=ent.shape)
-        self._AH = scipy.sparse.csr_matrix((data_t.conj(), *arrays),
+        self._A = scipy.sparse.csr_matrix(shifted(data.copy(), self.z),
+                                          shape=ent.shape)
+        self._AH = scipy.sparse.csr_matrix(shifted(data.copy(), zbar),
                                            shape=ent.shape)
-        A = scipy.sparse.csc_matrix((data_t, *arrays), shape=ent.shape)
+        # conj(H) as 0 - Im rather than -Im: H's +0.0 imaginary parts stay
+        # +0.0, so the factored entries are bitwise those of H - conj z
+        data.imag = 0.0 - data.imag
+        A = scipy.sparse.csc_matrix(shifted(data, zbar), shape=ent.shape)
         self.method = "direct" if H.n <= DIRECT_SOLVE_CAP else "iterative"
         try:
             if self.method == "direct":
@@ -192,7 +206,8 @@ class ShiftedSolver:
                 self._fac = scipy.sparse.linalg.spilu(A, drop_tol=drop,
                                                       fill_factor=20)
         except RuntimeError as exc:
-            raise SolveError(f"factorization of (H - z) failed: {exc}") from exc
+            raise SolveError(
+                f"factorization of (H - conj z) failed: {exc}") from exc
         self._X_rows = None     # positions of the last X and its solve
         self._X_solved = None
 
@@ -206,12 +221,15 @@ class ShiftedSolver:
         return (self._A if trans == "N" else self._AH) @ u
 
     def _raw_solve(self, rhs, trans):
+        # trans names the operator solved, H - z ("N") or its adjoint;
+        # the factors are of the adjoint, so the operator is their "H"
+        fac_trans = "H" if trans == "N" else "N"
         if self.method == "direct":
-            return self._fac.solve(rhs, trans=trans)
+            return self._fac.solve(rhs, trans=fac_trans)
         out = np.empty(rhs.shape, dtype=np.complex128, order="F")
         A = self._A if trans == "N" else self._AH
         M = scipy.sparse.linalg.LinearOperator(
-            A.shape, matvec=lambda v: self._fac.solve(v, trans=trans))
+            A.shape, matvec=lambda v: self._fac.solve(v, trans=fac_trans))
         cols = rhs.reshape(rhs.shape[0], -1)
         res = out.reshape(rhs.shape[0], -1)
         for j in range(cols.shape[1]):

@@ -18,3 +18,5 @@ def test_demo_runs(tmp_path, demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+    # a demo's temporary work directory is gone when it exits
+    assert not list(tmp_path.glob("fracmom-demo-*"))

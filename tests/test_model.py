@@ -548,10 +548,12 @@ def _sparse_add_realization(h0, potential, lam):
 
 def _sparse_shift(H, z):
     # the sparse-add shift, kept as the oracle for the in-place shift:
-    # SuperLU's CSC, the CSR residual operator and its adjoint
-    A = (H.entries - z * scipy.sparse.identity(H.n, format="csr")).tocsc()
-    A = A.astype(np.complex128)
-    return A, A.tocsr(), A.tocsr().conj().T.tocsr()
+    # SuperLU's CSC of H - conj z, the CSR residual operator H - z and
+    # its adjoint H - conj z
+    eye = scipy.sparse.identity(H.n, format="csr")
+    A = (H.entries - z * eye).tocsc().astype(np.complex128)
+    AH = (H.entries - np.conj(z) * eye).tocsc().astype(np.complex128)
+    return AH, A.tocsr(), AH.tocsr()
 
 
 def _assert_same_csr(got, want):

@@ -206,9 +206,70 @@ def test_adjoint_solve_residual_and_conjugation():
     assert np.allclose(u, np.conj(sol.solve(np.conj(rhs))), atol=1e-10)
 
 
-def _sparse_shift_csc(H, z):
-    # the sparse-add shift the solver used to factor, kept as the oracle
-    A = (H.entries - z * scipy.sparse.identity(H.n, format="csr")).tocsc()
+def landau_plane(seed):
+    # a 121-point disordered Landau-gauge box: H is complex with H^T != H,
+    # so a solve with the wrong conjugation of H or of z shows
+    g = GridSpec(d=2, box=(6.0, 6.0), h=0.5)
+    cfg = ModelConfig(grid=g, background=BackgroundFields(A=LandauGauge(0.5)),
+                      profile=SingleSiteProfile(r=1.0, shape="cosine-bump", u0=4.0),
+                      law=disorder_law(5.0, g))
+    H = cfg.hamiltonian_for_seed(seed)
+    assert not np.allclose(H.dense(), H.dense().T)
+    return H
+
+
+@pytest.mark.parametrize("iterative", [False, True], ids=["direct", "iterative"])
+def test_solves_match_dense_inverses_on_a_complex_operator(monkeypatch, iterative):
+    if iterative:
+        monkeypatch.setattr(resolvent, "DIRECT_SOLVE_CAP", 0)
+    H = landau_plane(sample_seed(3, 0))
+    z = SpectralShift(E=4.0, eps=1e-2)
+    sol = ShiftedSolver(H, z)
+    assert sol.method == ("iterative" if iterative else "direct")
+    rng = np.random.default_rng(8)
+    rhs = rng.standard_normal((H.n, 3)) + 1j * rng.standard_normal((H.n, 3))
+    eye = np.eye(H.n)
+    for got, w in ((sol.solve(rhs), z.z), (sol.solve_adjoint(rhs), z.conjugate())):
+        want = np.linalg.inv(H.dense() - w * eye) @ rhs
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("iterative", [False, True], ids=["direct", "iterative"])
+def test_block_norm_solves_with_the_factors_untransposed(monkeypatch, iterative):
+    """The factors are of H - conj z: a block norm never transposes them.
+
+    SuperLU solves with transposed factors one column at a time, so the
+    adjoint solve behind every block norm must be their plain solve.
+    """
+    if iterative:
+        monkeypatch.setattr(resolvent, "DIRECT_SOLVE_CAP", 0)
+    H = landau_plane(sample_seed(3, 1))
+    z = SpectralShift(E=4.0, eps=1e-2)
+    solver = ShiftedSolver(H, z)
+    fac, calls = solver._fac, []
+
+    class RecordingFactors:
+        def solve(self, rhs, trans="N"):
+            calls.append(trans)
+            return fac.solve(rhs, trans=trans)
+    solver._fac = RecordingFactors()
+    X = indicator_set(H.grid, (2.0, 3.0), 1.0)
+    Y = indicator_set(H.grid, (4.0, 3.0), 1.0)
+    got = solver.block_norm(X, Y)
+    assert calls and set(calls) == {"N"}
+    want = dense_block_norm(H, z.z, H.local_indices(X.indices),
+                            H.local_indices(Y.indices))
+    assert abs(got - want) <= 1e-10 * want
+    # the forward solve takes the transposed path
+    calls.clear()
+    solver.solve(np.ones(H.n))
+    assert calls and set(calls) == {"H"}
+
+
+def _sparse_shift_csc(H, w):
+    # the sparse-add shift H - w, kept as the oracle for the factored
+    # matrix, which is H - conj z
+    A = (H.entries - w * scipy.sparse.identity(H.n, format="csr")).tocsc()
     return A.astype(np.complex128)
 
 
@@ -229,7 +290,7 @@ def plane_gauge_box(seed):
 def test_factors_match_sparse_shift_factors(make_h, z):
     H = make_h()
     got = ShiftedSolver(H, z)._fac
-    want = scipy.sparse.linalg.splu(_sparse_shift_csc(H, z.z))
+    want = scipy.sparse.linalg.splu(_sparse_shift_csc(H, z.conjugate()))
     for name in ("L", "U"):
         a, b = getattr(got, name), getattr(want, name)
         assert np.array_equal(a.indptr, b.indptr)
