@@ -9,8 +9,8 @@ Records carry a sha256 hash of the producing configuration (the output
 block excluded), so a results file can always be traced back.
 
 This script writes a config, drives two subcommands in-process, reruns
-one of them with FRACMOM_SEED overriding the master seed, and shows the
-record plumbing.  The same flow from a shell:
+one of them from a copy of the document with another master seed, and
+shows the record plumbing.  The same flow from a shell:
 
     fracmom moment --config exp.json --out results/
     fracmom decay  --config exp.json --out results/ --workers 4
@@ -22,7 +22,6 @@ failures.
 """
 
 import json
-import os
 import tempfile
 from pathlib import Path
 
@@ -74,23 +73,22 @@ with tempfile.TemporaryDirectory(prefix="fracmom-demo-") as tmp:
     print("CSV projections:", sorted(p.name for p in out.glob("*.csv")))
 
     # -----------------------------------------------------------------------
-    # the seed override
+    # another master seed
     # -----------------------------------------------------------------------
 
-    # FRACMOM_SEED reruns the same document with a different master seed;
-    # the config hash does not change, the sampled numbers do
-    os.environ["FRACMOM_SEED"] = "77"
-    try:
-        print("\n$ FRACMOM_SEED=77 fracmom moment ...")
-        cli.main(["moment", "--config", str(config_path),
-                  "--out", str(workdir / "override")])
-    finally:
-        del os.environ["FRACMOM_SEED"]
+    # the seed lives in the document only, so a rerun with another seed is
+    # another document: the sampled numbers and the config hash both change
+    reseeded = dict(config, run={**config["run"], "master_seed": 77})
+    reseeded_path = workdir / "reseeded.json"
+    reseeded_path.write_text(json.dumps(reseeded))
+    print("\n$ fracmom moment --config reseeded.json   (master_seed 77)")
+    cli.main(["moment", "--config", str(reseeded_path),
+              "--out", str(workdir / "reseeded")])
 
     a = read_records(out / "records.jsonl")[0]
-    b = read_records(workdir / "override" / "records.jsonl")[0]
-    print(f"master run:   seed {a.payload['seed']}, mean {a.payload['mean']:.6g}")
-    print(f"override run: seed {b.payload['seed']}, mean {b.payload['mean']:.6g}")
+    b = read_records(workdir / "reseeded" / "records.jsonl")[0]
+    print(f"first run:    seed {a.payload['seed']}, mean {a.payload['mean']:.6g}")
+    print(f"reseeded run: seed {b.payload['seed']}, mean {b.payload['mean']:.6g}")
     print(f"same config hash: {a.config_hash == b.config_hash}")
 
     # a bad document maps to exit code 2 with the offending field named

@@ -18,7 +18,6 @@ from .criterion import (
     criterion_factor,
     estimate_raw_boundary_moment,
     fit_exponential_decay,
-    modified_distance,
     moment_bound,
     verify_criterion_consistency,
 )
@@ -61,7 +60,6 @@ from .records import ResultRecord, append_records, emit_plot_data, read_records
 from .resolvent import (
     ShiftedSolver,
     SpectralShift,
-    block_operator_norm,
     boundary_layer_indices,
     indicator_set,
 )
@@ -101,7 +99,6 @@ __all__ = [
     "SolveError",
     "SpectralShift",
     "append_records",
-    "block_operator_norm",
     "boundary_layer_indices",
     "criterion_factor",
     "dense_block_norm_oracle",
@@ -119,7 +116,6 @@ __all__ = [
     "ladder_moments",
     "load_config",
     "localization_center",
-    "modified_distance",
     "moment_bound",
     "oracle_compare",
     "parse_config",

@@ -3,13 +3,12 @@
 A configuration is one JSON document per experiment.  The hash covers
 everything that can influence a number (model, run, constants) and skips
 the output block, so records stay bound to the producing configuration
-no matter where they were written.  FRACMOM_SEED overrides the master
-seed for quick reruns without editing the file.
+no matter where they were written.  The master seed is read from the
+document alone: no environment variable changes a number.
 """
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -28,8 +27,6 @@ from .model import (
     SingleSiteProfile,
     disorder_law,
 )
-
-SEED_ENV = "FRACMOM_SEED"
 
 _DEFAULT_CONSTANTS = {"M_const": 1.0}
 
@@ -170,7 +167,12 @@ def _cross_checks(cfg: "ExperimentConfig"):
 
 
 def parse_config(data, env=None):
-    """Validate a config dict and build the runnable ExperimentConfig."""
+    """Validate a config dict and build the runnable ExperimentConfig.
+
+    env is ignored: nothing outside the document reaches a number.  It
+    stays in the signature only for callers that still pass an empty
+    environment (bench/checks.py).
+    """
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
     error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
@@ -178,17 +180,6 @@ def parse_config(data, env=None):
         raise ConfigError(f"{error.json_path}: {error.message}")
     model = _build_model(data["model"])
     run = data["run"]
-
-    env = os.environ if env is None else env
-    master_seed = int(run["master_seed"])
-    if SEED_ENV in env:
-        try:
-            master_seed = int(env[SEED_ENV])
-        except ValueError as exc:
-            raise ConfigError(
-                f"{SEED_ENV} must be an integer, got {env[SEED_ENV]!r}") from exc
-        if master_seed < 0:
-            raise ConfigError(f"{SEED_ENV} must be nonnegative")
 
     L = run.get("L")
     if L is not None and not isinstance(L, list):
@@ -216,7 +207,7 @@ def parse_config(data, env=None):
         E_values=tuple(float(e) for e in run["E"]),
         eps_schedule=tuple(float(e) for e in run["eps"]),
         N=int(run["N"]),
-        master_seed=master_seed,
+        master_seed=int(run["master_seed"]),
         L_values=tuple(float(l) for l in L) if L is not None else None,
         alphas=alphas,
         ladder=tuple(float(x) for x in run["ladder"])
@@ -237,7 +228,7 @@ def parse_config(data, env=None):
     return cfg
 
 
-def load_config(path, env=None):
+def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -245,4 +236,4 @@ def load_config(path, env=None):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(data, env=env)
+    return parse_config(data)

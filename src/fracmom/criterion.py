@@ -72,21 +72,17 @@ class ModifiedDistance:
         return min(face, hole)
 
     def distance(self, x, y):
+        """dist(x, y) for grid points x, y inside the mask.
+
+        Hand checks on the 1d box [0, 10] with h = 1 (points 1..9):
+          full mask, x=3, y=5: direct 2 beats the wall detour 3+5, so 2.
+          full mask, x=2, y=8: wall detour 2+2 beats direct 6, so 4.
+          point 5 removed, x=4, y=9: hole 1 + wall 1 beats direct 5, so 2.
+        """
         x = self._require_inside(x)
         y = self._require_inside(y)
         direct = float(np.linalg.norm(x - y))
         return min(direct, self.to_complement(x) + self.to_complement(y))
-
-
-def modified_distance(x, y, mask, grid):
-    """One-shot ModifiedDistance evaluation.
-
-    Hand checks on the 1d box [0, 10] with h = 1 (points 1..9):
-      full mask, x=3, y=5: direct 2 beats the wall detour 3+5, so 2.
-      full mask, x=2, y=8: wall detour 2+2 beats direct 6, so 4.
-      point 5 removed, x=4, y=9: hole 1 + wall 1 beats direct 5, so 2.
-    """
-    return ModifiedDistance(grid, mask).distance(x, y)
 
 
 # ---------------------------------------------------------------------------

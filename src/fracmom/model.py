@@ -449,21 +449,12 @@ def realize_potential(rz: DisorderRealization, profile, law, grid) -> np.ndarray
 # ---------------------------------------------------------------------------
 # Hamiltonians
 
-@dataclass(frozen=True, eq=False)
-class StoredPattern:
-    """Where a fixed CSR pattern keeps its diagonal.
-
-    entries.data[diagonal[i]] is the stored (i, i) entry.
-    """
-
-    diagonal: np.ndarray
-
-
 def _stored_pattern(entries):
-    """entries as sorted CSR with every diagonal slot stored, and its pattern.
+    """entries as sorted CSR with every diagonal slot stored, and its slots.
 
-    A missing diagonal entry is inserted once as an explicit zero, so a
-    diagonal update never meets a second code path.  A pattern that is
+    entries.data[slots[i]] is the stored (i, i) entry.  A missing
+    diagonal entry is inserted once as an explicit zero, so a diagonal
+    update never meets a second code path.  A pattern that is
     not symmetric cannot be Hermitian entry by entry and is refused.
     """
     A = scipy.sparse.csr_matrix(entries)
@@ -490,7 +481,7 @@ def _stored_pattern(entries):
         raise ConstructionError(
             "operator pattern is not symmetric: a Hermitian operator stores "
             "(i, j) exactly when it stores (j, i)")
-    return A, StoredPattern(diagonal=np.flatnonzero(on_diag))
+    return A, np.flatnonzero(on_diag)
 
 
 @dataclass(eq=False)
@@ -502,24 +493,24 @@ class DiscreteHamiltonian:
     matrix is immutable by convention; e0 caches the ground energy.
 
     entries is a sorted CSR matrix with a symmetric pattern and a stored
-    diagonal entry in every row, exact zeros included; pattern says where
-    those entries sit in entries.data.  Both are settled once, when H0 is
-    assembled or restricted (or a hand-built matrix is given: a missing
-    diagonal slot is inserted then).  A realization and a shift H - z
-    differ from H0 only on the diagonal, so they copy entries.data, update
-    it at pattern.diagonal and share the index arrays and the pattern;
-    only such operators pass pattern in.
+    diagonal entry in every row, exact zeros included; diagonal holds the
+    slots of those entries in entries.data.  Both are settled once, when
+    H0 is assembled or restricted (or a hand-built matrix is given: a
+    missing diagonal slot is inserted then).  A realization and a shift
+    H - z differ from H0 only on the diagonal, so they copy entries.data,
+    update it at the diagonal slots and share the index arrays and the
+    slots; only such operators pass diagonal in.
     """
 
     grid: GridSpec
     entries: scipy.sparse.csr_matrix
     mask: np.ndarray
     e0: float | None = None
-    pattern: StoredPattern | None = field(default=None, repr=False)
+    diagonal: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.pattern is None:
-            self.entries, self.pattern = _stored_pattern(self.entries)
+        if self.diagonal is None:
+            self.entries, self.diagonal = _stored_pattern(self.entries)
 
     @property
     def n(self):
@@ -597,7 +588,7 @@ def assemble_hamiltonian(h0: DiscreteHamiltonian, potential, lam) -> DiscreteHam
     """H = H0 + lam * diag(potential), potential given on the full grid.
 
     The realization copies H0's stored entries, adds lam * potential at
-    the diagonal slots and shares H0's index arrays and pattern, so every
+    the diagonal slots and shares H0's index arrays and slots, so every
     diagonal slot stays stored, exact zeros included.
     """
     potential = np.asarray(potential, dtype=float)
@@ -610,10 +601,10 @@ def assemble_hamiltonian(h0: DiscreteHamiltonian, potential, lam) -> DiscreteHam
         return h0
     ent = h0.entries
     data = ent.data.astype(np.result_type(ent.dtype, potential.dtype))
-    data[h0.pattern.diagonal] += lam * potential[h0.mask]
+    data[h0.diagonal] += lam * potential[h0.mask]
     ent = scipy.sparse.csr_matrix((data, ent.indices, ent.indptr), shape=ent.shape)
     return DiscreteHamiltonian(grid=h0.grid, entries=ent, mask=h0.mask,
-                               pattern=h0.pattern)
+                               diagonal=h0.diagonal)
 
 
 def restrict_dirichlet(H: DiscreteHamiltonian, mask) -> DiscreteHamiltonian:

@@ -58,12 +58,9 @@ PRESETS = {
                 "eps": [0.01, 0.001],
                 "N": 200,
                 "master_seed": 11,
-                "L": 26.0,
-                "alphas": [[32.0]],
                 "ladder": [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0],
                 "x0": [16.0],
                 "radius": 1.0,
-                "window": [6.0, 10.0],
             },
             "constants": {"M_const": 1.0},
             "output": {"dir": "results/large-disorder-1d"},

@@ -1,14 +1,12 @@
 """Shifted sparse solves and smeared Green-function block norms.
 
 Everything downstream (moment estimates, boundary criteria, correlators)
-reduces to norms of blocks chi_X (H - z)^{-1} chi_Y with Im z > 0.  The
-solver keeps one factorization per (H, z) and reuses it for every block
-and for forward solves, so scans over many (X, Y) pairs pay for the
-factorization once, and pairs that share X (a decay ladder) share one
-adjoint solve as well.  A block norm is an adjoint solve, with
-H - conj z, so that is the matrix factored: SuperLU's solve with the
-conjugate-transposed factors runs one right-hand side at a time, its
-plain solve all of a block's columns at once.
+reduces to norms of blocks chi_X (H - z)^{-1} chi_Y with Im z > 0.  A
+block norm is one adjoint solve, with H - conj z, on X's basis vectors,
+so that is the only system the solver factors and solves.  It keeps one
+factorization per (H, z) and reuses it for every block, so scans over
+many (X, Y) pairs pay for the factorization once, and pairs that share
+X (a decay ladder) share one adjoint solve as well.
 """
 
 from dataclasses import dataclass
@@ -151,25 +149,24 @@ def _local_positions(H, sel, name):
 # ---------------------------------------------------------------------------
 
 class ShiftedSolver:
-    """Residual-verified solver for (H - z) u = rhs at a fixed shift.
+    """Residual-verified solver for (H - conj z) u = rhs at a fixed shift.
 
-    One factorization is computed and is immutable afterwards.  It is of
-    H - conj z, the matrix block_norm solves with: SuperLU solves all
-    columns of a block at once with its factors (trans="N"), but solves
-    with their conjugate transpose (trans="H") one column at a time.
-    Forward solves take the transposed path (H is Hermitian, so
-    (H - conj z)^H = H - z).  DIRECT_SOLVE_CAP and SOLVE_TOL are read
-    when the solver is built.  block_norm keeps the adjoint solve on the
-    last X it saw, so a solver is not safe to share across threads.
+    A block norm of (H - z)^{-1} is read off one adjoint solve, so
+    H - conj z is the one system the solver solves.  One factorization
+    of it is computed and is immutable afterwards; SuperLU's plain solve
+    with it takes all columns of a block at once.  DIRECT_SOLVE_CAP and
+    SOLVE_TOL are read when the solver is built.  block_norm keeps the
+    adjoint solve on the last X it saw, so a solver is not safe to share
+    across threads.
 
-    H - z and H - conj z are built once, in place on H's stored pattern:
-    H's entries cast to complex, with z (conj z) subtracted at the
-    diagonal slots.  The factored CSC arrays are H's conjugated entries
-    minus conj z on the same index arrays, since the CSC arrays of a
-    matrix are the CSR arrays of its transpose and (H - conj z)^T =
-    conj(H) - conj z.  The shift stays inside the matrix entries, and
-    every residual is formed from them: H @ u - z * u cancels near a
-    resonance and misses SOLVE_TOL where the stored entries meet it.
+    H - conj z is built once, in place on H's stored pattern: H's entries
+    cast to complex, with conj z subtracted at the diagonal slots.  The
+    factored CSC arrays are H's conjugated entries minus conj z on the
+    same index arrays, since the CSC arrays of a matrix are the CSR
+    arrays of its transpose and (H - conj z)^T = conj(H) - conj z.  The
+    shift stays inside the matrix entries, and every residual is formed
+    from them: H @ u - conj z * u cancels near a resonance and misses
+    SOLVE_TOL where the stored entries meet it.
     """
 
     def __init__(self, H, shift):
@@ -179,21 +176,17 @@ class ShiftedSolver:
         self.z = _as_z(shift)
         self.tol = SOLVE_TOL
         ent = H.entries
-        zbar = self.z.conjugate()
-
-        def shifted(data, w):
-            data[H.pattern.diagonal] -= w
-            return data, ent.indices, ent.indptr
-
-        data = ent.data.astype(np.complex128)
-        self._A = scipy.sparse.csr_matrix(shifted(data.copy(), self.z),
-                                          shape=ent.shape)
-        self._AH = scipy.sparse.csr_matrix(shifted(data.copy(), zbar),
-                                           shape=ent.shape)
+        csr_data = ent.data.astype(np.complex128)
+        csc_data = csr_data.copy()
         # conj(H) as 0 - Im rather than -Im: H's +0.0 imaginary parts stay
         # +0.0, so the factored entries are bitwise those of H - conj z
-        data.imag = 0.0 - data.imag
-        A = scipy.sparse.csc_matrix(shifted(data, zbar), shape=ent.shape)
+        csc_data.imag = 0.0 - csc_data.imag
+        for data in (csr_data, csc_data):
+            data[H.diagonal] -= self.z.conjugate()
+        self._AH = scipy.sparse.csr_matrix((csr_data, ent.indices, ent.indptr),
+                                           shape=ent.shape)
+        A = scipy.sparse.csc_matrix((csc_data, ent.indices, ent.indptr),
+                                    shape=ent.shape)
         self.method = "direct" if H.n <= DIRECT_SOLVE_CAP else "iterative"
         try:
             if self.method == "direct":
@@ -215,21 +208,14 @@ class ShiftedSolver:
     def n(self):
         return self.H.n
 
-    # -- core solves --------------------------------------------------------
+    # -- the adjoint solve ---------------------------------------------------
 
-    def _apply(self, u, trans):
-        return (self._A if trans == "N" else self._AH) @ u
-
-    def _raw_solve(self, rhs, trans):
-        # trans names the operator solved, H - z ("N") or its adjoint;
-        # the factors are of the adjoint, so the operator is their "H"
-        fac_trans = "H" if trans == "N" else "N"
+    def _raw_solve(self, rhs):
         if self.method == "direct":
-            return self._fac.solve(rhs, trans=fac_trans)
+            return self._fac.solve(rhs)
         out = np.empty(rhs.shape, dtype=np.complex128, order="F")
-        A = self._A if trans == "N" else self._AH
-        M = scipy.sparse.linalg.LinearOperator(
-            A.shape, matvec=lambda v: self._fac.solve(v, trans=fac_trans))
+        A = self._AH
+        M = scipy.sparse.linalg.LinearOperator(A.shape, matvec=self._fac.solve)
         cols = rhs.reshape(rhs.shape[0], -1)
         res = out.reshape(rhs.shape[0], -1)
         for j in range(cols.shape[1]):
@@ -242,38 +228,30 @@ class ShiftedSolver:
             res[:, j] = x
         return out
 
-    def _verified(self, rhs, trans):
+    def solve_adjoint(self, rhs):
+        """u with ||(H - conj z) u - rhs|| <= tol * ||rhs|| (per column)."""
         rhs = np.asarray(rhs, dtype=np.complex128)
         if rhs.shape[0] != self.n:
             raise DomainError(
                 f"rhs has leading dimension {rhs.shape[0]}, operator has {self.n}")
-        u = self._raw_solve(rhs, trans)
+        u = self._raw_solve(rhs)
         scale = np.linalg.norm(rhs, axis=0)
         for _ in range(2):
-            resid = rhs - self._apply(u, trans)
+            resid = rhs - self._AH @ u
             # negated <= so nan residuals count as failures
             bad = ~(np.linalg.norm(resid, axis=0) <= self.tol * scale)
             if not np.any(bad):
                 return u
             if u.ndim == 1:
-                u = u + self._raw_solve(resid, trans)
+                u = u + self._raw_solve(resid)
             else:
-                u[:, bad] += self._raw_solve(np.ascontiguousarray(resid[:, bad]),
-                                             trans)
-        resid = np.linalg.norm(rhs - self._apply(u, trans), axis=0)
+                u[:, bad] += self._raw_solve(np.ascontiguousarray(resid[:, bad]))
+        resid = np.linalg.norm(rhs - self._AH @ u, axis=0)
         worst = float(np.max(np.divide(resid, scale, out=np.zeros_like(resid),
                                        where=scale > 0)))
         raise SolveError(
             f"residual {worst:.3e} above tolerance {self.tol:.1e} after refinement",
             achieved=worst)
-
-    def solve(self, rhs):
-        """u with ||(H - z) u - rhs|| <= tol * ||rhs|| (per column)."""
-        return self._verified(rhs, "N")
-
-    def solve_adjoint(self, rhs):
-        """u with ||(H - conj z) u - rhs|| <= tol * ||rhs|| (per column)."""
-        return self._verified(rhs, "H")
 
     # -- block norms ---------------------------------------------------------
 
@@ -300,7 +278,3 @@ class ShiftedSolver:
                 f"singular values of the {B.shape[1]} x {B.shape[0]} block "
                 f"did not converge: {exc}") from exc
 
-
-def block_operator_norm(H, shift, X, Y):
-    """||chi_X (H - z)^{-1} chi_Y|| for index sets or IndicatorSets X, Y."""
-    return ShiftedSolver(H, shift).block_norm(X, Y)

@@ -17,10 +17,10 @@ from .errors import DomainError, SolveError
 from .model import DiscreteHamiltonian
 from .resolvent import (
     IndicatorSet,
+    ShiftedSolver,
     SpectralShift,
     _as_z,
     _local_positions,
-    block_operator_norm,
 )
 
 logger = logging.getLogger(__name__)
@@ -333,7 +333,7 @@ def oracle_compare(model, shift, X, Y, seed=0):
         H = model
     else:
         H = model.hamiltonian_for_seed(seed)
-    sparse = block_operator_norm(H, shift, X, Y)
+    sparse = ShiftedSolver(H, shift).block_norm(X, Y)
     dense = dense_block_norm_oracle(H, shift, X, Y)
     rel = abs(sparse - dense) / max(dense, 1e-300)
     return OracleComparison(sparse_norm=float(sparse), dense_norm=float(dense),

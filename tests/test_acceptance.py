@@ -23,10 +23,10 @@ import pytest
 
 from fracmom import cli, moments
 from fracmom.criterion import (
+    ModifiedDistance,
     criterion_factor,
     estimate_raw_boundary_moment,
     fit_exponential_decay,
-    modified_distance,
     verify_criterion_consistency,
 )
 from fracmom.localization import (
@@ -466,14 +466,13 @@ def test_criterion_09_determinism_across_workers(tmp_path, monkeypatch):
 def test_criterion_10_exact_identities():
     # modified distance on the 1d box [0, 10], h = 1
     g = GridSpec(d=1, box=(10.0,), h=1.0)
-    full = np.arange(g.npoints)
-    assert modified_distance((3.0,), (5.0,), full, g) == 2.0
-    assert modified_distance((2.0,), (8.0,), full, g) == 4.0  # wall detour
-    holed = np.delete(full, 4)  # remove the point at 5.0
-    assert modified_distance((4.0,), (9.0,), holed, g) == 2.0  # hole + wall
+    full = ModifiedDistance(g, np.arange(g.npoints))
+    assert full.distance((3.0,), (5.0,)) == 2.0
+    assert full.distance((2.0,), (8.0,)) == 4.0  # wall detour
+    holed = ModifiedDistance(g, np.delete(np.arange(g.npoints), 4))  # no 5.0
+    assert holed.distance((4.0,), (9.0,)) == 2.0  # hole + wall
     g2 = GridSpec(d=2, box=(6.0, 6.0), h=1.0)
-    assert modified_distance((2.0, 2.0), (4.0, 4.0), None,
-                             g2) == math.sqrt(8.0)
+    assert ModifiedDistance(g2).distance((2.0, 2.0), (4.0, 4.0)) == math.sqrt(8.0)
 
     # boundary layer on the 1d box [0, 30], h = 1
     layer = boundary_layer_indices((15.0,), L=15.0, r=1.0,

@@ -179,20 +179,6 @@ def test_out_flag_overrides_config_output_dir(tmp_path):
     assert not (tmp_path / "results").exists()
 
 
-def test_seed_env_changes_the_run(tmp_path, monkeypatch):
-    path = write_config(tmp_path)
-    cli.main(["moment", "--config", str(path), "--out", str(tmp_path / "a")])
-    monkeypatch.setenv("FRACMOM_SEED", "77")
-    cli.main(["moment", "--config", str(path), "--out", str(tmp_path / "b")])
-    a = read_records(tmp_path / "a" / "records.jsonl")
-    b = read_records(tmp_path / "b" / "records.jsonl")
-    assert a[0].payload["seed"] == 3
-    assert b[0].payload["seed"] == 77
-    assert a[0].payload["mean"] != b[0].payload["mean"]
-    # same document, same hash: the seed override is not part of identity
-    assert a[0].config_hash == b[0].config_hash
-
-
 def test_worker_count_does_not_change_payloads(tmp_path):
     path = write_config(tmp_path)
     cli.main(["decay", "--config", str(path), "--out", str(tmp_path / "serial")])

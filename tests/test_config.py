@@ -8,7 +8,6 @@ import pytest
 import fracmom
 
 from fracmom.config import (
-    SEED_ENV,
     canonical_bytes,
     config_hash,
     load_config,
@@ -146,30 +145,17 @@ def test_gauge_blocks_build_backgrounds():
 
 
 # ---------------------------------------------------------------------------
-# seed override
+# the master seed
 
-def test_seed_env_overrides_master_seed():
-    cfg = parse_config(base_doc(), env={SEED_ENV: "99"})
-    assert cfg.master_seed == 99
-
-
-def test_seed_env_rejects_garbage():
-    with pytest.raises(ConfigError, match=SEED_ENV):
-        parse_config(base_doc(), env={SEED_ENV: "not-a-seed"})
-    with pytest.raises(ConfigError, match="nonnegative"):
-        parse_config(base_doc(), env={SEED_ENV: "-1"})
-
-
-def test_seed_env_read_from_process_environment(monkeypatch):
-    monkeypatch.setenv(SEED_ENV, "123")
-    assert parse_config(base_doc()).master_seed == 123
-
-
-def test_seed_override_does_not_change_hash():
-    # the hash covers the document, not the effective seed
-    plain = parse_config(base_doc())
-    overridden = parse_config(base_doc(), env={SEED_ENV: "99"})
-    assert plain.config_hash == overridden.config_hash
+def test_seed_comes_from_the_document_alone(tmp_path, monkeypatch):
+    # the config hash binds records to the document, so nothing outside
+    # it may change the seed: a FRACMOM_SEED in the environment is inert
+    p = tmp_path / "exp.json"
+    p.write_text(json.dumps(base_doc()))
+    monkeypatch.setenv("FRACMOM_SEED", "77")
+    cfg = load_config(p)
+    assert cfg.master_seed == 3
+    assert cfg.config_hash == config_hash(base_doc())
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from fracmom.criterion import (
     criterion_factor,
     estimate_raw_boundary_moment,
     fit_exponential_decay,
-    modified_distance,
     moment_bound,
     verify_criterion_consistency,
 )
@@ -42,13 +41,13 @@ def chain_config(box, lam, h=0.5, u0=1.0):
 def test_modified_distance_shortcut_through_walls():
     g = GridSpec(d=1, box=(10.0,), h=1.0)
     mask = np.arange(g.npoints)
-    assert modified_distance((1.0,), (9.0,), mask, g) == 2.0
-    assert modified_distance((1.0,), (1.0,), mask, g) == 0.0
+    assert ModifiedDistance(g, mask).distance((1.0,), (9.0,)) == 2.0
+    assert ModifiedDistance(g, mask).distance((1.0,), (1.0,)) == 0.0
 
 
 def test_modified_distance_deep_points_are_euclidean():
     g = GridSpec(d=1, box=(40.0,), h=1.0)
-    assert modified_distance((18.0,), (22.0,), None, g) == 4.0
+    assert ModifiedDistance(g).distance((18.0,), (22.0,)) == 4.0
 
 
 def test_modified_distance_sees_holes():
@@ -60,8 +59,8 @@ def test_modified_distance_sees_holes():
     assert m.distance((4.0,), (8.0,)) == 3.0
     assert ModifiedDistance(g).distance((4.0,), (8.0,)) == 4.0
     # hole 1 + wall 1 beats direct 5, whatever order the mask is given in
-    assert modified_distance((4.0,), (9.0,), mask, g) == 2.0
-    assert modified_distance((4.0,), (9.0,), mask[::-1], g) == 2.0
+    assert ModifiedDistance(g, mask).distance((4.0,), (9.0,)) == 2.0
+    assert ModifiedDistance(g, mask[::-1]).distance((4.0,), (9.0,)) == 2.0
     assert ModifiedDistance(g, mask[::-1]).to_complement((4.0,)) == 1.0
 
 

@@ -35,7 +35,7 @@ from fracmom.moments import (
     scan_norms,
     stability_verdict,
 )
-from fracmom.resolvent import SpectralShift, block_operator_norm, indicator_set
+from fracmom.resolvent import ShiftedSolver, SpectralShift, indicator_set
 
 
 def chain_config(npts=30, lam=2.0, h=0.5):
@@ -153,7 +153,7 @@ def test_zero_coupling_gives_exact_constant():
     Y = indicator_set(cfg.grid, (8.0,), 1.0)
     [[est]] = estimate_fractional_moment(cfg, [0.5], [z], X, Y, N=8,
                                          master_seed=0)
-    m = block_operator_norm(cfg.hamiltonian_for_seed(0), z, X, Y)
+    m = ShiftedSolver(cfg.hamiltonian_for_seed(0), z).block_norm(X, Y)
     assert est.mean == m ** 0.5
     assert est.stderr == 0.0
     assert est.sample_min == est.sample_max == est.mean

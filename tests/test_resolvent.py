@@ -28,7 +28,6 @@ from fracmom.resolvent import (
     ShiftedSolver,
     _local_positions,
     SpectralShift,
-    block_operator_norm,
     boundary_layer_indices,
     indicator_set,
 )
@@ -141,8 +140,8 @@ def test_boundary_layer_custom_depth():
 def test_scalar_solve_closed_form():
     H = scalar_h(3.0)
     z = SpectralShift(E=1.0, eps=0.5)
-    u = ShiftedSolver(H, z).solve(np.array([1.0]))
-    assert abs(u[0] - 1.0 / (3.0 - z.z)) < 1e-14
+    u = ShiftedSolver(H, z).solve_adjoint(np.array([1.0]))
+    assert abs(u[0] - 1.0 / (3.0 - z.conjugate())) < 1e-14
 
 
 def test_identity_solve_closed_form():
@@ -150,8 +149,8 @@ def test_identity_solve_closed_form():
     H = DiscreteHamiltonian(grid=g, entries=scipy.sparse.identity(5, format="csr"),
                             mask=np.arange(5))
     rhs = np.arange(1.0, 6.0)
-    u = ShiftedSolver(H, 1j).solve(rhs)
-    assert np.allclose(u, rhs / (1.0 - 1j), atol=1e-14)
+    u = ShiftedSolver(H, 1j).solve_adjoint(rhs)
+    assert np.allclose(u, rhs / (1.0 + 1j), atol=1e-14)
 
 
 def test_solve_matches_dense_oracle():
@@ -159,8 +158,8 @@ def test_solve_matches_dense_oracle():
     z = SpectralShift(E=2.0, eps=1e-3)
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal(50)
-    u = ShiftedSolver(H, z).solve(rhs)
-    ref = np.linalg.solve(H.dense() - z.z * np.eye(50), rhs)
+    u = ShiftedSolver(H, z).solve_adjoint(rhs)
+    ref = np.linalg.solve(H.dense() - z.conjugate() * np.eye(50), rhs)
     assert np.linalg.norm(u - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
@@ -170,9 +169,9 @@ def test_matrix_rhs_matches_columns():
     rng = np.random.default_rng(2)
     rhs = rng.standard_normal((30, 4))
     sol = ShiftedSolver(H, z)
-    U = sol.solve(rhs)
+    U = sol.solve_adjoint(rhs)
     for j in range(4):
-        assert np.allclose(U[:, j], sol.solve(rhs[:, j]), atol=1e-12)
+        assert np.allclose(U[:, j], sol.solve_adjoint(rhs[:, j]), atol=1e-12)
 
 
 def test_iterative_path_meets_same_contract(monkeypatch):
@@ -185,11 +184,11 @@ def test_iterative_path_meets_same_contract(monkeypatch):
     rng = np.random.default_rng(4)
     rhs = rng.standard_normal(H.n)
     assert ShiftedSolver(H, z).method == "direct"
-    ud = ShiftedSolver(H, z).solve(rhs)
+    ud = ShiftedSolver(H, z).solve_adjoint(rhs)
     # the path follows the operator size, read when a solver is built
     monkeypatch.setattr(resolvent, "DIRECT_SOLVE_CAP", 0)
     assert ShiftedSolver(H, z).method == "iterative"
-    ui = ShiftedSolver(H, z).solve(rhs)
+    ui = ShiftedSolver(H, z).solve_adjoint(rhs)
     assert np.linalg.norm(ud - ui) <= 1e-8 * np.linalg.norm(ud)
 
 
@@ -202,8 +201,10 @@ def test_adjoint_solve_residual_and_conjugation():
     u = sol.solve_adjoint(rhs)
     A = H.dense() - z.conjugate() * np.eye(40)
     assert np.linalg.norm(A @ u - rhs) <= 1e-9 * np.linalg.norm(rhs)
-    # real H: adjoint solve is the conjugated forward solve of conj(rhs)
-    assert np.allclose(u, np.conj(sol.solve(np.conj(rhs))), atol=1e-10)
+    # real H: the adjoint solve at z is the conjugate of the one at conj z
+    # (a raw complex shift with Im < 0) on conj(rhs)
+    mirror = ShiftedSolver(H, z.conjugate()).solve_adjoint(np.conj(rhs))
+    assert np.allclose(u, np.conj(mirror), atol=1e-10)
 
 
 def landau_plane(seed):
@@ -220,6 +221,7 @@ def landau_plane(seed):
 
 @pytest.mark.parametrize("iterative", [False, True], ids=["direct", "iterative"])
 def test_solves_match_dense_inverses_on_a_complex_operator(monkeypatch, iterative):
+    """Both paths solve with H - conj z, not with its transpose or H - z."""
     if iterative:
         monkeypatch.setattr(resolvent, "DIRECT_SOLVE_CAP", 0)
     H = landau_plane(sample_seed(3, 0))
@@ -228,15 +230,14 @@ def test_solves_match_dense_inverses_on_a_complex_operator(monkeypatch, iterativ
     assert sol.method == ("iterative" if iterative else "direct")
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal((H.n, 3)) + 1j * rng.standard_normal((H.n, 3))
-    eye = np.eye(H.n)
-    for got, w in ((sol.solve(rhs), z.z), (sol.solve_adjoint(rhs), z.conjugate())):
-        want = np.linalg.inv(H.dense() - w * eye) @ rhs
-        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+    got = sol.solve_adjoint(rhs)
+    want = np.linalg.solve(H.dense() - z.conjugate() * np.eye(H.n), rhs)
+    assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("iterative", [False, True], ids=["direct", "iterative"])
 def test_block_norm_solves_with_the_factors_untransposed(monkeypatch, iterative):
-    """The factors are of H - conj z: a block norm never transposes them.
+    """The factors are of H - conj z: no solve transposes them.
 
     SuperLU solves with transposed factors one column at a time, so the
     adjoint solve behind every block norm must be their plain solve.
@@ -260,10 +261,6 @@ def test_block_norm_solves_with_the_factors_untransposed(monkeypatch, iterative)
     want = dense_block_norm(H, z.z, H.local_indices(X.indices),
                             H.local_indices(Y.indices))
     assert abs(got - want) <= 1e-10 * want
-    # the forward solve takes the transposed path
-    calls.clear()
-    solver.solve(np.ones(H.n))
-    assert calls and set(calls) == {"H"}
 
 
 def _sparse_shift_csc(H, w):
@@ -306,8 +303,9 @@ def test_near_resonance_solves_meet_the_tolerance():
     On the 256-point chain at E = 32 some realizations put an eigenvalue
     within a few eps of E.  A residual formed as H @ u - z * u cancels
     there and stays above 1e-10 through refinement; the shift stored in
-    the matrix entries does not.  Each forward and adjoint solve of the
-    scan is checked by the solver and once more against dense H - z.
+    the matrix entries does not.  Each adjoint solve, on X's and on Y's
+    basis vectors, is checked by the solver and once more against dense
+    H - conj z.
     """
     g = GridSpec(d=1, box=(64.25,), h=0.25)
     cfg = ModelConfig(grid=g, background=BackgroundFields(),
@@ -321,23 +319,22 @@ def test_near_resonance_solves_meet_the_tolerance():
     for i in range(200):
         H = cfg.hamiltonian_for_seed(sample_seed(2024, i))
         solver = ShiftedSolver(H, z)
-        for rhs, u, w in ((eye[:, Y], solver.solve(eye[:, Y]), z.z),
-                          (eye[:, X], solver.solve_adjoint(eye[:, X]),
-                           z.conjugate())):
-            resid = (H.dense() - w * eye) @ u - rhs
+        for rhs in (eye[:, Y], eye[:, X]):
+            u = solver.solve_adjoint(rhs)
+            resid = (H.dense() - z.conjugate() * eye) @ u - rhs
             assert np.linalg.norm(resid, axis=0).max() <= resolvent.SOLVE_TOL
 
 
 def test_singular_shift_raises():
     H = scalar_h(2.0)
     with pytest.raises(SolveError):
-        ShiftedSolver(H, 2.0 + 0.0j).solve(np.array([1.0]))
+        ShiftedSolver(H, 2.0 + 0.0j).solve_adjoint(np.array([1.0]))
 
 
 def test_rhs_shape_mismatch():
     _, H = disordered_chain(10, lam=1.0, seed=0)
     with pytest.raises(DomainError):
-        ShiftedSolver(H, SpectralShift(1.0, 1e-2)).solve(np.ones(11))
+        ShiftedSolver(H, SpectralShift(1.0, 1e-2)).solve_adjoint(np.ones(11))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +343,7 @@ def test_rhs_shape_mismatch():
 def test_block_norm_scalar_closed_form():
     H = scalar_h(3.0)
     z = SpectralShift(E=1.0, eps=0.5)
-    got = block_operator_norm(H, z, np.array([0]), np.array([0]))
+    got = ShiftedSolver(H, z).block_norm(np.array([0]), np.array([0]))
     assert abs(got - 1.0 / abs(3.0 - z.z)) < 1e-12
 
 
@@ -355,7 +352,7 @@ def test_block_norm_matches_dense_svd():
     z = SpectralShift(E=1.5, eps=1e-2)
     X = np.arange(5, 13)
     Y = np.arange(60, 71)
-    got = block_operator_norm(H, z, X, Y)
+    got = ShiftedSolver(H, z).block_norm(X, Y)
     want = dense_block_norm(H, z.z, X, Y)
     assert abs(got - want) <= 1e-8 * want
 
@@ -365,7 +362,7 @@ def test_block_norm_accepts_indicator_sets():
     z = SpectralShift(E=2.0, eps=1e-2)
     X = indicator_set(g, (5.0,), 1.0)
     Y = indicator_set(g, (15.0,), 1.0)
-    got = block_operator_norm(H, z, X, Y)
+    got = ShiftedSolver(H, z).block_norm(X, Y)
     want = dense_block_norm(H, z.z, X.indices, Y.indices)
     assert abs(got - want) <= 1e-8 * want
 
@@ -374,8 +371,8 @@ def test_block_norm_swap_real_h():
     _, H = disordered_chain(35, lam=2.0, seed=8)
     z = SpectralShift(E=1.0, eps=5e-3)
     X, Y = np.arange(2, 7), np.arange(20, 30)
-    a = block_operator_norm(H, z, X, Y)
-    b = block_operator_norm(H, z, Y, X)
+    a = ShiftedSolver(H, z).block_norm(X, Y)
+    b = ShiftedSolver(H, z).block_norm(Y, X)
     assert abs(a - b) <= 1e-8 * a
 
 
@@ -383,8 +380,8 @@ def test_block_norm_adjoint_symmetry_complex_h():
     _, H = disordered_chain(35, lam=2.0, seed=8, a_field=ConstantVector((0.6,)))
     z = SpectralShift(E=1.0, eps=5e-3)
     X, Y = np.arange(2, 7), np.arange(20, 30)
-    a = block_operator_norm(H, z, X, Y)
-    b = block_operator_norm(H, z.conjugate(), Y, X)
+    a = ShiftedSolver(H, z).block_norm(X, Y)
+    b = ShiftedSolver(H, z.conjugate()).block_norm(Y, X)
     assert abs(a - b) <= 1e-8 * a
 
 
@@ -423,9 +420,9 @@ def test_block_norm_empty_outside_domain():
     sub = restrict_dirichlet(H, np.arange(10))
     z = SpectralShift(E=1.0, eps=1e-2)
     with pytest.raises(DomainError):
-        block_operator_norm(sub, z, np.arange(12, 15), np.arange(3))
+        ShiftedSolver(sub, z).block_norm(np.arange(12, 15), np.arange(3))
     with pytest.raises(DomainError):
-        block_operator_norm(H, z, np.array([], dtype=int), np.arange(3))
+        ShiftedSolver(H, z).block_norm(np.array([], dtype=int), np.arange(3))
 
 
 @settings(max_examples=15, deadline=None)
@@ -434,7 +431,7 @@ def test_block_norm_empty_outside_domain():
 def test_block_norm_resolvent_bound(seed, lam, eps):
     _, H = disordered_chain(25, lam=lam, seed=seed)
     z = SpectralShift(E=2.0, eps=eps)
-    got = block_operator_norm(H, z, np.arange(3, 9), np.arange(12, 20))
+    got = ShiftedSolver(H, z).block_norm(np.arange(3, 9), np.arange(12, 20))
     assert got <= (1.0 + 1e-9) / eps
 
 
@@ -443,8 +440,8 @@ def test_block_norm_resolvent_bound(seed, lam, eps):
 def test_block_norm_monotone_in_sets(seed):
     _, H = disordered_chain(30, lam=3.0, seed=seed)
     z = SpectralShift(E=2.0, eps=1e-2)
-    small = block_operator_norm(H, z, np.arange(4, 8), np.arange(18, 24))
-    grown = block_operator_norm(H, z, np.arange(2, 10), np.arange(16, 28))
+    small = ShiftedSolver(H, z).block_norm(np.arange(4, 8), np.arange(18, 24))
+    grown = ShiftedSolver(H, z).block_norm(np.arange(2, 10), np.arange(16, 28))
     assert grown >= small * (1.0 - 1e-8)
 
 
@@ -457,7 +454,7 @@ def test_block_norm_oracle_equivalence(seed, lam, n):
     rng = np.random.default_rng(seed)
     X = np.sort(rng.choice(n, size=rng.integers(1, n // 2), replace=False))
     Y = np.sort(rng.choice(n, size=rng.integers(1, n // 2), replace=False))
-    got = block_operator_norm(H, z, X, Y)
+    got = ShiftedSolver(H, z).block_norm(X, Y)
     want = dense_block_norm(H, z.z, H.local_indices(X), H.local_indices(Y))
     assert abs(got - want) <= 1e-12 * max(want, 1e-30)
 
@@ -467,9 +464,9 @@ def test_singular_value_failure_is_a_solve_error(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
     monkeypatch.setattr(scipy.linalg, "svdvals", diverged)
     _, H = disordered_chain(20, lam=1.0, seed=0)
+    solver = ShiftedSolver(H, SpectralShift(1.0, 1e-2))
     with pytest.raises(SolveError, match="did not converge"):
-        block_operator_norm(H, SpectralShift(1.0, 1e-2), np.arange(3),
-                            np.arange(5, 9))
+        solver.block_norm(np.arange(3), np.arange(5, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +482,17 @@ def test_ladder_shares_one_adjoint_solve_per_realization_and_shift(monkeypatch):
     Ys = [indicator_set(g, (2.0 + t, 4.0), 1.0) for t in (1.0, 2.0, 3.0, 4.0)]
     shifts = [SpectralShift(E=4.0, eps=1e-2), SpectralShift(E=4.0, eps=1e-3)]
     solves = []
-    verified = ShiftedSolver._verified
+    solve_adjoint = ShiftedSolver.solve_adjoint
 
-    def counting(self, rhs, trans):
-        solves.append((trans, rhs.shape[1]))
-        return verified(self, rhs, trans)
-    monkeypatch.setattr(ShiftedSolver, "_verified", counting)
+    def counting(self, rhs):
+        solves.append(rhs.shape[1])
+        return solve_adjoint(self, rhs)
+    monkeypatch.setattr(ShiftedSolver, "solve_adjoint", counting)
 
     N = 2
     norms = scan_pair_norms(cfg, shifts, [(X, Y) for Y in Ys], N,
                             master_seed=5)
-    assert solves == [("H", len(X))] * (N * len(shifts))
+    assert solves == [len(X)] * (N * len(shifts))
     worst = 0.0
     for i in range(N):
         H = cfg.hamiltonian_for_seed(sample_seed(5, i))
@@ -511,7 +508,7 @@ def test_ladder_shares_one_adjoint_solve_per_realization_and_shift(monkeypatch):
     solver = ShiftedSolver(H, shifts[0])
     got = [solver.block_norm(A, B) for A, B in [(X, Ys[0]), (Ys[0], X),
                                                   (X, Ys[0])]]
-    assert solves == [("H", len(X)), ("H", len(Ys[0])), ("H", len(X))]
+    assert solves == [len(X), len(Ys[0]), len(X)]
     want = dense_block_norm(H, shifts[0].z, rows, H.local_indices(Ys[0].indices))
     assert got[0] == got[2]
     assert abs(got[0] - want) <= 1e-12 * want
