@@ -1,19 +1,19 @@
 """Independent oracles and the weak level-set bound bench.
 
 Everything here deliberately avoids the sparse solver: dense column
-solves are refined to an explicit residual, block norms come from full
-SVDs, and the level-set measures are Riemann sums over an explicit eta
-grid.  Agreement between these paths and the production ones is what
-the oracle sweeps certify.
+solves are refined to an explicit residual, and block norms come from
+full SVDs.  Agreement between these paths and the production ones is
+what the oracle sweeps certify.  The level-set measures are exact: the
+squared sandwich norm is a ratio of two polynomials, and each level set
+is cut out by the real roots of one polynomial per level.
 """
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, SolveError
+from .errors import DomainError, NumericalError, SolveError
 from .model import DiscreteHamiltonian
 from .resolvent import (
     IndicatorSet,
@@ -23,8 +23,6 @@ from .resolvent import (
     _local_positions,
 )
 
-logger = logging.getLogger(__name__)
-
 DENSE_ORACLE_CAP = 500
 
 _HERM_TOL = 1e-10
@@ -32,7 +30,9 @@ _PSD_TOL = 1e-12
 _KERNEL_TOL = 1e-12
 _ORACLE_RESID = 1e-10     # max-entry residual of the refined column solve
 _ORACLE_AGREEMENT = 1e-8  # sparse vs dense block norm, relative
-_SOLVE_CHUNK = 8192   # etas per batched solve; bounds the stacked systems
+_EXACT_RTOL = 1e-6    # level-set polynomials vs direct solves, relative
+_POLISH_TOL = 1e-10   # |log ||M||^2 - log t^2| at a polished endpoint
+_POLISH_STEPS = 60    # bracketed Newton steps per endpoint, at most
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,6 @@ class WeakL1Report:
     delta_used: float
     delta_sensitivity: float
     eta_range: tuple
-    eta_resolution: int
 
     def payload(self):
         return {
@@ -179,63 +178,118 @@ class WeakL1Report:
             "delta_used": self.delta_used,
             "delta_sensitivity": self.delta_sensitivity,
             "eta_range": list(self.eta_range),
-            "eta_resolution": self.eta_resolution,
         }
 
 
-def _hs_norms_over_grid(A_eff, T, etas):
-    """||T (eta + A_eff)^{-1} T||_HS for every eta, via one eigensystem.
+def _sandwich_polynomials(A_eff, T):
+    """N, det with ||T (eta + A_eff)^{-1} T||_HS^2 = N(eta) / |det(eta)|^2.
 
-    Falls back to direct solves, batched over chunks of _SOLVE_CHUNK etas,
-    when the eigenvector basis of A_eff is too ill-conditioned to trust, or
-    when the eigensystem values at three spot etas drift from direct
-    inversion.
+    det(eta + A_eff) comes from the eigenvalues and the adjugate from
+    Cayley-Hamilton, adj(eta + A_eff) = sum_m eta^(n-1-m) E_m with E_0 = I
+    and E_m = det_m I - A_eff E_(m-1): no eigenvector basis enters.
     """
     n = A_eff.shape[0]
-    eye = np.eye(n)
-
-    def direct(eta):
-        return np.linalg.norm(T @ np.linalg.solve(eta * eye + A_eff, T), "fro")
-
-    lam, V = np.linalg.eig(A_eff)
-    if np.linalg.cond(V) < 1e8:
-        W = np.linalg.solve(V, T)   # rows b_k
-        U = T @ V                   # columns a_k
-        G = (U.conj().T @ U) * (W @ W.conj().T).T
-        # ||M(eta)||^2 = sum_kl G[k,l] / ((eta+lam_k) conj(eta+lam_l))
-        D = 1.0 / (etas[:, None] + lam[None, :])
-        vals = np.sqrt(np.maximum(np.einsum(
-            "ek,kl,el->e", D, G, D.conj()).real, 0.0))
-        for j in (0, etas.size // 2, etas.size - 1):
-            spot = direct(etas[j])
-            if abs(vals[j] - spot) > 1e-8 * max(spot, 1e-30):
-                logger.debug("eigensystem path drifted at eta=%g; "
-                             "using solves", etas[j])
-                break
-        else:
-            return vals
-    vals = np.empty(etas.size)
-    for lo in range(0, etas.size, _SOLVE_CHUNK):
-        chunk = etas[lo:lo + _SOLVE_CHUNK, None, None]
-        M = T @ np.linalg.solve(chunk * eye + A_eff, T)
-        vals[lo:lo + _SOLVE_CHUNK] = np.linalg.norm(M, "fro", axis=(1, 2))
-    return vals
+    det = np.poly(-A_eff)   # highest degree first, as N
+    E = [np.eye(n)]
+    for m in range(1, n):
+        E.append(det[m] * np.eye(n) - A_eff @ E[-1])
+    Q = (T @ np.array(E) @ T).reshape(n, n * n)
+    G = Q @ Q.conj().T      # N's degree-k coefficient sums G over a + b = k
+    N = np.array([np.trace(G[::-1], k) for k in range(1 - n, n)]).real
+    return N, det
 
 
-def _measures(vals, t_grid, step):
-    return np.array([float(np.count_nonzero(vals > t) * step) for t in t_grid])
+def _sandwich_sq(A_eff, T, etas, slope=False):
+    """||T (eta + A_eff)^{-1} T||_HS^2 by dense solves, and its eta-slope."""
+    P = etas[:, None, None] * np.eye(A_eff.shape[0]) + A_eff
+    K = np.linalg.solve(P, T)
+    M = T @ K
+    sq = np.einsum("eij,eij->e", M.conj(), M).real
+    if not slope:
+        return sq
+    dM = -T @ np.linalg.solve(P, K)   # d/deta (eta + A)^{-1} = -(eta + A)^{-2}
+    return sq, 2.0 * np.einsum("eij,eij->e", M.conj(), dM).real
 
 
-def weak_l1_levelset_measure(A, T, t_grid, eta_range=None,
-                             eta_resolution=100_000, delta=1e-8):
-    """Empirical level-set measures of the dissipative-sandwich map.
+def _require_close(got, want, size, what):
+    if not np.all(np.abs(got - want) <= _EXACT_RTOL * size):
+        worst = float(np.nanmax(np.abs(got - want) / size))
+        raise NumericalError(f"{what}: relative mismatch {worst:.3e} above "
+                             f"{_EXACT_RTOL:.0e}")
 
-    For each t, the Lebesgue measure (Riemann sum over the eta grid) of
-    {eta : ||T (eta + A + i delta)^{-1} T||_HS > t}.  delta is applied
+
+def _polish(A_eff, T, t2, x, a, b, a_inside):
+    """Newton on log(||M||^2 / t^2) from each endpoint x within [a, b].
+
+    The bracket holds one crossing, with a inside the level set iff
+    a_inside; a step that would leave it bisects it instead.
+    """
+    for _ in range(_POLISH_STEPS):
+        sq, dsq = _sandwich_sq(A_eff, T, x, slope=True)
+        h = np.log(sq / t2)
+        live = ~(np.abs(h) <= _POLISH_TOL)
+        if not live.any():
+            break
+        left = live & ((h > 0.0) == a_inside)
+        a, b = np.where(left, x, a), np.where(live & ~left, x, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - h * sq / dsq
+        step = np.where((step > a) & (step < b), step, 0.5 * (a + b))
+        x = np.where(live, step, x)
+    return x
+
+
+def _level_set_measures(A_eff, T, t_grid, lo, hi):
+    """|{eta in [lo, hi] : ||T (eta + A_eff)^{-1} T||_HS > t}| for every t."""
+    n = A_eff.shape[0]
+    N, det = _sandwich_polynomials(A_eff, T)
+    # an even count keeps a node off the middle of the range: for the
+    # default symmetric range that is eta = 0, a pole when X is singular
+    # and Y = 0, where neither evaluation is good to _EXACT_RTOL
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(
+        np.pi * (np.arange(2 * n + 2) + 0.5) / (2 * n + 2))
+    direct = np.sqrt(_sandwich_sq(A_eff, T, nodes))
+    poly = np.sqrt(np.maximum(np.polyval(N, nodes), 0.0)) \
+        / np.abs(np.polyval(det, nodes))
+    size = np.linalg.norm(T) ** 2 / (abs(nodes) + np.linalg.norm(A_eff, 2))
+    _require_close(poly, direct, np.maximum(direct, size),
+                   "N / |det|^2 against direct solves")
+    # (N - t^2 |det|^2) / -t^2 is monic of degree 2n, one companion per t.
+    # Its real roots cut [lo, hi] into pieces wholly in or out of the
+    # level set; a complex root only adds a cut inside a piece.
+    D = np.convolve(det, det.conj()).real
+    C = np.eye(2 * n, k=-1) + np.zeros((t_grid.size, 1, 1))
+    C[:, 0] = np.pad(N, (1, 0)) / t_grid[:, None] ** 2 - D[1:]
+    cuts = np.sort(np.clip(np.linalg.eigvals(C).real, lo, hi), axis=1)
+    cuts = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(lo, hi))
+    mids = 0.5 * (cuts[:, 1:] + cuts[:, :-1])
+    inside = (_sandwich_sq(A_eff, T, mids.ravel()).reshape(mids.shape)
+              > t_grid[:, None] ** 2)
+    # a repeated eigenvalue gives N and det a common factor whose cluster
+    # of roots blurs the real roots nearby, so every endpoint is polished
+    ti, ci = np.nonzero(inside[:, 1:] != inside[:, :-1])
+    ends = _polish(A_eff, T, t_grid[ti] ** 2, cuts[ti, ci + 1],
+                   mids[ti, ci], mids[ti, ci + 1], inside[ti, ci])
+    _require_close(np.sqrt(_sandwich_sq(A_eff, T, ends)), t_grid[ti],
+                   t_grid[ti], "||M|| at a level-set endpoint against t")
+    cuts[ti, ci + 1] = ends
+    edge = np.diff(np.pad(inside, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    return (np.where(edge < 0, cuts, 0.0)
+            - np.where(edge > 0, cuts, 0.0)).sum(axis=1)
+
+
+def weak_l1_levelset_measure(A, T, t_grid, eta_range=None, delta=1e-8):
+    """Exact level-set measures of the dissipative-sandwich map.
+
+    For each t, the Lebesgue measure of {eta in eta_range :
+    ||T (eta + A + i delta)^{-1} T||_HS > t}, cut out by the real roots of
+    N - t^2 |det|^2.  It raises NumericalError, never falls back, when
+    N / |det|^2 strays from direct solves at 2n + 2 Chebyshev nodes or the
+    map from t at an endpoint by more than _EXACT_RTOL.  delta is applied
     only when the dissipative part has a kernel; its effect is reported
-    by recomputing at delta/10.  The log-log slope is fitted over the
-    top decade of t values whose measures are nonzero and below the
-    range saturation.
+    by recomputing at delta/10.  The log-log slope is fitted over the top
+    decade of t values whose measures are nonzero and below the range
+    saturation.
     """
     if not isinstance(A, DissipativeOperator):
         raise DomainError("A must be a DissipativeOperator")
@@ -246,24 +300,19 @@ def weak_l1_levelset_measure(A, T, t_grid, eta_range=None,
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size == 0 or t_grid[0] <= 0.0:
         raise DomainError("t_grid must be positive")
-    if eta_resolution < 2:
-        raise DomainError("eta_resolution must be at least 2")
     if eta_range is None:
         w = 20.0 * max(A.norm(), 1e-6)
         eta_range = (-w, w)
     lo, hi = float(eta_range[0]), float(eta_range[1])
     if not lo < hi:
         raise DomainError("eta_range must be a nonempty interval")
-    etas = np.linspace(lo, hi, eta_resolution)
-    step = (hi - lo) / (eta_resolution - 1)
 
     delta_used = delta if A.has_kernel else 0.0
     span = hi - lo
-    eye = np.eye(A.n)
 
     def sweep(d):
-        return _measures(
-            _hs_norms_over_grid(A.A + 1j * d * eye, T.T, etas), t_grid, step)
+        A_eff = A.A + 1j * d * np.eye(A.n)
+        return _level_set_measures(A_eff, T.T, t_grid, lo, hi)
 
     measures = sweep(delta_used)
     if delta_used > 0.0:
@@ -296,7 +345,7 @@ def weak_l1_levelset_measure(A, T, t_grid, eta_range=None,
         t_grid=tuple(t_grid), measures=tuple(measures), hs_norm=T.hs_norm,
         slope=slope, degenerate=degenerate, c_fit=c_fit,
         delta_used=delta_used, delta_sensitivity=sens,
-        eta_range=(lo, hi), eta_resolution=int(eta_resolution))
+        eta_range=(lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from fracmom import cli, moments
+from fracmom import cli, moments, validation
 from fracmom.config import load_config, parse_config
 from fracmom.criterion import (
     criterion_factor,
@@ -460,6 +460,19 @@ def test_validate_caps_grid_size(tmp_path, capsys):
     assert cli.main(["validate", "--config",
                      str(write_config(tmp_path, doc))]) == 2
     assert "validate needs <= 500 grid points" in capsys.readouterr().err
+
+
+def test_validate_exits_3_on_corrupted_level_set_polynomials(
+        tmp_path, monkeypatch, capsys):
+    # a wrong numerator must stop the run, not degrade the measures
+    exact = validation._sandwich_polynomials
+
+    def corrupted(A_eff, T):
+        N, det = exact(A_eff, T)
+        return N * (1.0 + 1e-4), det
+    monkeypatch.setattr(validation, "_sandwich_polynomials", corrupted)
+    assert cli.main(["validate", "--config", str(write_config(tmp_path))]) == 3
+    assert "N / |det|^2 against direct solves" in capsys.readouterr().err
 
 
 def test_validate_raises_on_recorded_failures(tmp_path, monkeypatch):

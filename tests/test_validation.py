@@ -1,13 +1,12 @@
 """Tests for the dense oracles and the level-set bench."""
 
-import logging
-
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from fracmom import resolvent, validation
-from fracmom.errors import DomainError, SolveError
+from fracmom.errors import DomainError, NumericalError, SolveError
 from fracmom.model import (
     BackgroundFields,
     GridSpec,
@@ -22,8 +21,7 @@ from fracmom.validation import (
     DissipativeOperator,
     HSOperator,
     OracleComparison,
-    _hs_norms_over_grid,
-    _measures,
+    _sandwich_polynomials,
     dense_block_norm_oracle,
     oracle_compare,
     weak_l1_levelset_measure,
@@ -36,6 +34,29 @@ def random_dissipative(rng, n, y_scale=1.0):
     C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Y = y_scale * (C @ C.conj().T) / n
     return DissipativeOperator(X=X, Y=Y)
+
+
+def riemann_measures(A_eff, T, t_grid, lo, hi, points):
+    """Direct-solve midpoint sums of the level sets over `points` cells.
+
+    Returns the sums, the number of times each level is crossed between
+    neighbouring midpoints, and the step.  A level set of k intervals, each
+    wide enough to hold a midpoint, is counted to within k steps, so then
+    (crossings + 1) * step bounds the error.
+    """
+    step = (hi - lo) / points
+    etas = lo + (np.arange(points) + 0.5) * step
+    eye = np.eye(len(T))
+    norms = np.concatenate([
+        np.linalg.norm(T @ np.linalg.solve(chunk[:, None, None] * eye + A_eff,
+                                           T), axis=(1, 2))
+        for chunk in np.array_split(etas, -(-points // 8192))])
+    sums, crossings = [], []
+    for t in t_grid:
+        above = norms > t
+        sums.append(np.count_nonzero(above) * step)
+        crossings.append(np.count_nonzero(above[1:] != above[:-1]))
+    return np.array(sums), np.array(crossings), step
 
 
 def chain_config(lam=1.0, box=20.0, h=1.0, u0=1.0, r=1.0):
@@ -226,8 +247,7 @@ class TestWeakL1:
     def test_zero_operator_degenerate(self):
         A = DissipativeOperator(X=np.eye(3), Y=np.eye(3))
         rep = weak_l1_levelset_measure(A, HSOperator(T=np.zeros((3, 3))),
-                                       t_grid=[0.1, 1.0, 10.0],
-                                       eta_resolution=2000)
+                                       t_grid=[0.1, 1.0, 10.0])
         assert all(m == 0.0 for m in rep.measures)
         assert rep.degenerate
         assert rep.slope is None
@@ -240,13 +260,10 @@ class TestWeakL1:
         A = DissipativeOperator(X=np.array([[x]]), Y=np.array([[y]]))
         T = HSOperator(T=np.array([[t0]]))
         ts = np.array([0.5, 1.0, 2.0, 4.0, 5.0, 7.0])
-        res = 200_001
-        rep = weak_l1_levelset_measure(A, T, t_grid=ts, eta_range=(-40, 40),
-                                       eta_resolution=res)
-        step = 80.0 / (res - 1)
+        rep = weak_l1_levelset_measure(A, T, t_grid=ts, eta_range=(-40, 40))
         for t, m in zip(ts, rep.measures):
             exact = 2.0 * np.sqrt(max(0.0, (t0 ** 2 / t) ** 2 - y ** 2))
-            assert abs(m - exact) <= 2.5 * step
+            assert abs(m - exact) <= 1e-12 * 80.0
         assert rep.delta_used == 0.0
         assert rep.delta_sensitivity == 0.0
 
@@ -254,8 +271,7 @@ class TestWeakL1:
         rng = np.random.default_rng(31)
         A = random_dissipative(rng, 5, y_scale=0.1)
         T = HSOperator(T=rng.standard_normal((5, 5)))
-        rep = weak_l1_levelset_measure(
-            A, T, t_grid=np.geomspace(1e-2, 1e3, 40), eta_resolution=20_000)
+        rep = weak_l1_levelset_measure(A, T, t_grid=np.geomspace(1e-2, 1e3, 40))
         m = np.asarray(rep.measures)
         assert np.all(np.diff(m) <= 0.0)
 
@@ -265,7 +281,7 @@ class TestWeakL1:
         A = random_dissipative(rng, 5, y_scale=0.1)
         T = HSOperator(T=rng.standard_normal((5, 5)))
         ts = np.geomspace(1e-2, 1e3, 40)
-        rep = weak_l1_levelset_measure(A, T, t_grid=ts, eta_resolution=20_000)
+        rep = weak_l1_levelset_measure(A, T, t_grid=ts)
         m = np.asarray(rep.measures)
         assert rep.c_fit is not None and np.isfinite(rep.c_fit)
         assert np.all(m * ts <= rep.c_fit * rep.hs_norm ** 2 + 1e-12)
@@ -287,8 +303,7 @@ class TestWeakL1:
         A = DissipativeOperator(X=np.diag([0.0, 1.0]), Y=np.diag([1.0, 0.0]))
         T = HSOperator(T=np.eye(2))
         rep = weak_l1_levelset_measure(A, T, t_grid=np.geomspace(0.1, 50, 25),
-                                       eta_range=(-10, 10),
-                                       eta_resolution=50_000)
+                                       eta_range=(-10, 10))
         assert rep.delta_used == 1e-8
         assert np.isfinite(rep.delta_sensitivity)
         assert all(np.isfinite(m) for m in rep.measures)
@@ -298,8 +313,7 @@ class TestWeakL1:
         A = DissipativeOperator(X=np.array([[0.0]]), Y=np.array([[1e-3]]))
         T = HSOperator(T=np.array([[100.0]]))
         rep = weak_l1_levelset_measure(A, T, t_grid=[1e-6, 1e-5],
-                                       eta_range=(-0.5, 0.5),
-                                       eta_resolution=5_000)
+                                       eta_range=(-0.5, 0.5))
         assert rep.degenerate
         assert rep.slope is None
         assert all(m > 0.0 for m in rep.measures)
@@ -322,11 +336,12 @@ class TestWeakL1:
         import json
         A = DissipativeOperator(X=np.array([[0.2]]), Y=np.array([[0.4]]))
         T = HSOperator(T=np.array([[1.0]]))
-        rep = weak_l1_levelset_measure(A, T, t_grid=[0.5, 1.0, 2.0],
-                                       eta_resolution=5_000)
+        rep = weak_l1_levelset_measure(A, T, t_grid=[0.5, 1.0, 2.0])
         out = json.loads(json.dumps(rep.payload()))
+        assert out == rep.payload()
         assert out["hs_norm"] == 1.0
         assert len(out["measures"]) == 3
+        assert "eta_resolution" not in out
 
 
 def _validate_bench(master_seed, index):
@@ -339,31 +354,105 @@ def _validate_bench(master_seed, index):
     return A, T
 
 
-# the validate benches of master seeds 1-10 whose eigensystem path drifts
+@pytest.mark.parametrize("seed", [31, 32])
+def test_non_normal_measures_match_direct_riemann_sums(seed):
+    # an eigenvector path that summed its Gram matrix in transposed order
+    # was off by percent here (seed 31, eta = 0.3: ||M||^2 399.29 against
+    # 367.07 by direct solve); N / |det|^2 must equal the direct value
+    rng = np.random.default_rng(seed)
+    A = random_dissipative(rng, 5, y_scale=0.1)
+    T = HSOperator(T=rng.standard_normal((5, 5)))
+    N, det = _sandwich_polynomials(A.A, T.T)
+    direct = np.linalg.norm(T.T @ np.linalg.solve(0.3 * np.eye(5) + A.A, T.T))
+    assert np.sqrt(np.polyval(N, 0.3)) / abs(np.polyval(det, 0.3)) \
+        == pytest.approx(direct, rel=1e-12)
+    ts = np.geomspace(1e-2, 1e3, 40)
+    rep = weak_l1_levelset_measure(A, T, t_grid=ts)
+    assert rep.delta_used == 0.0
+    ref, crossings, step = riemann_measures(A.A, T.T, ts, *rep.eta_range,
+                                            200_000)
+    assert np.all(np.abs(np.asarray(rep.measures) - ref)
+                  <= (crossings + 1) * step)
+
+
 @pytest.mark.parametrize("master_seed, index",
                          [(4, 18), (5, 7), (5, 13), (7, 8), (8, 14)])
-def test_batched_fallback_measures_match_per_eta_loop(master_seed, index, caplog):
+def test_riemann_oracle_converges_to_exact_measure(master_seed, index):
+    # validate benches whose eigenvector basis is ill-conditioned enough
+    # that an eigensystem path drifts from direct solves
     A, T = _validate_bench(master_seed, index)
-    w = 20.0 * A.norm()
-    etas = np.linspace(-w, w, 100_000)
-    step = 2.0 * w / (etas.size - 1)
-    t_grid = np.geomspace(1.0, 1e3, 40)
-    eye = np.eye(A.n)
-    fell_back = 0
-    for delta in (1e-8, 1e-9):
-        A_eff = A.A + 1j * delta * eye
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="fracmom.validation"):
-            vals = _hs_norms_over_grid(A_eff, T.T, etas)
-        if not any("drifted" in r.getMessage() for r in caplog.records):
-            continue
-        fell_back += 1
-        loop = np.array([np.linalg.norm(
-            T.T @ np.linalg.solve(e * eye + A_eff, T.T), "fro") for e in etas])
-        assert np.array_equal(_measures(vals, t_grid, step),
-                              _measures(loop, t_grid, step))
-        assert np.allclose(vals, loop, rtol=1e-14, atol=0.0)
-    assert fell_back
+    ts = np.geomspace(1.0, 1e3, 40)
+    rep = weak_l1_levelset_measure(A, T, t_grid=ts)
+    exact = np.asarray(rep.measures)
+    A_eff = A.A + 1j * rep.delta_used * np.eye(A.n)
+    for points in (10_000, 100_000, 1_000_000):
+        ref, crossings, step = riemann_measures(A_eff, T.T, ts,
+                                                *rep.eta_range, points)
+        assert np.all(np.abs(exact - ref) <= (crossings + 1) * step), points
+
+
+@pytest.mark.parametrize("X", [np.diag([1.0, 1.0, 1.0, 2.0]),
+                               np.diag([1.0, 1.0, 2.0, 3.0]),
+                               np.zeros((3, 3))],
+                         ids=["triple", "double", "zero"])
+def test_repeated_eigenvalues_stay_exact(X):
+    # a repeated eigenvalue gives N and det a common factor; its cluster
+    # of polynomial roots must not move the level-set endpoints
+    n = len(X)
+    A = DissipativeOperator(X=X, Y=np.zeros((n, n)))
+    T = HSOperator(T=np.ones((n, n)) + np.eye(n))
+    ts = np.geomspace(1e-2, 1e3, 30)
+    rep = weak_l1_levelset_measure(A, T, t_grid=ts, eta_range=(-5.0, 5.0))
+    A_eff = A.A + 1j * rep.delta_used * np.eye(n)
+    ref, crossings, step = riemann_measures(A_eff, T.T, ts, -5.0, 5.0,
+                                            200_000)
+    assert np.all(np.abs(np.asarray(rep.measures) - ref)
+                  <= (crossings + 1) * step)
+
+
+def _half_integer_matrix(draw, n):
+    entries = draw(st.lists(st.integers(-4, 4), min_size=n * n,
+                            max_size=n * n))
+    return 0.5 * np.array(entries, dtype=float).reshape(n, n)
+
+
+@st.composite
+def sandwich_pairs(draw):
+    # half-integer entries make singular, repeated and zero cases common
+    n = draw(st.integers(1, 4))
+    B = _half_integer_matrix(draw, n) + 1j * _half_integer_matrix(draw, n)
+    C = _half_integer_matrix(draw, n)
+    y_scale = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    A = DissipativeOperator(X=(B + B.conj().T) / 2.0, Y=y_scale * C @ C.T)
+    T = _half_integer_matrix(draw, n) + 1j * _half_integer_matrix(draw, n)
+    return A, HSOperator(T=T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=sandwich_pairs())
+def test_exact_measures_are_monotone_and_weak_l1(pair):
+    A, T = pair
+    ts = np.geomspace(1e-2, 1e3, 16)
+    rep = weak_l1_levelset_measure(A, T, t_grid=ts)   # never raises
+    m = np.asarray(rep.measures)
+    lo, hi = rep.eta_range
+    assert np.all(np.diff(m) <= 0.0)
+    assert np.all(m >= 0.0) and np.all(m <= (hi - lo) * (1.0 + 1e-12))
+    if rep.c_fit is not None:
+        assert np.all(m * ts <= rep.c_fit * rep.hs_norm ** 2 * (1.0 + 1e-12))
+
+
+def test_corrupted_numerator_raises(monkeypatch):
+    # the polynomials are checked against direct solves, never trusted
+    exact = validation._sandwich_polynomials
+
+    def corrupted(A_eff, T):
+        N, det = exact(A_eff, T)
+        return N * (1.0 + 1e-4), det
+    monkeypatch.setattr(validation, "_sandwich_polynomials", corrupted)
+    A, T = _validate_bench(4, 0)
+    with pytest.raises(NumericalError, match=r"N / \|det\|\^2"):
+        weak_l1_levelset_measure(A, T, t_grid=np.geomspace(1.0, 1e3, 40))
 
 
 # ---------------------------------------------------------------------------
