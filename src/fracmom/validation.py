@@ -259,7 +259,11 @@ def _level_set_measures(A_eff, T, t_grid, lo, hi):
     # level set; a complex root only adds a cut inside a piece.
     D = np.convolve(det, det.conj()).real
     C = np.eye(2 * n, k=-1) + np.zeros((t_grid.size, 1, 1))
-    C[:, 0] = np.pad(N, (1, 0)) / t_grid[:, None] ** 2 - D[1:]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        C[:, 0] = np.pad(N, (1, 0)) / t_grid[:, None] ** 2 - D[1:]
+    if not np.all(np.isfinite(C)):
+        raise DomainError("t_grid reaches a level too small for the "
+                          "level-set polynomial in double precision")
     cuts = np.sort(np.clip(np.linalg.eigvals(C).real, lo, hi), axis=1)
     cuts = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(lo, hi))
     mids = 0.5 * (cuts[:, 1:] + cuts[:, :-1])

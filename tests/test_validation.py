@@ -271,7 +271,8 @@ class TestWeakL1:
         rng = np.random.default_rng(31)
         A = random_dissipative(rng, 5, y_scale=0.1)
         T = HSOperator(T=rng.standard_normal((5, 5)))
-        rep = weak_l1_levelset_measure(A, T, t_grid=np.geomspace(1e-2, 1e3, 40))
+        rep = weak_l1_levelset_measure(A, T,
+                                       t_grid=np.geomspace(1e-2, 1e3, 40))
         m = np.asarray(rep.measures)
         assert np.all(np.diff(m) <= 0.0)
 
@@ -331,6 +332,8 @@ class TestWeakL1:
             weak_l1_levelset_measure(A, T, t_grid=[1.0], eta_range=(2.0, 2.0))
         with pytest.raises(DomainError, match="dimension"):
             weak_l1_levelset_measure(A, HSOperator(T=np.eye(3)), t_grid=[1.0])
+        with pytest.raises(DomainError, match="too small"):
+            weak_l1_levelset_measure(A, T, t_grid=[1e-200, 1.0])
 
     def test_payload_round_trips(self):
         import json
