@@ -291,9 +291,9 @@ def weak_l1_levelset_measure(A, T, t_grid, eta_range=None, delta=1e-8):
     N / |det|^2 strays from direct solves at 2n + 2 Chebyshev nodes or the
     map from t at an endpoint by more than _EXACT_RTOL.  delta is applied
     only when the dissipative part has a kernel; its effect is reported
-    by recomputing at delta/10.  The log-log slope is fitted over the top
-    decade of t values whose measures are nonzero and below the range
-    saturation.
+    by recomputing at delta/10.  The log-log slope is fitted over the
+    top decade of t values whose measures are nonzero and below the
+    range saturation.
     """
     if not isinstance(A, DissipativeOperator):
         raise DomainError("A must be a DissipativeOperator")
@@ -313,10 +313,10 @@ def weak_l1_levelset_measure(A, T, t_grid, eta_range=None, delta=1e-8):
 
     delta_used = delta if A.has_kernel else 0.0
     span = hi - lo
+    eye = np.eye(A.n)
 
     def sweep(d):
-        A_eff = A.A + 1j * d * np.eye(A.n)
-        return _level_set_measures(A_eff, T.T, t_grid, lo, hi)
+        return _level_set_measures(A.A + 1j * d * eye, T.T, t_grid, lo, hi)
 
     measures = sweep(delta_used)
     if delta_used > 0.0:
