@@ -27,6 +27,7 @@ from .model import (
     SingleSiteProfile,
     disorder_law,
 )
+from .resolvent import check_solve_size
 
 _DEFAULT_CONSTANTS = {"M_const": 1.0}
 
@@ -119,6 +120,8 @@ def _build_model(block):
     g = block["grid"]
     grid = GridSpec(d=int(g["d"]), box=tuple(float(b) for b in g["box"]),
                     h=float(g["h"]))
+    # before disorder_law allocates the lattice of an oversized box
+    check_solve_size(grid.d, grid.npoints)
     p = block["profile"]
     profile = SingleSiteProfile(r=float(p["r"]),
                                 shape=p.get("shape", "indicator"),

@@ -74,6 +74,8 @@ class GridSpec:
         if not self.h > 0:
             raise ConstructionError("grid spacing h must be positive")
         for L in box:
+            if not math.isfinite(L):
+                raise ConstructionError(f"extent {L} is not finite")
             m = L / self.h
             if abs(m - round(m)) > _AXIS_TOL * max(1.0, m):
                 raise ConstructionError(
@@ -89,7 +91,7 @@ class GridSpec:
 
     @property
     def npoints(self):
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def volume(self):

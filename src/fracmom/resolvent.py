@@ -17,12 +17,23 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import DomainError, SolveError
-from .model import DiscreteHamiltonian, GridSpec, grid_points
+from .model import DiscreteHamiltonian, grid_points
 
-# the solve contract: direct LU up to this many points, ILU + LGMRES
-# above, and every solve verified to this relative residual per column
-DIRECT_SOLVE_CAP = 50_000
+# the solve contract: one sparse LU of H - conj z, every solve verified to
+# this relative residual per column, and operators up to a per-dimension
+# point cap.  Both caps give LU factors of about 5.5M entries; a 1d
+# operator is tridiagonal, its LU O(n), so it has none.
+SOLVE_POINT_CAP = {2: 50_000, 3: 10_000}
 SOLVE_TOL = 1e-10
+
+
+def check_solve_size(d, npoints):
+    """Refuse a d-dimensional operator of npoints above its LU point cap."""
+    cap = SOLVE_POINT_CAP.get(d)
+    if cap is not None and npoints > cap:
+        raise DomainError(
+            f"a {d}d operator of {npoints} points is above the sparse LU "
+            f"cap of {cap} points")
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +165,7 @@ class ShiftedSolver:
     A block norm of (H - z)^{-1} is read off one adjoint solve, so
     H - conj z is the one system the solver solves.  One factorization
     of it is computed and is immutable afterwards; SuperLU's plain solve
-    with it takes all columns of a block at once.  DIRECT_SOLVE_CAP and
+    with it takes all columns of a block at once.  SOLVE_POINT_CAP and
     SOLVE_TOL are read when the solver is built.  block_norm keeps the
     adjoint solve on the last X it saw, so a solver is not safe to share
     across threads.
@@ -172,6 +183,7 @@ class ShiftedSolver:
     def __init__(self, H, shift):
         if not isinstance(H, DiscreteHamiltonian):
             raise DomainError("expected a DiscreteHamiltonian")
+        check_solve_size(H.grid.d, H.n)
         self.H = H
         self.z = _as_z(shift)
         self.tol = SOLVE_TOL
@@ -187,17 +199,8 @@ class ShiftedSolver:
                                            shape=ent.shape)
         A = scipy.sparse.csc_matrix((csc_data, ent.indices, ent.indptr),
                                     shape=ent.shape)
-        self.method = "direct" if H.n <= DIRECT_SOLVE_CAP else "iterative"
         try:
-            if self.method == "direct":
-                self._fac = scipy.sparse.linalg.splu(A)
-            else:
-                # factorization quality follows the tolerance so a loose
-                # solve is genuinely loose; the residual check below is
-                # what actually enforces accuracy
-                drop = max(1e-5, self.tol)
-                self._fac = scipy.sparse.linalg.spilu(A, drop_tol=drop,
-                                                      fill_factor=20)
+            self._fac = scipy.sparse.linalg.splu(A)
         except RuntimeError as exc:
             raise SolveError(
                 f"factorization of (H - conj z) failed: {exc}") from exc
@@ -210,31 +213,13 @@ class ShiftedSolver:
 
     # -- the adjoint solve ---------------------------------------------------
 
-    def _raw_solve(self, rhs):
-        if self.method == "direct":
-            return self._fac.solve(rhs)
-        out = np.empty(rhs.shape, dtype=np.complex128, order="F")
-        A = self._AH
-        M = scipy.sparse.linalg.LinearOperator(A.shape, matvec=self._fac.solve)
-        cols = rhs.reshape(rhs.shape[0], -1)
-        res = out.reshape(rhs.shape[0], -1)
-        for j in range(cols.shape[1]):
-            x, info = scipy.sparse.linalg.lgmres(
-                A, cols[:, j], M=M, rtol=0.1 * self.tol, atol=0.0, maxiter=500)
-            if info != 0:
-                ach = np.linalg.norm(A @ x - cols[:, j])
-                raise SolveError("iterative solve did not converge",
-                                 achieved=float(ach))
-            res[:, j] = x
-        return out
-
     def solve_adjoint(self, rhs):
         """u with ||(H - conj z) u - rhs|| <= tol * ||rhs|| (per column)."""
         rhs = np.asarray(rhs, dtype=np.complex128)
         if rhs.shape[0] != self.n:
             raise DomainError(
                 f"rhs has leading dimension {rhs.shape[0]}, operator has {self.n}")
-        u = self._raw_solve(rhs)
+        u = self._fac.solve(rhs)
         scale = np.linalg.norm(rhs, axis=0)
         for _ in range(2):
             resid = rhs - self._AH @ u
@@ -243,9 +228,9 @@ class ShiftedSolver:
             if not np.any(bad):
                 return u
             if u.ndim == 1:
-                u = u + self._raw_solve(resid)
+                u = u + self._fac.solve(resid)
             else:
-                u[:, bad] += self._raw_solve(np.ascontiguousarray(resid[:, bad]))
+                u[:, bad] += self._fac.solve(np.ascontiguousarray(resid[:, bad]))
         resid = np.linalg.norm(rhs - self._AH @ u, axis=0)
         worst = float(np.max(np.divide(resid, scale, out=np.zeros_like(resid),
                                        where=scale > 0)))

@@ -378,9 +378,9 @@ def oracle_compare(model, shift, X, Y, seed=0):
 
     `model` is either an assembled Hamiltonian or a factory with
     hamiltonian_for_seed.  The two norms must agree to _ORACLE_AGREEMENT
-    relatively.  A loosened solve contract (resolvent.SOLVE_TOL on the
-    iterative path) is the intended negative control: the report then
-    flags the mismatch instead of raising.
+    relatively.  A loosened solve contract (resolvent.SOLVE_TOL with a
+    perturbed factorization) is the intended negative control: the
+    report then flags the mismatch instead of raising.
     """
     if isinstance(model, DiscreteHamiltonian):
         H = model

@@ -439,6 +439,32 @@ def test_counting_cap_exits_2_before_sampling(tmp_path, draws, capsys, sub):
     assert not (tmp_path / "results" / "records.jsonl").exists()
 
 
+@pytest.mark.parametrize("box, points", [
+    ([22.0, 2382.0], 50_001),        # 21 x 2381: one point over the 2d cap
+    ([5.0, 42.0, 62.0], 10_004),     # 4 x 41 x 61: no 3d box has 10,001-10,003
+], ids=["2d", "3d"])
+def test_grid_over_its_solve_cap_exits_2_before_sampling(
+        tmp_path, draws, capsys, box, points):
+    doc = tiny_doc(tmp_path / "results")
+    doc["model"]["grid"] = {"d": len(box), "box": box, "h": 1.0}
+    doc["run"]["x0"] = [2.0] * len(box)
+    assert cli.main(["moment", "--config", str(write_config(tmp_path, doc))]) == 2
+    assert f"operator of {points} points is above" in capsys.readouterr().err
+    assert draws == []
+    assert not (tmp_path / "results" / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("extent", ["1e400", "NaN"])
+def test_non_finite_grid_extent_exits_2(tmp_path, capsys, extent):
+    doc, _ = get_preset("band-edge")
+    doc["model"]["grid"]["box"] = ["EXTENT"]
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc).replace('"EXTENT"', extent))
+    assert cli.main(["ids", "--config", str(path), "--out",
+                     str(tmp_path / "results")]) == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
 def test_validate_runs_oracles_and_benches(tmp_path, capsys):
     out = tmp_path / "results"
     code = cli.main(["validate", "--config", str(write_config(tmp_path))])

@@ -126,6 +126,22 @@ def test_grid_dimension_bounds():
         parse_config(doc)
 
 
+def test_grid_above_int64_points_is_refused_before_the_lattice(monkeypatch):
+    def lattice(*args):
+        raise AssertionError("the disorder law was built")
+    monkeypatch.setattr(fracmom.config, "disorder_law", lattice)
+    doc = base_doc()
+    doc["model"]["grid"] = {"d": 3, "box": [2.2e6] * 3, "h": 1.0}
+    with pytest.raises(ConfigError, match=f"3d operator of {2_199_999 ** 3} points"):
+        parse_config(doc)
+
+
+def test_chain_above_the_plane_cap_parses():
+    doc = base_doc()
+    doc["model"]["grid"] = {"d": 1, "box": [60_001.0], "h": 1.0}
+    assert parse_config(doc).grid.npoints == 60_000
+
+
 def test_gauge_blocks_build_backgrounds():
     doc = base_doc()
     doc["model"]["background"] = {"V0": -0.5,

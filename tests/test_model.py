@@ -82,6 +82,17 @@ def test_grid_rejects_bad_specs():
         GridSpec(d=1, box=(4.0,), h=-0.25)
 
 
+def test_grid_point_count_is_exact_beyond_int64():
+    g = GridSpec(d=3, box=(2.2e6,) * 3, h=1.0)
+    assert g.npoints == 2_199_999 ** 3 > np.iinfo(np.int64).max
+
+
+@pytest.mark.parametrize("extent", [float("inf"), float("nan")])
+def test_grid_rejects_a_non_finite_extent(extent):
+    with pytest.raises(ConstructionError, match="not finite"):
+        GridSpec(d=2, box=(4.0, extent), h=0.5)
+
+
 def test_lattice_includes_box_boundary_integers():
     g = GridSpec(d=1, box=(4.0,), h=0.5)
     assert lattice_sites(g).ravel().tolist() == [0, 1, 2, 3, 4]

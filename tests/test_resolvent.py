@@ -174,24 +174,6 @@ def test_matrix_rhs_matches_columns():
         assert np.allclose(U[:, j], sol.solve_adjoint(rhs[:, j]), atol=1e-12)
 
 
-def test_iterative_path_meets_same_contract(monkeypatch):
-    g = GridSpec(d=2, box=(8.0, 8.0), h=0.5)
-    H0 = assemble_h0(g, BackgroundFields())
-    law = disorder_law(2.0, g)
-    v = realize_potential(sample_couplings(law, 5), SingleSiteProfile(), law, g)
-    H = assemble_hamiltonian(H0, v, 2.0)
-    z = SpectralShift(E=3.0, eps=1e-2)
-    rng = np.random.default_rng(4)
-    rhs = rng.standard_normal(H.n)
-    assert ShiftedSolver(H, z).method == "direct"
-    ud = ShiftedSolver(H, z).solve_adjoint(rhs)
-    # the path follows the operator size, read when a solver is built
-    monkeypatch.setattr(resolvent, "DIRECT_SOLVE_CAP", 0)
-    assert ShiftedSolver(H, z).method == "iterative"
-    ui = ShiftedSolver(H, z).solve_adjoint(rhs)
-    assert np.linalg.norm(ud - ui) <= 1e-8 * np.linalg.norm(ud)
-
-
 def test_adjoint_solve_residual_and_conjugation():
     _, H = disordered_chain(40, lam=4.0, seed=9)
     z = SpectralShift(E=2.5, eps=1e-3)
@@ -219,15 +201,13 @@ def landau_plane(seed):
     return H
 
 
-@pytest.mark.parametrize("iterative", [False, True], ids=["direct", "iterative"])
-def test_solves_match_dense_inverses_on_a_complex_operator(monkeypatch, iterative):
-    """Both paths solve with H - conj z, not with its transpose or H - z."""
-    if iterative:
-        monkeypatch.setattr(resolvent, "DIRECT_SOLVE_CAP", 0)
+# the LU is the one solve path; "direct" keeps each case's id
+@pytest.mark.parametrize("path", ["direct"])
+def test_solves_match_dense_inverses_on_a_complex_operator(path):
+    """The solver solves with H - conj z, not with its transpose or H - z."""
     H = landau_plane(sample_seed(3, 0))
     z = SpectralShift(E=4.0, eps=1e-2)
     sol = ShiftedSolver(H, z)
-    assert sol.method == ("iterative" if iterative else "direct")
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal((H.n, 3)) + 1j * rng.standard_normal((H.n, 3))
     got = sol.solve_adjoint(rhs)
@@ -235,15 +215,13 @@ def test_solves_match_dense_inverses_on_a_complex_operator(monkeypatch, iterativ
     assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("iterative", [False, True], ids=["direct", "iterative"])
-def test_block_norm_solves_with_the_factors_untransposed(monkeypatch, iterative):
+@pytest.mark.parametrize("path", ["direct"])
+def test_block_norm_solves_with_the_factors_untransposed(path):
     """The factors are of H - conj z: no solve transposes them.
 
     SuperLU solves with transposed factors one column at a time, so the
     adjoint solve behind every block norm must be their plain solve.
     """
-    if iterative:
-        monkeypatch.setattr(resolvent, "DIRECT_SOLVE_CAP", 0)
     H = landau_plane(sample_seed(3, 1))
     z = SpectralShift(E=4.0, eps=1e-2)
     solver = ShiftedSolver(H, z)
@@ -261,6 +239,29 @@ def test_block_norm_solves_with_the_factors_untransposed(monkeypatch, iterative)
     want = dense_block_norm(H, z.z, H.local_indices(X.indices),
                             H.local_indices(Y.indices))
     assert abs(got - want) <= 1e-10 * want
+
+
+def test_solver_refuses_an_operator_above_its_point_cap(monkeypatch):
+    H = landau_plane(sample_seed(3, 2))
+    z = SpectralShift(E=4.0, eps=1e-2)
+    monkeypatch.setitem(resolvent.SOLVE_POINT_CAP, 2, H.n)
+    ShiftedSolver(H, z)
+    monkeypatch.setitem(resolvent.SOLVE_POINT_CAP, 2, H.n - 1)
+    with pytest.raises(DomainError, match=f"2d operator of {H.n} points"):
+        ShiftedSolver(H, z)
+
+
+def test_chain_above_the_plane_cap_is_solved_by_the_lu():
+    # 1d has no point cap: its LU is tridiagonal
+    n = resolvent.SOLVE_POINT_CAP[2] + 10_000
+    assert 1 not in resolvent.SOLVE_POINT_CAP
+    _, H = disordered_chain(n, lam=2.0, seed=4, h=1.0)
+    z = SpectralShift(E=1.0, eps=1e-3)
+    rhs = np.zeros(n)
+    rhs[[0, n // 2, n - 1]] = 1.0
+    u = ShiftedSolver(H, z).solve_adjoint(rhs)
+    A = H.entries - z.conjugate() * scipy.sparse.identity(n)
+    assert np.linalg.norm(A @ u - rhs) <= resolvent.SOLVE_TOL * np.linalg.norm(rhs)
 
 
 def _sparse_shift_csc(H, w):
