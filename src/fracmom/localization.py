@@ -19,7 +19,7 @@ import scipy.sparse.linalg
 
 from .criterion import fit_exponential_decay
 from .errors import DomainError, IncompleteWindowError, NumericalError
-from .model import DENSE_EIG_CAP, grid_points
+from .model import grid_points
 from .moments import map_samples
 from .resolvent import _local_positions
 
@@ -46,22 +46,17 @@ class EigenWindow:
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
             raise DomainError(f"need finite a < b, got ({self.a}, {self.b})")
 
-    @property
-    def center(self):
-        return 0.5 * (self.a + self.b)
-
-    @property
-    def halfwidth(self):
-        return 0.5 * (self.b - self.a)
-
     def contains(self, values):
         values = np.asarray(values)
         return (self.a < values) & (values < self.b)
 
 
 def _tridiagonal_bands(H):
-    # local band extraction; valid iff nothing lives beyond the first
-    # off-diagonal (true for 1d stencils, holes only zero entries out)
+    # (diagonal, superdiagonal) of a 1d operator, None otherwise; valid iff
+    # nothing lives beyond the first off-diagonal (true for 1d stencils,
+    # holes only zero entries out)
+    if H.grid.d != 1:
+        return None
     d = H.entries.diagonal(0)
     if H.n == 1:
         return d.real, np.zeros(0)
@@ -81,7 +76,7 @@ def spectrum_count_below(H, E):
     recurrence at any size; anything else goes through a dense
     Bunch-Kaufman inertia up to INERTIA_DENSE_CAP points.
     """
-    bands = _tridiagonal_bands(H) if H.grid.d == 1 else None
+    bands = _tridiagonal_bands(H)
     if bands is not None:
         d, u = bands
         return _sturm_count(d, np.abs(u) ** 2, E)
@@ -162,46 +157,39 @@ class EigenPairSet:
 def eigensolve_window(H, window):
     """All eigenpairs of H with eigenvalue in the open window.
 
-    Dense path below DENSE_EIG_CAP, shift-invert around the window
-    center above it.  The count is always cross-checked against the
-    pivot-based spectrum count; a mismatch aborts rather than returning
-    a silently incomplete set.
+    Tridiagonal operators (every 1d model) take LAPACK bisection and
+    inverse iteration on the bands of D^H H D, real for the unit diagonal
+    D that makes the off-diagonal |u|; D maps the vectors back.  Anything
+    else takes one dense subset eigensolve.  The pivot count comes first,
+    so an operator it refuses is never made dense, and the pairs must
+    match it: a mismatch aborts rather than returning a silently
+    incomplete set.
     """
     if not isinstance(window, EigenWindow):
         raise DomainError("expected an EigenWindow")
-    n = H.n
-    if n <= DENSE_EIG_CAP:
-        vals, vecs = np.linalg.eigh(H.dense())
-    else:
-        vals, vecs = _shift_invert_window(H, window)
-    inside = window.contains(vals)
-    vals, vecs = vals[inside], vecs[:, inside]
-    order = np.argsort(vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
     expected = count_in_window(H, window)
+    bands = _tridiagonal_bands(H)
+    try:
+        if bands is None:
+            vals, vecs = scipy.linalg.eigh(
+                H.dense(), subset_by_value=(window.a, window.b))
+        else:
+            d, u = bands
+            vals, vecs = scipy.linalg.eigh_tridiagonal(
+                d, np.abs(u), select="v", select_range=(window.a, window.b))
+            unit = np.divide(np.conj(u), np.abs(u), out=np.ones_like(u),
+                             where=u != 0)
+            vecs = vecs * np.concatenate(([1], np.cumprod(unit)))[:, None]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"window eigensolve failed: {exc}") from exc
+    inside = window.contains(vals)  # LAPACK's value range is half-open
+    vals, vecs = vals[inside], vecs[:, inside]
     if vals.size != expected:
         raise IncompleteWindowError(
             f"window {window} returned {vals.size} pairs, pivot count "
             f"says {expected}")
     _check_residuals(H, vals, vecs)
     return EigenPairSet(window=window, eigenvalues=vals, vectors=vecs)
-
-
-def _shift_invert_window(H, window):
-    n = H.n
-    sigma = window.center
-    v0 = np.linspace(0.5, 1.5, n)  # fixed start: repeat runs bit-identical
-    k = min(n - 1, 32)
-    while True:
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                H.entries, k=k, sigma=sigma, which="LM", v0=v0, tol=0)
-        except scipy.sparse.linalg.ArpackError as exc:
-            raise NumericalError(f"shift-invert eigensolve failed: {exc}") from exc
-        covered = np.max(np.abs(vals - sigma)) > window.halfwidth
-        if covered or k == n - 1:
-            return vals, vecs
-        k = min(n - 1, 2 * k)
 
 
 def _check_residuals(H, vals, vecs):

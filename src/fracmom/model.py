@@ -27,7 +27,7 @@ from .errors import (
     NonConvergenceError,
 )
 
-DENSE_EIG_CAP = 600           # up to this size, eigensolves go dense
+DENSE_EIG_CAP = 600           # up to this size, the ground energy goes dense
 _GROUND_SHIFT_MARGIN = 0.1    # sigma sits this far below the Gershgorin bound
 _DENSITY_TABLE = 4097         # inverse-CDF table resolution
 _AXIS_TOL = 1e-9              # box-length / spacing commensurability check
@@ -112,7 +112,11 @@ def grid_points(grid: GridSpec) -> np.ndarray:
 
 def lattice_sites(grid: GridSpec) -> np.ndarray:
     """Integer lattice sites inside the closed box, one bump center each."""
-    axes = [np.arange(0, int(math.floor(L + _AXIS_TOL)) + 1) for L in grid.box]
+    tops = [int(math.floor(L + _AXIS_TOL)) for L in grid.box]
+    if max(tops) > _M32:  # before numpy is asked for the lattice
+        raise ConstructionError(
+            "site coordinates must be below 2**32, one spawn-key word each")
+    axes = [np.arange(0, top + 1) for top in tops]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1).astype(np.int64)
 

@@ -465,6 +465,18 @@ def test_non_finite_grid_extent_exits_2(tmp_path, capsys, extent):
     assert "is not finite" in capsys.readouterr().err
 
 
+def test_site_lattice_over_the_coordinate_bound_exits_2(tmp_path, capsys):
+    # 9 grid points, but 1e15 + 1 lattice sites: refused before numpy is
+    # asked for them (numpy itself refuses 7.11 PiB, so nothing allocates)
+    doc, _ = get_preset("band-edge")
+    doc["model"]["grid"].update(box=[1e15], h=1e14)
+    doc["run"]["alphas"] = [[5e14]]
+    assert cli.main(["ids", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "results")]) == 2
+    assert "below 2**32" in capsys.readouterr().err
+    assert not (tmp_path / "results" / "records.jsonl").exists()
+
+
 def test_validate_runs_oracles_and_benches(tmp_path, capsys):
     out = tmp_path / "results"
     code = cli.main(["validate", "--config", str(write_config(tmp_path))])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from fracmom.errors import DomainError, NumericalError
@@ -18,7 +19,9 @@ from fracmom.localization import (
 from fracmom.model import (
     BackgroundFields,
     ConstantVector,
+    DiscreteHamiltonian,
     GridSpec,
+    LandauGauge,
     ModelConfig,
     SingleSiteProfile,
     assemble_h0,
@@ -26,6 +29,7 @@ from fracmom.model import (
     disorder_law,
     grid_points,
     realize_potential,
+    restrict_dirichlet,
     sample_couplings,
 )
 from fracmom.resolvent import indicator_set
@@ -58,7 +62,6 @@ def disordered_chain(npts, lam, seed, h=0.5):
 
 def test_window_validation_and_membership():
     w = EigenWindow(1.0, 3.0)
-    assert w.center == 2.0 and w.halfwidth == 1.0
     assert w.contains(np.array([0.5, 1.0, 2.0, 3.0])).tolist() == \
         [False, False, True, False]
     with pytest.raises(DomainError):
@@ -126,15 +129,73 @@ def test_eigensolve_matches_closed_form():
     assert np.allclose(pairs.eigenvalues, closed_form(n, h), atol=1e-8)
 
 
-def test_eigensolve_shift_invert_path():
-    n = 700  # above the dense cap
+def test_eigensolve_full_window_of_a_long_chain():
+    n = 700  # every pair, at any chain length
     _, H = free_chain(n)
-    w = EigenWindow(1.99, 2.01)
+    pairs = eigensolve_window(H, EigenWindow(-1.0, 5.0))
+    assert len(pairs) == n
+    assert np.allclose(pairs.eigenvalues, closed_form(n, 1.0), atol=1e-8)
+
+
+def test_eigensolve_landau_box_wide_window():
+    g = GridSpec(d=2, box=(26.0, 26.0), h=1.0)  # 25 x 25 = 625 points
+    H = assemble_h0(g, BackgroundFields(A=LandauGauge(0.3)))
+    w = EigenWindow(1.0, 3.0)
     pairs = eigensolve_window(H, w)
-    ev = closed_form(n, 1.0)
-    want = ev[(ev > w.a) & (ev < w.b)]
-    assert len(pairs) == want.size > 0
-    assert np.allclose(pairs.eigenvalues, want, atol=1e-8)
+    ev = np.linalg.eigvalsh(H.dense())
+    assert len(pairs) == 135
+    assert np.allclose(pairs.eigenvalues, ev[w.contains(ev)], atol=1e-10)
+
+
+def test_eigensolve_constant_gauge_chain_matches_dense():
+    # complex off-diagonal: the vectors carry the gauge phases
+    _, H = free_chain(40, a_field=ConstantVector((0.8,)))
+    w = EigenWindow(0.5, 3.0)
+    pairs = eigensolve_window(H, w)
+    ev, vecs = np.linalg.eigh(H.dense())
+    keep = w.contains(ev)
+    assert len(pairs) == keep.sum() > 0
+    assert np.allclose(pairs.eigenvalues, ev[keep], atol=1e-10)
+    assert np.allclose(np.abs(pairs.vectors), np.abs(vecs[:, keep]),
+                       atol=1e-10)
+
+
+def test_eigensolve_chain_with_a_hole_keeps_degenerate_pairs():
+    # two identical 10-point halves: every eigenvalue is doubly degenerate
+    _, H0 = free_chain(21)
+    H = restrict_dirichlet(H0, np.delete(np.arange(21), 10))
+    pairs = eigensolve_window(H, EigenWindow(-1.0, 5.0))
+    assert len(pairs) == 20
+    assert np.allclose(pairs.eigenvalues[::2], closed_form(10, 1.0),
+                       atol=1e-10)
+    assert np.allclose(pairs.eigenvalues[1::2], closed_form(10, 1.0),
+                       atol=1e-10)
+
+
+def test_eigensolve_refuses_large_non_tridiagonal_before_densifying(
+        monkeypatch):
+    g = GridSpec(d=2, box=(40.0, 40.0), h=1.0)  # 1521 points
+    H = assemble_h0(g, BackgroundFields())
+
+    def no_dense(self):
+        raise AssertionError("operator made dense")
+
+    monkeypatch.setattr(DiscreteHamiltonian, "dense", no_dense)
+    with pytest.raises(NumericalError, match="no spectrum-counting path"):
+        eigensolve_window(H, EigenWindow(1.0, 3.0))
+
+
+@pytest.mark.parametrize("d, solver", [(1, "eigh_tridiagonal"), (2, "eigh")])
+def test_eigensolve_lapack_failure_is_numerical(monkeypatch, d, solver):
+    g = GridSpec(d=d, box=(5.0,) * d, h=1.0)
+    H = assemble_h0(g, BackgroundFields())
+
+    def failed(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(scipy.linalg, solver, failed)
+    with pytest.raises(NumericalError, match="window eigensolve failed"):
+        eigensolve_window(H, EigenWindow(1.0, 2.5))
 
 
 def test_pair_set_validation():
