@@ -10,7 +10,7 @@ import argparse
 import json
 import logging
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -300,7 +300,9 @@ def run_preset(name, out_dir, workers):
 # entry point
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process and never modified."""
     parser = argparse.ArgumentParser(
         prog="fracmom",
         description="fractional-moment experiments on discretized random "

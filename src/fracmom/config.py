@@ -25,6 +25,7 @@ from .model import (
     LandauGauge,
     ModelConfig,
     SingleSiteProfile,
+    check_covering,
     disorder_law,
 )
 from .resolvent import check_solve_size
@@ -127,6 +128,7 @@ def _build_model(block):
                                 shape=p.get("shape", "indicator"),
                                 u0=float(p["u0"]))
     law = disorder_law(float(block["law"]["lam"]), grid)
+    check_covering(profile, law, grid)
     background = _build_background(block.get("background", {}), grid.d)
     return ModelConfig(grid=grid, background=background, profile=profile,
                        law=law)

@@ -19,6 +19,7 @@ import scipy.integrate
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+import scipy.spatial
 
 from .errors import (
     ConstructionError,
@@ -31,6 +32,7 @@ DENSE_EIG_CAP = 600           # up to this size, the ground energy goes dense
 _GROUND_SHIFT_MARGIN = 0.1    # sigma sits this far below the Gershgorin bound
 _DENSITY_TABLE = 4097         # inverse-CDF table resolution
 _AXIS_TOL = 1e-9              # box-length / spacing commensurability check
+MAX_SITES = 2 ** 20           # largest site lattice a grid may carry
 
 # numpy's SeedSequence pool mixing (after O'Neill's seed_seq_fe) and the
 # Philox4x64-10 round constants (Salmon et al., SC'11)
@@ -99,23 +101,26 @@ class GridSpec:
 
 
 @lru_cache(maxsize=64)
-def _axes(grid: GridSpec):
-    return tuple(grid.h * np.arange(1, n + 1) for n in grid.shape)
-
-
-@lru_cache(maxsize=64)
 def grid_points(grid: GridSpec) -> np.ndarray:
     """All interior grid points as an (npoints, d) array, C-ordered."""
-    mesh = np.meshgrid(*_axes(grid), indexing="ij")
+    mesh = np.meshgrid(*(grid.h * np.arange(1, n + 1) for n in grid.shape),
+                       indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def lattice_sites(grid: GridSpec) -> np.ndarray:
-    """Integer lattice sites inside the closed box, one bump center each."""
+    """Integer lattice sites inside the closed box, one bump center each.
+
+    At most MAX_SITES, counted before numpy is asked for the lattice.
+    """
     tops = [int(math.floor(L + _AXIS_TOL)) for L in grid.box]
     if max(tops) > _M32:  # before numpy is asked for the lattice
         raise ConstructionError(
             "site coordinates must be below 2**32, one spawn-key word each")
+    count = math.prod(top + 1 for top in tops)
+    if count > MAX_SITES:
+        raise ConstructionError(
+            f"site lattice of {count} sites is above {MAX_SITES}")
     axes = [np.arange(0, top + 1) for top in tops]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1).astype(np.int64)
@@ -389,50 +394,30 @@ def sample_couplings(law: DisorderLaw, seed: int) -> DisorderRealization:
 def _bump_matrix(grid: GridSpec, profile: SingleSiteProfile, law: DisorderLaw):
     """Sparse P with P[q, a] = U(q - site a), so that V = P @ eta.
 
-    Each bump is cut to the grid points within r of its site along every
-    axis; dist^2 is summed axis by axis from 0.0 and zero values are
-    dropped.  Each row keeps its columns in site order, so the CSR matvec
-    sums a grid point's bumps from 0.0 in site order.  The cache is small
-    because each entry keeps its law and matrix alive, and a run samples
-    one model at a time.
+    One KD-tree neighbor query finds every (grid point, site) pair within
+    r; the tree's kernel sums dist^2 axis by axis from 0.0, and zero values
+    are dropped.  Each row keeps its columns in site order, so the CSR
+    matvec sums a grid point's bumps from 0.0 in site order.  The cache is
+    small because each entry keeps its law and matrix alive, and a run
+    samples one model at a time.
     """
-    axes = _axes(grid)
-    sites = law.sites
-    r = profile.r
-    lo = np.stack([np.searchsorted(axes[i], sites[:, i] - r, side="left")
-                   for i in range(grid.d)], axis=1)
-    hi = np.stack([np.searchsorted(axes[i], sites[:, i] + r, side="right")
-                   for i in range(grid.d)], axis=1)
-    counts = hi - lo
-    sizes = np.prod(counts, axis=1)
-    col = np.repeat(np.arange(len(sites)), sizes)
-    # offset of each entry inside its site's C-ordered block
-    rest = np.arange(col.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    index = []
-    for i in reversed(range(grid.d)):
-        n_i = counts[col, i]
-        k = lo[col, i] + rest % n_i
-        rest = rest // n_i
-        index.insert(0, k)
-    dist2 = 0.0
-    for i in range(grid.d):
-        dist2 = dist2 + (axes[i][index[i]] - sites[col, i]) ** 2
-    vals = profile_values(profile, np.sqrt(dist2))
-    keep = vals != 0.0
-    row = np.ravel_multi_index(tuple(k[keep] for k in index), grid.shape)
-    order = np.argsort(row, kind="stable")
-    indptr = np.zeros(grid.npoints + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=grid.npoints), out=indptr[1:])
-    return scipy.sparse.csr_matrix(
-        (vals[keep][order], col[keep][order], indptr),
-        shape=(grid.npoints, len(sites)))
+    # "coo_matrix" keeps the zero-distance pair of a site on a grid point;
+    # "dok_matrix" would drop it
+    P = scipy.spatial.cKDTree(grid_points(grid)).sparse_distance_matrix(
+        scipy.spatial.cKDTree(law.sites), profile.r, output_type="coo_matrix")
+    P.data = profile_values(profile, P.data)
+    P = P.tocsr()
+    P.eliminate_zeros()
+    P.sort_indices()
+    return P
 
 
 def check_covering(profile: SingleSiteProfile, law: DisorderLaw, grid: GridSpec):
     """Min and max over grid points of the total bump coverage sum_a U(q - a).
 
     A vanishing minimum means some grid point is unreachable by disorder and
-    raises CoveringError.
+    raises CoveringError.  Config parsing runs it on every model, so P is
+    built there and the first realization finds it cached.
     """
     cover = _bump_matrix(grid, profile, law) @ np.ones(len(law.sites))
     b_minus = float(cover.min())

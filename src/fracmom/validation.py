@@ -28,6 +28,7 @@ DENSE_ORACLE_CAP = 500
 _HERM_TOL = 1e-10
 _PSD_TOL = 1e-12
 _KERNEL_TOL = 1e-12
+_DELTA = 1e-8             # i delta added to A when A has a kernel
 _ORACLE_RESID = 1e-10     # max-entry residual of the refined column solve
 _ORACLE_AGREEMENT = 1e-8  # sparse vs dense block norm, relative
 _EXACT_RTOL = 1e-6    # level-set polynomials vs direct solves, relative
@@ -282,17 +283,17 @@ def _level_set_measures(A_eff, T, t_grid, lo, hi):
             - np.where(edge > 0, cuts, 0.0)).sum(axis=1)
 
 
-def weak_l1_levelset_measure(A, T, t_grid, eta_range=None, delta=1e-8):
+def weak_l1_levelset_measure(A, T, t_grid, eta_range=None):
     """Exact level-set measures of the dissipative-sandwich map.
 
     For each t, the Lebesgue measure of {eta in eta_range :
     ||T (eta + A + i delta)^{-1} T||_HS > t}, cut out by the real roots of
     N - t^2 |det|^2.  It raises NumericalError, never falls back, when
     N / |det|^2 strays from direct solves at 2n + 2 Chebyshev nodes or the
-    map from t at an endpoint by more than _EXACT_RTOL.  delta is applied
-    only when the dissipative part has a kernel; its effect is reported
-    by recomputing at delta/10.  The log-log slope is fitted over the
-    top decade of t values whose measures are nonzero and below the
+    map from t at an endpoint by more than _EXACT_RTOL.  delta = _DELTA is
+    applied only when the dissipative part has a kernel; its effect is
+    reported by recomputing at delta/10.  The log-log slope is fitted over
+    the top decade of t values whose measures are nonzero and below the
     range saturation.
     """
     if not isinstance(A, DissipativeOperator):
@@ -311,7 +312,7 @@ def weak_l1_levelset_measure(A, T, t_grid, eta_range=None, delta=1e-8):
     if not lo < hi:
         raise DomainError("eta_range must be a nonempty interval")
 
-    delta_used = delta if A.has_kernel else 0.0
+    delta_used = _DELTA if A.has_kernel else 0.0
     span = hi - lo
     eye = np.eye(A.n)
 

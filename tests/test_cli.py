@@ -477,6 +477,41 @@ def test_site_lattice_over_the_coordinate_bound_exits_2(tmp_path, capsys):
     assert not (tmp_path / "results" / "records.jsonl").exists()
 
 
+def test_site_lattice_over_the_count_bound_exits_2(
+        tmp_path, monkeypatch, capsys):
+    # 9 grid points, coordinates below 2**32, but 4e9 + 1 lattice sites;
+    # arange refuses large requests here, so a lattice asked of numpy
+    # before the count is bounded fails the test without allocating
+    arange = np.arange
+
+    def small_arange(*args, **kwargs):
+        start, stop = (0, args[0]) if len(args) == 1 else args[:2]
+        step = args[2] if len(args) > 2 else 1
+        assert (stop - start) / step <= 10 ** 7, "lattice allocated"
+        return arange(*args, **kwargs)
+    monkeypatch.setattr(np, "arange", small_arange)
+    doc, _ = get_preset("band-edge")
+    doc["model"]["grid"].update(box=[4e9], h=4e8)
+    doc["run"]["alphas"] = [[2e9]]
+    assert cli.main(["ids", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "results")]) == 2
+    err = capsys.readouterr().err
+    assert "site lattice of 4000000001 sites is above" in err
+    assert not (tmp_path / "results" / "records.jsonl").exists()
+
+
+def test_uncovered_model_exits_2_before_sampling(tmp_path, draws, capsys):
+    # bumps of radius 0.3 around the integers miss the grid point 0.5
+    doc = tiny_doc(tmp_path / "results")
+    doc["model"]["grid"]["h"] = 0.25
+    doc["model"]["profile"]["r"] = 0.3
+    assert cli.main(["moment", "--config",
+                     str(write_config(tmp_path, doc))]) == 2
+    assert "covering violated: grid point (0.5,)" in capsys.readouterr().err
+    assert draws == []
+    assert not (tmp_path / "results" / "records.jsonl").exists()
+
+
 def test_validate_runs_oracles_and_benches(tmp_path, capsys):
     out = tmp_path / "results"
     code = cli.main(["validate", "--config", str(write_config(tmp_path))])

@@ -425,6 +425,7 @@ BUMP_CASES = [
     (GridSpec(d=3, box=(3.0, 4.0, 3.0), h=0.5), 0.9),
     (GridSpec(d=3, box=(2.0, 2.0, 3.0), h=0.25), 1.45),
     (GridSpec(d=3, box=(2.0, 1.6, 1.4), h=0.2), 1.3),   # inexact dist^2 sums
+    (GridSpec(d=2, box=(4.0, 4.0), h=0.2), 1.0),   # pairs within 1e-12 of r
 ]
 
 
