@@ -66,7 +66,7 @@ from .resolvent import (
 from .validation import (
     DissipativeOperator,
     HSOperator,
-    dense_block_norm_oracle,
+    block_norm_oracle,
     oracle_compare,
     weak_l1_levelset_measure,
 )
@@ -99,9 +99,9 @@ __all__ = [
     "SolveError",
     "SpectralShift",
     "append_records",
+    "block_norm_oracle",
     "boundary_layer_indices",
     "criterion_factor",
-    "dense_block_norm_oracle",
     "disorder_law",
     "eigenfunction_decay_rate",
     "eigensolve_window",

@@ -524,7 +524,7 @@ def test_validate_runs_oracles_and_benches(tmp_path, capsys):
     assert "0 failures" in capsys.readouterr().out
 
 
-def test_validate_caps_grid_size(tmp_path, capsys):
+def test_validate_caps_grid_size(tmp_path, capsys, draws):
     doc = tiny_doc(tmp_path / "results")
     doc["model"]["grid"] = {"d": 2, "box": [40.0, 40.0], "h": 1.0}
     doc["run"]["x0"] = [10.0, 10.0]
@@ -533,6 +533,21 @@ def test_validate_caps_grid_size(tmp_path, capsys):
     assert cli.main(["validate", "--config",
                      str(write_config(tmp_path, doc))]) == 2
     assert "validate needs <= 500 grid points" in capsys.readouterr().err
+    assert draws == []
+
+
+def test_validate_has_no_cap_on_a_chain(tmp_path, draws):
+    # a 1d operator has bands: its oracle is a tridiagonal LU at any size
+    doc = tiny_doc(tmp_path / "results")
+    doc["model"]["grid"] = {"d": 1, "box": [600.0], "h": 1.0}
+    doc["run"].update(x0=[290.0], y0=[310.0])
+    assert cli.main(["validate", "--config",
+                     str(write_config(tmp_path, doc))]) == 0
+    records = read_records(tmp_path / "results" / "records.jsonl")
+    oracles = [r.payload for r in records
+               if r.payload["name"].startswith("oracle-")]
+    assert len(oracles) == 3 and all(p["passed"] for p in oracles)
+    assert len(draws) == 3
 
 
 def test_validate_exits_3_on_corrupted_level_set_polynomials(

@@ -1,4 +1,4 @@
-"""Tests for the dense oracles and the level-set bench."""
+"""Tests for the block-norm oracle and the level-set bench."""
 
 import numpy as np
 import pytest
@@ -11,20 +11,23 @@ from fracmom import resolvent, validation
 from fracmom.errors import DomainError, NumericalError, SolveError
 from fracmom.model import (
     BackgroundFields,
+    ConstantVector,
+    DiscreteHamiltonian,
     GridSpec,
     LandauGauge,
     ModelConfig,
     SingleSiteProfile,
     disorder_law,
+    restrict_dirichlet,
 )
-from fracmom.resolvent import SpectralShift, indicator_set
+from fracmom.resolvent import ShiftedSolver, SpectralShift, indicator_set
 from fracmom.validation import (
     DENSE_ORACLE_CAP,
     DissipativeOperator,
     HSOperator,
     OracleComparison,
     _sandwich_polynomials,
-    dense_block_norm_oracle,
+    block_norm_oracle,
     oracle_compare,
     weak_l1_levelset_measure,
 )
@@ -118,7 +121,7 @@ class TestHSOperator:
 
 
 # ---------------------------------------------------------------------------
-# dense block-norm oracle
+# block-norm oracle
 # ---------------------------------------------------------------------------
 
 def random_hermitian(seed, n, complex_entries=False):
@@ -131,17 +134,17 @@ def random_hermitian(seed, n, complex_entries=False):
 
 class TestDenseResolventOracle:
     def test_scalar(self):
-        got = dense_block_norm_oracle(np.array([[3.0]]), 1.0 + 0.5j, [0], [0])
+        got = block_norm_oracle(np.array([[3.0]]), 1.0 + 0.5j, [0], [0])
         assert got == pytest.approx(1.0 / abs(2.0 - 0.5j), rel=1e-14)
 
     def test_diagonal_matrix_elementwise(self):
         d = np.array([1.0, 4.0, -2.0])
         shift = SpectralShift(E=0.5, eps=1e-2)
         for i in range(3):
-            got = dense_block_norm_oracle(np.diag(d), shift, [i], [i])
+            got = block_norm_oracle(np.diag(d), shift, [i], [i])
             assert got == pytest.approx(1.0 / abs(d[i] - shift.z), rel=1e-12)
             for j in set(range(3)) - {i}:
-                assert dense_block_norm_oracle(np.diag(d), shift, [i], [j]) < 1e-14
+                assert block_norm_oracle(np.diag(d), shift, [i], [j]) < 1e-14
 
     def test_residual_bound_holds(self, monkeypatch):
         # with X = every row the SVD sees all of C, so its residual is checked
@@ -155,7 +158,7 @@ class TestDenseResolventOracle:
             return svdvals(B)
         monkeypatch.setattr(scipy.linalg, "svdvals", spy)
         Y = [3, 40, 41, 97]
-        got = dense_block_norm_oracle(H, z, np.arange(100), Y)
+        got = block_norm_oracle(H, z, np.arange(100), Y)
         (C,) = seen
         assert C.shape == (100, 4)
         defect = (H - z * np.eye(100)) @ C - np.eye(100)[:, Y]
@@ -174,15 +177,15 @@ class TestDenseResolventOracle:
             calls.append(b.shape)
             return solve(M, b) + (1e-6 if len(calls) == 1 else 0.0)
         monkeypatch.setattr(np.linalg, "solve", perturbed_first)
-        got = dense_block_norm_oracle(H, z, [0, 1, 2], [30, 31])
+        got = block_norm_oracle(H, z, [0, 1, 2], [30, 31])
         assert calls == [(40, 2), (40, 2)]  # one solve, one refinement
         assert got == pytest.approx(ref, rel=1e-9)
 
     def test_solve_error_after_refinement(self, monkeypatch):
         monkeypatch.setattr(validation, "_ORACLE_RESID", 0.0)
         with pytest.raises(SolveError, match="after refinement") as exc:
-            dense_block_norm_oracle(random_hermitian(14, 30), 0.2 + 1e-3j,
-                                    [0, 1], [20, 21])
+            block_norm_oracle(random_hermitian(14, 30), 0.2 + 1e-3j,
+                              [0, 1], [20, 21])
         assert exc.value.achieved > 0.0
 
     def test_adjoint_symmetry(self):
@@ -191,31 +194,43 @@ class TestDenseResolventOracle:
         H = random_hermitian(12, 60, complex_entries=True)
         z = -0.7 + 2e-3j
         X, Y = np.arange(0, 10), np.arange(30, 45)
-        got = dense_block_norm_oracle(H, z, X, Y)
+        got = block_norm_oracle(H, z, X, Y)
         assert got == pytest.approx(
-            dense_block_norm_oracle(H, np.conj(z), Y, X), rel=1e-12)
+            block_norm_oracle(H, np.conj(z), Y, X), rel=1e-12)
 
     def test_accepts_hamiltonian(self):
         config = chain_config(lam=0.0, box=12.0)
         H = config.hamiltonian_for_seed(0)
         X = indicator_set(H.grid, center=(2.0,), radius=1.5)
         Y = indicator_set(H.grid, center=(8.0,), radius=2.5)
-        got = dense_block_norm_oracle(H, -1.0 + 0.0j, X, Y)
+        got = block_norm_oracle(H, -1.0 + 0.0j, X, Y)
         R = np.linalg.inv(H.dense() + np.eye(H.n))
         rows, cols = H.local_indices(X.indices), H.local_indices(Y.indices)
         want = scipy.linalg.svdvals(R[np.ix_(rows, cols)])[0]
         assert got == pytest.approx(want, rel=1e-10)
         # global index arrays select the same block as IndicatorSets
-        assert dense_block_norm_oracle(H, -1.0 + 0.0j, X.indices,
-                                       Y.indices) == got
+        assert block_norm_oracle(H, -1.0 + 0.0j, X.indices,
+                                 Y.indices) == got
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         with pytest.raises(DomainError, match="capped"):
-            dense_block_norm_oracle(np.eye(DENSE_ORACLE_CAP + 1), 1j, [0], [0])
-        # an operator above the cap is refused before it is made dense
-        H = chain_config(lam=0.0, box=DENSE_ORACLE_CAP + 2.0).hamiltonian_for_seed(0)
+            block_norm_oracle(np.eye(DENSE_ORACLE_CAP + 1), 1j, [0], [0])
+        # an operator without bands above the cap is refused before it is
+        # made dense
+        monkeypatch.setattr(DiscreteHamiltonian, "dense", never_dense)
+        grid = GridSpec(d=2, box=(24.0, 24.0), h=1.0)   # 23 x 23 = 529
+        H = ModelConfig(grid=grid, background=BackgroundFields(),
+                        profile=SingleSiteProfile(r=1.0, u0=1.0),
+                        law=disorder_law(1.0, grid)).hamiltonian_for_seed(0)
         with pytest.raises(DomainError, match="capped"):
-            dense_block_norm_oracle(H, 1j, [0], [1])
+            block_norm_oracle(H, 1j, [0], [1])
+        # a 1d operator has bands and no cap
+        H = chain_config(lam=1.0, box=DENSE_ORACLE_CAP + 3.0).hamiltonian_for_seed(0)
+        assert H.n == DENSE_ORACLE_CAP + 2
+        z = SpectralShift(E=1.0, eps=1e-2)
+        X, Y = np.arange(240, 250), np.arange(255, 262)
+        assert block_norm_oracle(H, z, X, Y) == pytest.approx(
+            ShiftedSolver(H, z).block_norm(X, Y), rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("X, Y", [([], [1]), ([1], [])], ids=["X", "Y"])
     def test_empty_set_of_a_matrix_is_a_domain_error(self, X, Y):
@@ -223,7 +238,7 @@ class TestDenseResolventOracle:
         # a raw matrix gets the same error
         name = "X" if len(X) == 0 else "Y"
         with pytest.raises(DomainError, match=f"{name} is empty"):
-            dense_block_norm_oracle(np.eye(3), 1j, X, Y)
+            block_norm_oracle(np.eye(3), 1j, X, Y)
 
     @pytest.mark.parametrize("X, Y", [([-1], [0]), ([5], [0]), ([0], [-1]),
                                       ([0], [7]), ([0, 3], [1])],
@@ -234,11 +249,149 @@ class TestDenseResolventOracle:
         name = "X" if min(X) < 0 or max(X) >= 3 else "Y"
         with pytest.raises(DomainError,
                            match=rf"{name} has an index outside \[0, 3\)"):
-            dense_block_norm_oracle(np.eye(3), 1j, X, Y)
+            block_norm_oracle(np.eye(3), 1j, X, Y)
 
     def test_rejects_non_square(self):
         with pytest.raises(DomainError, match="square"):
-            dense_block_norm_oracle(np.ones((2, 3)), 1j, [0], [0])
+            block_norm_oracle(np.ones((2, 3)), 1j, [0], [0])
+
+
+    @pytest.mark.parametrize("E", [-0.7, 0.4], ids=["E<0", "E>0"])
+    @pytest.mark.parametrize("case", [
+        "scalar", "diagonal", "real-100", "real-40", "real-30", "complex-60",
+        "integer-sets", "gauge-2d"])
+    def test_dense_matrix_is_bitwise_the_old_formula(self, monkeypatch,
+                                                     case, E):
+        # M is one complex copy with z taken off its diagonal in place; it
+        # must match A - z * eye(n) bit for bit, and so must the norm
+        if case == "gauge-2d":
+            H = gauge_box(LandauGauge(0.2)).hamiltonian_for_seed(5)
+            A, X, Y = H.dense(), np.arange(20, 40), np.arange(150, 170)
+        else:
+            A, X, Y = {
+                "scalar": (np.array([[3.0]]), [0], [0]),
+                "diagonal": (np.diag([1.0, 4.0, -2.0]), [0, 2], [2]),
+                "real-100": (random_hermitian(11, 100), np.arange(100),
+                             [3, 40, 41, 97]),
+                "real-40": (random_hermitian(13, 40), [0, 1, 2], [30, 31]),
+                "real-30": (random_hermitian(14, 30), [0, 1], [20, 21]),
+                "complex-60": (random_hermitian(12, 60, complex_entries=True),
+                               np.arange(10), np.arange(30, 45)),
+                "integer-sets": (random_hermitian(7, 12), [0, 1, 2],
+                                 [9, 10, 11]),
+            }[case]
+            H = A
+        z = complex(E, 1e-3)
+        old_M = A - z * np.eye(A.shape[0])
+        seen = []
+        solve = np.linalg.solve
+
+        def spy(M, b):
+            seen.append(M.tobytes())
+            return solve(M, b)
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        got = block_norm_oracle(H, z, X, Y)
+        assert seen and set(seen) == {old_M.tobytes()}
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert got == old_dense_oracle(old_M, X, Y)
+
+
+def never_dense(self):
+    raise AssertionError("the operator was made dense")
+
+
+def gauge_box(gauge, box=8.0, h=0.5):
+    # 15 x 15 box points in a uniform field: complex entries, no bands
+    grid = GridSpec(d=2, box=(box, box), h=h)
+    return ModelConfig(grid=grid, background=BackgroundFields(A=gauge),
+                       profile=SingleSiteProfile(r=1.0, u0=1.0),
+                       law=disorder_law(2.0, grid))
+
+
+def old_dense_oracle(M, X, Y):
+    # the dense oracle's refined solve on a given M = A - z * eye(n)
+    rhs = np.zeros((M.shape[0], len(Y)), dtype=M.dtype)
+    rhs[Y, np.arange(len(Y))] = 1.0
+    C = np.linalg.solve(M, rhs)
+    for _ in range(4):
+        defect = rhs - M @ C
+        if np.abs(defect).max() <= 1e-10:
+            return float(scipy.linalg.svdvals(C[X])[0])
+        C = C + np.linalg.solve(M, defect)
+    raise AssertionError("reference solve did not refine")
+
+
+def gauge_chain(box=40.0, h=0.5, lam=2.0, a=0.7):
+    grid = GridSpec(d=1, box=(box,), h=h)
+    return ModelConfig(grid=grid,
+                       background=BackgroundFields(A=ConstantVector((a,))),
+                       profile=SingleSiteProfile(r=1.0, u0=1.0),
+                       law=disorder_law(lam, grid))
+
+
+def banded_operators():
+    """1d operators of every kind the tridiagonal path takes."""
+    ops = {f"chain-{seed}": chain_config(lam=lam, box=40.0, h=0.5)
+           .hamiltonian_for_seed(seed)
+           for seed, lam in ((1, 1.0), (2, 2.5), (3, 4.0))}
+    ops["gauge-chain"] = gauge_chain().hamiltonian_for_seed(4)
+    H = chain_config(lam=2.0, box=40.0, h=0.5).hamiltonian_for_seed(5)
+    # a Dirichlet hole just past Y: a gap the bands carry as zeros
+    ops["restricted"] = restrict_dirichlet(
+        H, np.setdiff1d(np.arange(H.n), np.arange(56, 60)))
+    return ops
+
+
+BANDED = banded_operators()
+SHIFTS = {
+    "inside-1e-6": SpectralShift(E=1.0, eps=1e-6),
+    "inside-1e-3": SpectralShift(E=3.0, eps=1e-3),
+    "inside-1": SpectralShift(E=1.0, eps=1.0),
+    "below": SpectralShift(E=-2.0, eps=1e-2),
+    "above": SpectralShift(E=40.0, eps=1e-4),
+    "real": -1.0 + 0.0j,
+}
+
+
+class TestBandedOracle:
+    @pytest.mark.parametrize("shift", list(SHIFTS))
+    @pytest.mark.parametrize("op", list(BANDED))
+    def test_matches_dense_path(self, op, shift):
+        H, z = BANDED[op], SHIFTS[shift]
+        assert validation._tridiagonal_bands(H) is not None
+        X = indicator_set(H.grid, center=(10.0,), radius=2.0, mask=H.mask)
+        Y = indicator_set(H.grid, center=(24.0,), radius=3.0, mask=H.mask)
+        got = block_norm_oracle(H, z, X, Y)
+        rows, cols = H.local_indices(X.indices), H.local_indices(Y.indices)
+        dense = block_norm_oracle(H.dense(), z, rows, cols)  # no bands
+        assert got == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+    def test_never_made_dense(self, monkeypatch):
+        monkeypatch.setattr(DiscreteHamiltonian, "dense", never_dense)
+        for H in list(BANDED.values()) + [
+                gauge_chain(box=600.0, h=1.0).hamiltonian_for_seed(0)]:
+            block_norm_oracle(H, SpectralShift(E=1.0, eps=1e-3),
+                              H.mask[:3], H.mask[-3:])
+
+    def test_unconjugated_subdiagonal_fails_the_residual(self, monkeypatch):
+        # the defect comes from H's stored entries, so factors of the
+        # wrong tridiagonal matrix cannot refine to the residual bound
+        H = BANDED["gauge-chain"]
+        X = indicator_set(H.grid, center=(10.0,), radius=1.5)
+        Y = indicator_set(H.grid, center=(30.0,), radius=1.5)
+        z = SpectralShift(E=1.0, eps=1e-2)
+        block_norm_oracle(H, z, X, Y)
+        gttrf = scipy.linalg.lapack.zgttrf
+        monkeypatch.setattr(scipy.linalg.lapack, "zgttrf",
+                            lambda dl, d, du: gttrf(du, d, du))
+        with pytest.raises(SolveError, match="after refinement"):
+            block_norm_oracle(H, z, X, Y)
+
+    def test_exactly_singular_shift_is_a_solve_error(self):
+        # the free 3-point chain has the eigenvalue 2 = 2 - 2 cos(pi / 2)
+        H = chain_config(lam=0.0, box=4.0).hamiltonian_for_seed(0)
+        with pytest.raises(SolveError, match="singular"):
+            block_norm_oracle(H, 2.0 + 0.0j, [0], [2])
 
 
 # ---------------------------------------------------------------------------
@@ -492,19 +645,14 @@ class TestOracleCompare:
             config = chain_config(lam=2.0, box=16.0)
             cx, cy = (4.0,), (12.0,)
         else:
-            # complex entries: 15 x 15 box points in a uniform field
-            grid = GridSpec(d=2, box=(8.0, 8.0), h=0.5)
-            config = ModelConfig(grid=grid,
-                                 background=BackgroundFields(A=gauge),
-                                 profile=SingleSiteProfile(r=1.0, u0=1.0),
-                                 law=disorder_law(2.0, grid))
+            config = gauge_box(gauge)
             cx, cy = (2.5, 2.5), (5.5, 5.0)
         H = config.hamiltonian_for_seed(seed)
         assert np.iscomplexobj(H.entries.data) == (gauge is not None)
         X = indicator_set(H.grid, center=cx, radius=1.5)
         Y = indicator_set(H.grid, center=cy, radius=1.5)
         z = SpectralShift(E=0.8, eps=1e-2)
-        dense = dense_block_norm_oracle(H, z, X, Y)
+        dense = block_norm_oracle(H, z, X, Y)
         R = np.linalg.inv(H.dense() - z.z * np.eye(H.n))
         rows = [int(np.flatnonzero(H.mask == i)[0]) for i in X.indices]
         cols = [int(np.flatnonzero(H.mask == i)[0]) for i in Y.indices]
@@ -539,6 +687,6 @@ class TestOracleCompare:
         B = rng.standard_normal((12, 12))
         H = (B + B.T) / 2.0
         R = np.linalg.inv(H - 0.2j * np.eye(12))
-        got = dense_block_norm_oracle(H, 0.2j, [0, 1, 2], [9, 10, 11])
+        got = block_norm_oracle(H, 0.2j, [0, 1, 2], [9, 10, 11])
         ref = scipy.linalg.svdvals(R[np.ix_([0, 1, 2], [9, 10, 11])])[0]
         assert got == pytest.approx(ref, rel=1e-10)
