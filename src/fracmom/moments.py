@@ -8,14 +8,13 @@ set of realizations (common random numbers), so differences between
 shifts are not drowned in resampling noise.
 """
 
-import ctypes
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from ._blas import openblas_thread_controls, single_blas_thread
 from .errors import DomainError, SolveError
 from .resolvent import IndicatorSet, ShiftedSolver, SpectralShift
 
@@ -147,35 +146,6 @@ def _run_sample(factory, job, master_seed, index):
                          achieved=exc.achieved) from exc
 
 
-def _openblas_thread_controls():
-    """(get, set) thread-count functions of every OpenBLAS loaded here.
-
-    Empty where /proc/self/maps does not exist or no loaded build exports
-    the scipy-openblas thread functions.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.lower()})
-    except OSError:
-        return []
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:   # e.g. a mapping whose file was deleted
-            continue
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put))
-                break
-    return controls
-
-
 def _single_thread_blas():
     """Pool initializer: one OpenBLAS thread in every worker.
 
@@ -185,23 +155,9 @@ def _single_thread_blas():
     forks, and skips the call: after a fork, setting the count restarts
     OpenBLAS's thread pool, whose new threads spin for a while.
     """
-    for get, put in _openblas_thread_controls():
+    for get, put in openblas_thread_controls():
         if get() != 1:
             put(1)
-
-
-@contextmanager
-def _forking_with_single_thread_blas():
-    """One OpenBLAS thread in this process while a pool forks from it."""
-    controls = _openblas_thread_controls()
-    counts = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, put), n in zip(controls, counts):
-            put(n)
 
 
 def map_samples(factory, job, N, master_seed, workers=None):
@@ -220,7 +176,7 @@ def map_samples(factory, job, N, master_seed, workers=None):
     if workers is not None and workers > 1:
         # a pool starts all its processes at once, so none beyond N
         procs = min(workers, N)
-        with _forking_with_single_thread_blas(), ProcessPoolExecutor(
+        with single_blas_thread(), ProcessPoolExecutor(
                 max_workers=procs, initializer=_single_thread_blas) as pool:
             # one chunk per worker: the task, factory included, is
             # unpickled once per chunk, and the factory caches its

@@ -354,6 +354,29 @@ def test_criterion_rerun_in_new_process_is_byte_identical(tmp_path):
     assert payloads[0] == payloads[1]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_criterion_payload_does_not_depend_on_blas_threads(tmp_path, threads):
+    # 47 x 47 = 2,209 points: on this box the last bits of E0, and with
+    # them the criterion's factor, followed OpenBLAS's thread count
+    doc = landau_doc(tmp_path / "results")
+    doc["model"]["grid"]["box"] = [12.0, 12.0]
+    doc["run"]["alphas"] = [[6.0, 6.0]]
+    path = write_config(tmp_path, doc)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    payloads = []
+    for out, extra in (("default", {}), ("set", {"OPENBLAS_NUM_THREADS": threads})):
+        subprocess.run([sys.executable, "-m", "fracmom.cli", "criterion",
+                        "--config", str(path), "--out", str(tmp_path / out)],
+                       env=dict(env, **extra), check=True, capture_output=True,
+                       timeout=300)
+        records = read_records(tmp_path / out / "records.jsonl")
+        assert records and all(r.kind == "criterion" for r in records)
+        payloads.append([json.dumps(r.payload, sort_keys=True)
+                         for r in records])
+    assert payloads[0] == payloads[1]
+
+
 def test_pooled_criterion_matches_serial_bytewise(tmp_path):
     # pool workers receive the ball-restricted model by pickling; a worker
     # that lost the ball would sample the whole box

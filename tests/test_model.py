@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from fracmom._blas import openblas_thread_controls
 from fracmom.errors import (
     ConstructionError,
     CoveringError,
@@ -688,16 +689,33 @@ def test_ground_energy_one_by_one():
     assert ground_energy(H) == -2.5
 
 
-@pytest.mark.parametrize("bg", [
-    BackgroundFields(A=LandauGauge(0.2)),
+def landau_box(side, bg=None):
+    g = GridSpec(d=2, box=(side, side), h=0.25)
+    return assemble_h0(g, bg or BackgroundFields(A=LandauGauge(0.2)))
+
+
+def landau_box_with_hole():
+    # a Dirichlet hole of radius 1.5 at the centre of the 841-point box
+    H = landau_box(7.5)
+    q = grid_points(H.grid)[H.mask]
+    return restrict_dirichlet(H, H.mask[np.linalg.norm(q - 3.75, axis=1) > 1.5])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: landau_box(7.5),
     # a negative V0 puts the Gershgorin lower bound below zero
-    BackgroundFields(A=LandauGauge(0.2), V0=ConstantScalar(-3.0), V0_min=-3.0),
-    BackgroundFields(),
-], ids=["landau", "landau-negative-v0", "no-field"])
-def test_ground_energy_sparse_branch_matches_dense(bg):
-    g = GridSpec(d=2, box=(7.5, 7.5), h=0.25)
-    H = assemble_h0(g, bg)
-    assert H.n == 841 > DENSE_EIG_CAP
+    lambda: landau_box(7.5, BackgroundFields(A=LandauGauge(0.2),
+                                             V0=ConstantScalar(-3.0),
+                                             V0_min=-3.0)),
+    lambda: landau_box(7.5, BackgroundFields()),
+    landau_box_with_hole,
+    # 9 x 9 x 9 = 729 points, a real operator
+    lambda: assemble_h0(GridSpec(d=3, box=(5.0, 5.0, 5.0), h=0.5),
+                        BackgroundFields()),
+], ids=["landau", "landau-negative-v0", "no-field", "landau-hole", "3d"])
+def test_ground_energy_sparse_branch_matches_dense(build):
+    H = build()
+    assert H.n > DENSE_EIG_CAP
     e0 = ground_energy(H)
     ref = scipy.linalg.eigvalsh(H.dense(), subset_by_index=[0, 0])[0]
     assert e0 == pytest.approx(ref, rel=1e-10)
@@ -705,13 +723,96 @@ def test_ground_energy_sparse_branch_matches_dense(bg):
     assert ground_energy(H) == e0
 
 
-def test_ground_energy_nonconvergence_is_a_numerical_error(monkeypatch):
+def test_ground_energy_of_a_long_chain_matches_its_closed_form():
+    _, H = free_chain(700, 0.5)
+    assert H.n > DENSE_EIG_CAP
+    assert ground_energy(H) == pytest.approx(tridiag_spectrum(700, 0.5)[0],
+                                             rel=1e-10)
+
+
+def test_ground_energy_factors_once_by_minimum_degree(monkeypatch):
+    factors, operators = [], []
+    splu, eigsh = scipy.sparse.linalg.splu, scipy.sparse.linalg.eigsh
+
+    def spy_splu(*args, **kwargs):
+        factors.append((kwargs, splu(*args, **kwargs)))
+        return factors[-1][1]
+
+    def spy_eigsh(*args, **kwargs):
+        operators.append(kwargs.get("OPinv"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy_splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy_eigsh)
+    ground_energy(landau_box(7.5))
+    [(kwargs, lu)] = factors
+    assert kwargs == {"permc_spec": "MMD_AT_PLUS_A"}
+    [inverse] = operators
+    b = np.random.default_rng(0).standard_normal(lu.shape[0]) + 0j
+    assert np.array_equal(inverse.matvec(b), lu.solve(b))
+
+
+def blas_threads():
+    return [get() for get, _ in openblas_thread_controls()]
+
+
+def set_blas_threads(n):
+    for _, put in openblas_thread_controls():
+        put(n)
+
+
+@pytest.fixture
+def two_blas_threads():
+    before = blas_threads()
+    assert before, "no OpenBLAS with thread controls is loaded"
+    set_blas_threads(2)
+    yield
+    for (_, put), n in zip(openblas_thread_controls(), before):
+        put(n)
+
+
+def test_ground_energy_is_one_float_on_one_and_two_blas_threads(
+        two_blas_threads):
+    # 47 x 47 = 2,209 points; on the 841-point box the last bits of E0 do
+    # not depend on the thread count, on this one they did
+    values = []
+    for threads in (1, 2):
+        set_blas_threads(threads)
+        H = landau_box(12.0)
+        assert H.n == 2209
+        values.append(ground_energy(H))
+        assert set(blas_threads()) == {threads}
+    assert values[0].hex() == values[1].hex()
+
+
+@pytest.mark.parametrize("size, module, name", [
+    (5.0, scipy.linalg, "eigvalsh"),         # 361 points
+    (7.5, scipy.sparse.linalg, "eigsh"),     # 841 points
+], ids=["dense", "sparse"])
+def test_ground_energy_solves_on_one_blas_thread_and_restores_the_count(
+        two_blas_threads, monkeypatch, size, module, name):
+    seen = []
+    solve = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        seen.append(set(blas_threads()))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    ground_energy(landau_box(size))
+    assert seen == [{1}]
+    assert set(blas_threads()) == {2}
+
+
+def test_ground_energy_nonconvergence_is_a_numerical_error(
+        two_blas_threads, monkeypatch):
     def stalled(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
-    g = GridSpec(d=2, box=(7.5, 7.5), h=0.25)
     with pytest.raises(NonConvergenceError):
-        ground_energy(assemble_h0(g, BackgroundFields(A=LandauGauge(0.2))))
+        ground_energy(landau_box(7.5))
+    # the caller's thread count comes back when the solve raises
+    assert set(blas_threads()) == {2}
 
 
 # ---------------------------------------------------------------------------
