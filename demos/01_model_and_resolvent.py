@@ -6,7 +6,7 @@ Builds the discretized operator H = -Laplace + lam * sum eta_j u(x - x_j)
 on a 1d box, looks at one realization of the potential, solves the
 shifted system (H - E + i*eps) u = delta with a residual check (the
 adjoint solve every block norm is read from), and compares a sparse
-block norm against the LAPACK oracle (a tridiagonal LU on this chain).
+block norm against the LAPACK oracle (a banded LU, here of bandwidth 1).
 """
 
 import numpy as np

@@ -9,8 +9,13 @@ single_blas_thread().
 
 import ctypes
 from contextlib import contextmanager
+from functools import cache
 
 
+# one scan per process: the first call comes after numpy's and scipy's
+# OpenBLAS are loaded (importing fracmom loads both), and a forked worker
+# inherits the same mappings, so its copied handles stay valid
+@cache
 def openblas_thread_controls():
     """(get, set) thread-count functions of every OpenBLAS loaded here.
 
@@ -22,7 +27,7 @@ def openblas_thread_controls():
             paths = sorted({line.split()[-1] for line in fh
                             if "openblas" in line.lower()})
     except OSError:
-        return []
+        return ()
     controls = []
     for path in paths:
         try:
@@ -37,7 +42,7 @@ def openblas_thread_controls():
                 put.argtypes, put.restype = [ctypes.c_int], None
                 controls.append((get, put))
                 break
-    return controls
+    return tuple(controls)
 
 
 @contextmanager

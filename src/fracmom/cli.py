@@ -24,9 +24,9 @@ from .model import ground_energy
 from .records import ResultRecord, append_records, emit_plot_data
 from .resolvent import SpectralShift, indicator_set
 from .validation import (
-    DENSE_ORACLE_CAP,
     DissipativeOperator,
     HSOperator,
+    oracle_bandwidths,
     oracle_compare,
     weak_l1_levelset_measure,
 )
@@ -236,11 +236,9 @@ def run_ids(cfg: ExperimentConfig, sink: _Sink, workers):
 
 
 def run_validate(cfg: ExperimentConfig, sink: _Sink, workers):
-    # only a 1d operator has bands, solved by the oracle's tridiagonal LU
-    if cfg.grid.d > 1 and cfg.grid.npoints > DENSE_ORACLE_CAP:
-        raise ConfigError(
-            f"validate needs <= {DENSE_ORACLE_CAP} grid points for the dense "
-            f"oracle on a {cfg.grid.d}d grid, got {cfg.grid.npoints}")
+    # every realization shares H0's pattern, so its band storage is the
+    # oracle's: refuse it before the first draw
+    oracle_bandwidths(cfg.model.h0().entries)
     X, Y = _moment_sets(cfg)
     failures = 0
     for i in range(cfg.n_configs):

@@ -14,11 +14,12 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .criterion import fit_exponential_decay
 from .errors import DomainError, IncompleteWindowError, NumericalError
-from .model import _tridiagonal_bands, grid_points
+from .model import grid_points
 from .moments import map_samples
 from .resolvent import _local_positions
 
@@ -48,6 +49,25 @@ class EigenWindow:
     def contains(self, values):
         values = np.asarray(values)
         return (self.a < values) & (values < self.b)
+
+
+def _tridiagonal_bands(H):
+    # (diagonal, superdiagonal) of a 1d operator, None otherwise; valid iff
+    # nothing lives beyond the first off-diagonal (true for 1d stencils,
+    # holes only zero entries out).  The one structure predicate: pivot
+    # counts and window eigensolves both dispatch on it
+    if H.grid.d != 1:
+        return None
+    d = H.entries.diagonal(0)
+    if H.n == 1:
+        return d.real, np.zeros(0)
+    u = H.entries.diagonal(1)
+    tri = (scipy.sparse.diags([np.conj(u), d, u], [-1, 0, 1], format="csr")
+           - H.entries)
+    tri.eliminate_zeros()
+    if tri.nnz:
+        return None
+    return d.real, u
 
 
 def spectrum_count_below(H, E):

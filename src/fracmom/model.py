@@ -520,25 +520,6 @@ class DiscreteHamiltonian:
         return self.entries.toarray()
 
 
-def _tridiagonal_bands(H):
-    # (diagonal, superdiagonal) of a 1d operator, None otherwise; valid iff
-    # nothing lives beyond the first off-diagonal (true for 1d stencils,
-    # holes only zero entries out).  The one structure predicate: pivot
-    # counts, window eigensolves and the block-norm oracle all dispatch on it
-    if H.grid.d != 1:
-        return None
-    d = H.entries.diagonal(0)
-    if H.n == 1:
-        return d.real, np.zeros(0)
-    u = H.entries.diagonal(1)
-    tri = (scipy.sparse.diags([np.conj(u), d, u], [-1, 0, 1], format="csr")
-           - H.entries)
-    tri.eliminate_zeros()
-    if tri.nnz:
-        return None
-    return d.real, u
-
-
 def assemble_h0(grid: GridSpec, bg: BackgroundFields) -> DiscreteHamiltonian:
     """Deterministic part: 2d+1-point Laplacian with edge phases plus V0.
 

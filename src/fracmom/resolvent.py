@@ -16,7 +16,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import DomainError, SolveError
+from .errors import DomainError, NumericalError, SolveError
 from .model import DiscreteHamiltonian, grid_points
 
 # the solve contract: one sparse LU of H - conj z, every solve verified to
@@ -25,6 +25,7 @@ from .model import DiscreteHamiltonian, grid_points
 # operator is tridiagonal, its LU O(n), so it has none.
 SOLVE_POINT_CAP = {2: 50_000, 3: 10_000}
 SOLVE_TOL = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 def check_solve_size(d, npoints):
@@ -155,6 +156,40 @@ def _local_positions(H, sel, name):
     return pos
 
 
+def _set_name(sel):
+    if isinstance(sel, IndicatorSet):
+        ring = (f", inner radius {sel.inner_radius:g}" if sel.inner_radius
+                else "")
+        return f"the ball of radius {sel.radius:g}{ring} at {sel.center}"
+    idx = np.asarray(sel).ravel()
+    return f"the {idx.size} indices {idx.min()}..{idx.max()}"
+
+
+def _normal_block_norm(norm, entries, rows, cols, X, Y, z):
+    """norm, refused with NumericalError below the smallest normal float.
+
+    A norm under np.finfo(float).tiny is subnormal or has underflowed to
+    zero: it carries fewer than 53 bits, or none, of a true value that is
+    positive whenever X and Y are joined in the graph of the stored
+    entries.  The one exact zero is a block between different connected
+    components of that graph (say, two sides of a Dirichlet wall), where
+    the resolvent is block diagonal; it is returned as 0.0.  The graph is
+    only built on this rare branch.
+    """
+    if norm >= _TINY:
+        return norm
+    # imported on this branch only: csgraph adds ~1 MiB to every process
+    import scipy.sparse.csgraph
+    _, labels = scipy.sparse.csgraph.connected_components(entries,
+                                                          directed=False)
+    if np.intersect1d(labels[rows], labels[cols]).size == 0:
+        return 0.0
+    raise NumericalError(
+        f"block norm {norm:.3e} between X = {_set_name(X)} and "
+        f"Y = {_set_name(Y)} at z = {z:g} is below the smallest normal "
+        f"float {_TINY:.3e}: the decay has left double precision")
+
+
 # ---------------------------------------------------------------------------
 # shifted solver
 # ---------------------------------------------------------------------------
@@ -247,7 +282,10 @@ class ShiftedSolver:
         (H - conj z)^{-1} chi_X; its Y rows are the conjugate transpose of
         the block, which has the same singular values.  The solve is kept
         for the last X, so pairs sharing X cost one solve.  The top
-        singular value is exact dense LAPACK (scipy.linalg.svdvals).
+        singular value is exact dense LAPACK (scipy.linalg.svdvals).  A
+        norm below the smallest normal float raises NumericalError, unless
+        X and Y lie in different components of H's graph, where it is an
+        exact 0.0 (_normal_block_norm).
         """
         rows = _local_positions(self.H, X, "X")
         if not np.array_equal(rows, self._X_rows):
@@ -255,11 +293,14 @@ class ShiftedSolver:
             rhs[rows, np.arange(rows.size)] = 1.0
             self._X_solved = self.solve_adjoint(rhs)
             self._X_rows = rows
-        B = self._X_solved[_local_positions(self.H, Y, "Y"), :]
+        cols = _local_positions(self.H, Y, "Y")
+        B = self._X_solved[cols, :]
         try:
-            return float(scipy.linalg.svdvals(B)[0])
+            norm = float(scipy.linalg.svdvals(B)[0])
         except np.linalg.LinAlgError as exc:
             raise SolveError(
                 f"singular values of the {B.shape[1]} x {B.shape[0]} block "
                 f"did not converge: {exc}") from exc
+        return _normal_block_norm(norm, self.H.entries, rows, cols, X, Y,
+                                  self.z)
 

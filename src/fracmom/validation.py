@@ -1,31 +1,36 @@
 """Independent oracles and the weak level-set bound bench.
 
 Everything here deliberately avoids the sparse solver: the block-norm
-oracle solves with LAPACK (a tridiagonal LU for 1d operators, a dense
-LU otherwise), refines its columns to an explicit residual checked
-against the operator's stored entries, and takes block norms from full
-SVDs.  Agreement between these paths and the production ones is
-what the oracle sweeps certify.  The level-set measures are exact: the
-squared sandwich norm is a ratio of two polynomials, and each level set
-is cut out by the real roots of one polynomial per level.
+oracle solves with LAPACK's banded LU for every operator, refines its
+columns to an explicit residual checked against the operator's stored
+entries, and takes block norms from full SVDs.  Agreement between this
+path and the production one is what the oracle sweeps certify.  The
+level-set measures are exact: the squared sandwich norm is a ratio of
+two polynomials, and each level set is cut out by the real roots of one
+polynomial per level.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import DomainError, NumericalError, SolveError
-from .model import DiscreteHamiltonian, _tridiagonal_bands
+from .model import DiscreteHamiltonian
 from .resolvent import (
     IndicatorSet,
     ShiftedSolver,
     SpectralShift,
     _as_z,
     _local_positions,
+    _normal_block_norm,
 )
 
-DENSE_ORACLE_CAP = 500
+# LAPACK band storage of the oracle's LU, (2 kl + ku + 1) n complex
+# entries, 128 MiB: a 95 x 95 plane needs 2.6M, a 19**3 cube 7.4M, and a
+# long plane numbered (C order) along its long side far more
+ORACLE_BAND_CAP = 2 ** 23
 
 _HERM_TOL = 1e-10
 _PSD_TOL = 1e-12
@@ -113,13 +118,17 @@ class HSOperator:
 # block-norm oracle
 # ---------------------------------------------------------------------------
 
-def _tridiagonal_lu(bands, z):
-    """Solver for (H - z) C = B from one LAPACK ?gttrf factorization."""
-    d, u = bands
-    *lu, info = scipy.linalg.lapack.zgttrf(np.conj(u), d - z, u)
-    if info:
-        raise SolveError(f"oracle: H - z is singular (zero pivot {info})")
-    return lambda B: scipy.linalg.lapack.zgttrs(*lu, B)[0]
+def oracle_bandwidths(entries):
+    """(kl, ku) of a CSR pattern, refused above ORACLE_BAND_CAP entries."""
+    n = entries.shape[0]
+    off = entries.indices - np.repeat(np.arange(n), np.diff(entries.indptr))
+    kl, ku = -int(off.min(initial=0)), int(off.max(initial=0))
+    size = (2 * kl + ku + 1) * n
+    if size > ORACLE_BAND_CAP:
+        raise DomainError(f"oracle band storage of {size} entries (n = {n}, "
+                          f"kl = {kl}, ku = {ku}) is above the cap of "
+                          f"{ORACLE_BAND_CAP}")
+    return kl, ku
 
 
 def block_norm_oracle(H, shift, X, Y):
@@ -128,31 +137,25 @@ def block_norm_oracle(H, shift, X, Y):
     Solves (H - z) C = chi_Y on the |Y| columns, then refines C
     (C <- C + (H - z)^{-1} D with D = chi_Y - (H - z) C) until the
     max-entry residual of D is below _ORACLE_RESID, and returns the top
-    singular value of C's X rows.  An operator with tridiagonal bands
-    (every 1d model of 3 or more points) is factored once by LAPACK's
-    tridiagonal LU with partial pivoting (?gttrf) at any size, and the
-    factors serve the first solve and every refinement; its defect D is
-    formed from the stored entries of H, not from the bands, so a wrong
-    band extraction fails the residual check.  Anything else (raw
-    matrices, 2d and 3d operators) takes a dense LU up to DENSE_ORACLE_CAP
-    points.  Either way the solve is LAPACK, a code path the sparse
-    SuperLU solver it certifies does not share.
+    singular value of C's X rows.  H - z, a raw matrix through its CSR
+    form included, is factored once by LAPACK's banded LU (zgbtrf) on
+    the bandwidths of its stored pattern, and the factors serve every
+    solve (zgbtrs).  D is formed from the stored entries of H, not from
+    the band storage, so a wrong band fill fails the residual check.
+    The solve is LAPACK, a code path the sparse SuperLU solver it
+    certifies does not share.  A norm below the smallest normal float is
+    refused as by ShiftedSolver.block_norm.
     """
     z = _as_z(shift)
-    bands = None
     if isinstance(H, DiscreteHamiltonian):
-        n = H.n
+        A, n = H.entries, H.n
         rows = _local_positions(H, X, "X")
         cols = _local_positions(H, Y, "Y")
-        # scipy's ?gttrf wrapper cannot size its second superdiagonal below
-        # 3 points; smaller operators are cheap to solve densely
-        if n >= 3:
-            bands = _tridiagonal_bands(H)
     else:
         H = np.asarray(H)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise DomainError("H must be a square matrix")
-        n = H.shape[0]
+        A, n = scipy.sparse.csr_matrix(H), H.shape[0]
         rows = np.asarray(X, dtype=np.int64).ravel()
         cols = np.asarray(Y, dtype=np.int64).ravel()
         for name, idx in (("X", rows), ("Y", cols)):
@@ -160,34 +163,27 @@ def block_norm_oracle(H, shift, X, Y):
                 raise DomainError(f"{name} is empty")
             if idx.min() < 0 or idx.max() >= n:
                 raise DomainError(f"{name} has an index outside [0, {n})")
-    if bands is not None:
-        solve = _tridiagonal_lu(bands, z)
+    kl, ku = oracle_bandwidths(A)
+    # (i, j) at row kl + ku + i - j of column j; zgbtrf fills the top kl rows
+    ab = np.zeros((2 * kl + ku + 1, n), dtype=np.complex128, order="F")
+    ab[kl + ku + np.repeat(np.arange(n), np.diff(A.indptr)) - A.indices,
+       A.indices] = A.data
+    ab[kl + ku] -= z
+    lu, piv, info = scipy.linalg.lapack.zgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info:
+        raise SolveError(f"oracle: H - z is singular (zero pivot {info})")
 
-        def apply(C):
-            return H.entries @ C - z * C
-    else:
-        if n > DENSE_ORACLE_CAP:
-            raise DomainError(
-                f"dense oracle capped at {DENSE_ORACLE_CAP} points, got {n}")
-        # one complex copy, z taken off its diagonal in place: no n x n
-        # identity or z * identity temporaries
-        if isinstance(H, DiscreteHamiltonian):
-            M = H.dense().astype(np.complex128, copy=False)
-        else:
-            M = H.astype(np.complex128)
-        M[np.diag_indices(n)] -= z
-
-        def solve(B):
-            return np.linalg.solve(M, B)
-        apply = M.__matmul__
+    def solve(B):
+        return scipy.linalg.lapack.zgbtrs(lu, kl, ku, B, piv)[0]
     rhs = np.zeros((n, cols.size), dtype=np.complex128)
     rhs[cols, np.arange(cols.size)] = 1.0
     C = solve(rhs)
     for _ in range(4):
-        defect = rhs - apply(C)
+        defect = rhs - (A @ C - z * C)
         worst = np.abs(defect).max()
         if worst <= _ORACLE_RESID:
-            return float(scipy.linalg.svdvals(C[rows])[0])
+            norm = float(scipy.linalg.svdvals(C[rows])[0])
+            return _normal_block_norm(norm, A, rows, cols, X, Y, z)
         C = C + solve(defect)
     raise SolveError(f"oracle residual {worst:.3e} above {_ORACLE_RESID:.1e} "
                      "after refinement", achieved=float(worst))
@@ -399,7 +395,7 @@ def weak_l1_levelset_measure(A, T, t_grid, eta_range=None):
 
 @dataclass(frozen=True)
 class OracleComparison:
-    # dense_norm is block_norm_oracle's value, on either of its paths
+    # dense_norm is block_norm_oracle's value (a banded LAPACK LU)
     sparse_norm: float
     dense_norm: float
     rel_diff: float

@@ -150,6 +150,36 @@ def test_singular_value_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "SVD did not converge" in capsys.readouterr().err
 
 
+def far_chain_doc(out_dir, **run):
+    # a strongly disordered chain of 1,599 points: the block norm falls
+    # by ~5 decades per unit length and underflows to 0.0 by distance 80
+    doc = tiny_doc(out_dir)
+    doc["model"] = {"grid": {"d": 1, "box": [400.0], "h": 0.25},
+                    "profile": {"r": 1.0, "shape": "indicator", "u0": 8.0},
+                    "law": {"lam": 50.0}}
+    doc["run"].update(E=[8.0], eps=[0.01], s=[0.3], N=2, x0=[20.0],
+                      radius=1.0, **run)
+    return doc
+
+
+@pytest.mark.parametrize("subcommand, run", [
+    ("moment", {"y0": [100.0]}),
+    ("decay", {"ladder": [20.0, 100.0, 200.0, 300.0]}),
+])
+def test_underflowed_block_norm_exits_3(tmp_path, capsys, subcommand, run):
+    # a moment of 0.0, or a decay fit refused as a config error, used to
+    # hide a norm that left double precision
+    doc = far_chain_doc(tmp_path / "results", **run)
+    code = cli.main([subcommand, "--config", str(write_config(tmp_path, doc))])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "below the smallest normal float" in err
+    assert "X = the ball of radius 1 at (20.0,)" in err
+    assert "at z = 8+0.01j" in err
+    records = tmp_path / "results" / "records.jsonl"
+    assert not records.exists() or not read_records(records)
+
+
 # ---------------------------------------------------------------------------
 # moment pipeline end to end
 
@@ -548,22 +578,34 @@ def test_validate_runs_oracles_and_benches(tmp_path, capsys):
 
 
 def test_validate_caps_grid_size(tmp_path, capsys, draws):
+    # 7 x 5999 points, numbered along the long side: its band storage is
+    # ~7.6e8 entries, far above the oracle's cap
     doc = tiny_doc(tmp_path / "results")
-    doc["model"]["grid"] = {"d": 2, "box": [40.0, 40.0], "h": 1.0}
-    doc["run"]["x0"] = [10.0, 10.0]
-    doc["run"]["ladder"] = [2.0, 4.0, 6.0]
-    doc["run"]["window"] = [1.0, 4.0]
+    doc["model"]["grid"] = {"d": 2, "box": [4.0, 3000.0], "h": 0.5}
+    doc["run"].update(x0=[2.0, 10.0], y0=[2.0, 20.0], radius=1.0)
     assert cli.main(["validate", "--config",
                      str(write_config(tmp_path, doc))]) == 2
-    assert "validate needs <= 500 grid points" in capsys.readouterr().err
+    assert "is above the cap of 8388608" in capsys.readouterr().err
     assert draws == []
 
 
 def test_validate_has_no_cap_on_a_chain(tmp_path, draws):
-    # a 1d operator has bands: its oracle is a tridiagonal LU at any size
+    # a chain's band storage is 4 entries per point: any length runs
+    assert_validate_passes(tmp_path, draws, {"d": 1, "box": [600.0], "h": 1.0},
+                           x0=[290.0], y0=[310.0])
+
+
+def test_validate_runs_a_plane_of_961_points(tmp_path, draws):
+    # 31 x 31 points, bandwidth 31: a 2d oracle at a working size
+    assert_validate_passes(tmp_path, draws,
+                           {"d": 2, "box": [16.0, 16.0], "h": 0.5},
+                           x0=[5.0, 8.0], y0=[11.0, 8.0])
+
+
+def assert_validate_passes(tmp_path, draws, grid, **run):
     doc = tiny_doc(tmp_path / "results")
-    doc["model"]["grid"] = {"d": 1, "box": [600.0], "h": 1.0}
-    doc["run"].update(x0=[290.0], y0=[310.0])
+    doc["model"]["grid"] = grid
+    doc["run"].update(run)
     assert cli.main(["validate", "--config",
                      str(write_config(tmp_path, doc))]) == 0
     records = read_records(tmp_path / "results" / "records.jsonl")

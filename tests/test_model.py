@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from fracmom._blas import openblas_thread_controls
+from fracmom import _blas
+from fracmom._blas import openblas_thread_controls, single_blas_thread
 from fracmom.errors import (
     ConstructionError,
     CoveringError,
@@ -813,6 +814,24 @@ def test_ground_energy_nonconvergence_is_a_numerical_error(
         ground_energy(landau_box(7.5))
     # the caller's thread count comes back when the solve raises
     assert set(blas_threads()) == {2}
+
+
+def test_openblas_is_scanned_once_per_process(monkeypatch):
+    opened = []
+
+    def spy(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+    monkeypatch.setattr(_blas, "open", spy, raising=False)
+    openblas_thread_controls.cache_clear()
+    for n in (6.0, 7.0):   # two uncached ground energies, dense branch
+        H = assemble_h0(GridSpec(d=1, box=(n,), h=1.0), BackgroundFields())
+        assert H.e0 is None
+        ground_energy(H)
+    with single_blas_thread():
+        pass
+    assert opened == ["/proc/self/maps"]
+    assert openblas_thread_controls(), "no OpenBLAS thread controls found"
 
 
 # ---------------------------------------------------------------------------

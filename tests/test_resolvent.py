@@ -5,7 +5,7 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from fracmom import resolvent
-from fracmom.errors import DomainError, SolveError
+from fracmom.errors import DomainError, NumericalError, SolveError
 from fracmom.model import (
     BackgroundFields,
     ConstantVector,
@@ -31,6 +31,7 @@ from fracmom.resolvent import (
     boundary_layer_indices,
     indicator_set,
 )
+from fracmom.validation import block_norm_oracle
 
 
 def scalar_h(a):
@@ -468,6 +469,48 @@ def test_singular_value_failure_is_a_solve_error(monkeypatch):
     solver = ShiftedSolver(H, SpectralShift(1.0, 1e-2))
     with pytest.raises(SolveError, match="did not converge"):
         solver.block_norm(np.arange(3), np.arange(5, 9))
+
+
+def far_chain():
+    # 1,599 points of strong disorder: at E = 8 the block norm falls by
+    # ~5 decades per unit length and leaves the normal range near 64
+    g = GridSpec(d=1, box=(400.0,), h=0.25)
+    return ModelConfig(grid=g, background=BackgroundFields(),
+                       profile=SingleSiteProfile(r=1.0, u0=8.0),
+                       law=disorder_law(50.0, g)).hamiltonian_for_seed(1)
+
+
+@pytest.mark.parametrize("distance", [64.0, 70.0], ids=["subnormal", "zero"])
+def test_underflowed_block_norm_is_a_numerical_error(distance):
+    H = far_chain()
+    z = SpectralShift(E=8.0, eps=0.01)
+    X = indicator_set(H.grid, (20.0,), 1.0)
+    near = indicator_set(H.grid, (83.0,), 1.0)   # distance 63: 3.3e-306
+    assert ShiftedSolver(H, z).block_norm(X, near) == pytest.approx(
+        block_norm_oracle(H, z, X, near), rel=1e-8)
+    Y = indicator_set(H.grid, (20.0 + distance,), 1.0)
+    for norm in (lambda: ShiftedSolver(H, z).block_norm(X, Y),
+                 lambda: block_norm_oracle(H, z, X, Y)):
+        with pytest.raises(NumericalError, match=(
+                r"between X = the ball of radius 1 at \(20\.0,\) and "
+                rf"Y = the ball of radius 1 at \({20.0 + distance},\) at "
+                r"z = 8\+0\.01j is below the smallest normal float")):
+            norm()
+
+
+def test_block_norm_across_a_dirichlet_wall_is_an_exact_zero():
+    # X and Y in different components of the operator's graph: the
+    # resolvent is block diagonal, so 0.0 is the exact block norm
+    g, H = disordered_chain(60, 2.0, 3)
+    H = restrict_dirichlet(H, np.setdiff1d(np.arange(H.n), [30, 31]))
+    z = SpectralShift(E=1.0, eps=0.01)
+    X, Y = np.arange(10, 14), np.arange(40, 44)
+    assert ShiftedSolver(H, z).block_norm(X, Y) == 0.0
+    assert block_norm_oracle(H, z, X, Y) == 0.0
+    assert dense_block_norm(H, z.z, H.local_indices(X),
+                            H.local_indices(Y)) == 0.0
+    # a positive norm inside one component is unchanged
+    assert ShiftedSolver(H, z).block_norm(X, X + 10) > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,12 @@ from fracmom.model import (
 )
 from fracmom.resolvent import ShiftedSolver, SpectralShift, indicator_set
 from fracmom.validation import (
-    DENSE_ORACLE_CAP,
     DissipativeOperator,
     HSOperator,
     OracleComparison,
     _sandwich_polynomials,
     block_norm_oracle,
+    oracle_bandwidths,
     oracle_compare,
     weak_l1_levelset_measure,
 )
@@ -171,12 +171,13 @@ class TestDenseResolventOracle:
         ref = scipy.linalg.svdvals(
             np.linalg.inv(H - z * np.eye(40))[np.ix_([0, 1, 2], [30, 31])])[0]
         calls = []
-        solve = np.linalg.solve
+        gbtrs = scipy.linalg.lapack.zgbtrs
 
-        def perturbed_first(M, b):
+        def perturbed_first(lu, kl, ku, b, piv):
             calls.append(b.shape)
-            return solve(M, b) + (1e-6 if len(calls) == 1 else 0.0)
-        monkeypatch.setattr(np.linalg, "solve", perturbed_first)
+            x, info = gbtrs(lu, kl, ku, b, piv)
+            return x + (1e-6 if len(calls) == 1 else 0.0), info
+        monkeypatch.setattr(scipy.linalg.lapack, "zgbtrs", perturbed_first)
         got = block_norm_oracle(H, z, [0, 1, 2], [30, 31])
         assert calls == [(40, 2), (40, 2)]  # one solve, one refinement
         assert got == pytest.approx(ref, rel=1e-9)
@@ -213,20 +214,27 @@ class TestDenseResolventOracle:
                                  Y.indices) == got
 
     def test_cap_enforced(self, monkeypatch):
-        with pytest.raises(DomainError, match="capped"):
-            block_norm_oracle(np.eye(DENSE_ORACLE_CAP + 1), 1j, [0], [0])
-        # an operator without bands above the cap is refused before it is
-        # made dense
+        # the cap counts LAPACK band storage, (2 kl + ku + 1) n entries
+        A = np.diag(np.arange(1.0, 6.0)) + np.diag([1.0] * 4, 1) \
+            + np.diag([1.0] * 4, -1) + np.diag([1.0] * 3, -2)   # kl 2, ku 1
+        assert oracle_bandwidths(scipy.sparse.csr_matrix(A)) == (2, 1)
+        monkeypatch.setattr(validation, "ORACLE_BAND_CAP", 30)
+        block_norm_oracle(A, 1j, [0], [4])
+        monkeypatch.setattr(validation, "ORACLE_BAND_CAP", 29)
+        with pytest.raises(DomainError, match="above the cap of 29"):
+            block_norm_oracle(A, 1j, [0], [4])
+        # an operator above the cap is refused before anything is built;
+        # at the cap it matches the sparse path
         monkeypatch.setattr(DiscreteHamiltonian, "dense", never_dense)
         grid = GridSpec(d=2, box=(24.0, 24.0), h=1.0)   # 23 x 23 = 529
         H = ModelConfig(grid=grid, background=BackgroundFields(),
                         profile=SingleSiteProfile(r=1.0, u0=1.0),
                         law=disorder_law(1.0, grid)).hamiltonian_for_seed(0)
-        with pytest.raises(DomainError, match="capped"):
+        monkeypatch.setattr(validation, "ORACLE_BAND_CAP", 70 * 529 - 1)
+        with pytest.raises(DomainError, match=(
+                r"37030 entries \(n = 529, kl = 23, ku = 23\)")):
             block_norm_oracle(H, 1j, [0], [1])
-        # a 1d operator has bands and no cap
-        H = chain_config(lam=1.0, box=DENSE_ORACLE_CAP + 3.0).hamiltonian_for_seed(0)
-        assert H.n == DENSE_ORACLE_CAP + 2
+        monkeypatch.setattr(validation, "ORACLE_BAND_CAP", 70 * 529)
         z = SpectralShift(E=1.0, eps=1e-2)
         X, Y = np.arange(240, 250), np.arange(255, 262)
         assert block_norm_oracle(H, z, X, Y) == pytest.approx(
@@ -256,69 +264,16 @@ class TestDenseResolventOracle:
             block_norm_oracle(np.ones((2, 3)), 1j, [0], [0])
 
 
-    @pytest.mark.parametrize("E", [-0.7, 0.4], ids=["E<0", "E>0"])
-    @pytest.mark.parametrize("case", [
-        "scalar", "diagonal", "real-100", "real-40", "real-30", "complex-60",
-        "integer-sets", "gauge-2d"])
-    def test_dense_matrix_is_bitwise_the_old_formula(self, monkeypatch,
-                                                     case, E):
-        # M is one complex copy with z taken off its diagonal in place; it
-        # must match A - z * eye(n) bit for bit, and so must the norm
-        if case == "gauge-2d":
-            H = gauge_box(LandauGauge(0.2)).hamiltonian_for_seed(5)
-            A, X, Y = H.dense(), np.arange(20, 40), np.arange(150, 170)
-        else:
-            A, X, Y = {
-                "scalar": (np.array([[3.0]]), [0], [0]),
-                "diagonal": (np.diag([1.0, 4.0, -2.0]), [0, 2], [2]),
-                "real-100": (random_hermitian(11, 100), np.arange(100),
-                             [3, 40, 41, 97]),
-                "real-40": (random_hermitian(13, 40), [0, 1, 2], [30, 31]),
-                "real-30": (random_hermitian(14, 30), [0, 1], [20, 21]),
-                "complex-60": (random_hermitian(12, 60, complex_entries=True),
-                               np.arange(10), np.arange(30, 45)),
-                "integer-sets": (random_hermitian(7, 12), [0, 1, 2],
-                                 [9, 10, 11]),
-            }[case]
-            H = A
-        z = complex(E, 1e-3)
-        old_M = A - z * np.eye(A.shape[0])
-        seen = []
-        solve = np.linalg.solve
-
-        def spy(M, b):
-            seen.append(M.tobytes())
-            return solve(M, b)
-        monkeypatch.setattr(np.linalg, "solve", spy)
-        got = block_norm_oracle(H, z, X, Y)
-        assert seen and set(seen) == {old_M.tobytes()}
-        monkeypatch.setattr(np.linalg, "solve", solve)
-        assert got == old_dense_oracle(old_M, X, Y)
-
-
 def never_dense(self):
     raise AssertionError("the operator was made dense")
 
 
 def gauge_box(gauge, box=8.0, h=0.5):
-    # 15 x 15 box points in a uniform field: complex entries, no bands
+    # 15 x 15 box points in a uniform field: complex entries, bandwidth 15
     grid = GridSpec(d=2, box=(box, box), h=h)
     return ModelConfig(grid=grid, background=BackgroundFields(A=gauge),
                        profile=SingleSiteProfile(r=1.0, u0=1.0),
                        law=disorder_law(2.0, grid))
-
-
-def old_dense_oracle(M, X, Y):
-    # the dense oracle's refined solve on a given M = A - z * eye(n)
-    rhs = np.zeros((M.shape[0], len(Y)), dtype=M.dtype)
-    rhs[Y, np.arange(len(Y))] = 1.0
-    C = np.linalg.solve(M, rhs)
-    for _ in range(4):
-        defect = rhs - M @ C
-        if np.abs(defect).max() <= 1e-10:
-            return float(scipy.linalg.svdvals(C[X])[0])
-        C = C + np.linalg.solve(M, defect)
-    raise AssertionError("reference solve did not refine")
 
 
 def gauge_chain(box=40.0, h=0.5, lam=2.0, a=0.7):
@@ -329,20 +284,41 @@ def gauge_chain(box=40.0, h=0.5, lam=2.0, a=0.7):
                        law=disorder_law(lam, grid))
 
 
-def banded_operators():
-    """1d operators of every kind the tridiagonal path takes."""
-    ops = {f"chain-{seed}": chain_config(lam=lam, box=40.0, h=0.5)
-           .hamiltonian_for_seed(seed)
-           for seed, lam in ((1, 1.0), (2, 2.5), (3, 4.0))}
-    ops["gauge-chain"] = gauge_chain().hamiltonian_for_seed(4)
+def oracle_cases():
+    """(H, X, Y) of every kind of operator the banded oracle takes.
+
+    X and Y are global grid indices of an operator, or rows of a raw
+    matrix.
+    """
+    def chain_sets(H):
+        return (H, indicator_set(H.grid, (10.0,), 2.0, mask=H.mask).indices,
+                indicator_set(H.grid, (24.0,), 3.0, mask=H.mask).indices)
+    cases = {f"chain-{seed}": chain_sets(
+        chain_config(lam=lam, box=40.0, h=0.5).hamiltonian_for_seed(seed))
+        for seed, lam in ((1, 1.0), (2, 2.5), (3, 4.0))}
+    cases["gauge-chain"] = chain_sets(gauge_chain().hamiltonian_for_seed(4))
     H = chain_config(lam=2.0, box=40.0, h=0.5).hamiltonian_for_seed(5)
     # a Dirichlet hole just past Y: a gap the bands carry as zeros
-    ops["restricted"] = restrict_dirichlet(
-        H, np.setdiff1d(np.arange(H.n), np.arange(56, 60)))
-    return ops
+    cases["restricted"] = chain_sets(restrict_dirichlet(
+        H, np.setdiff1d(np.arange(H.n), np.arange(56, 60))))
+    # the smallest grid has 3 points, so a Dirichlet restriction makes less
+    H = chain_config(lam=2.0, box=4.0).hamiltonian_for_seed(6)
+    for n in (1, 2):
+        cases[f"{n}-point"] = (restrict_dirichlet(H, np.arange(n)), [0],
+                               [n - 1])
+    cases["full-band-raw"] = (random_hermitian(15, 30, complex_entries=True),
+                              [0, 1, 2], [20, 27])
+    # a 2d Landau box with a Dirichlet hole between X and Y
+    H = gauge_box(LandauGauge(0.2)).hamiltonian_for_seed(5)
+    wall = indicator_set(H.grid, (4.0, 4.0), 1.2).indices
+    H = restrict_dirichlet(H, np.setdiff1d(np.arange(H.n), wall))
+    cases["landau-hole"] = (
+        H, indicator_set(H.grid, (2.5, 2.5), 1.5, mask=H.mask).indices,
+        indicator_set(H.grid, (5.5, 5.0), 1.5, mask=H.mask).indices)
+    return cases
 
 
-BANDED = banded_operators()
+CASES = oracle_cases()
 SHIFTS = {
     "inside-1e-6": SpectralShift(E=1.0, eps=1e-6),
     "inside-1e-3": SpectralShift(E=3.0, eps=1e-3),
@@ -353,37 +329,56 @@ SHIFTS = {
 }
 
 
+def plane_gauge_box():
+    # the 95 x 95 Landau box of the plane-gauge benchmark: kl = ku = 95
+    grid = GridSpec(d=2, box=(24.0, 24.0), h=0.25)
+    return ModelConfig(grid=grid,
+                       background=BackgroundFields(A=LandauGauge(0.2)),
+                       profile=SingleSiteProfile(r=1.0, u0=8.0,
+                                                 shape="cosine-bump"),
+                       law=disorder_law(50.0, grid))
+
+
 class TestBandedOracle:
     @pytest.mark.parametrize("shift", list(SHIFTS))
-    @pytest.mark.parametrize("op", list(BANDED))
+    @pytest.mark.parametrize("op", list(CASES))
     def test_matches_dense_path(self, op, shift):
-        H, z = BANDED[op], SHIFTS[shift]
-        assert validation._tridiagonal_bands(H) is not None
-        X = indicator_set(H.grid, center=(10.0,), radius=2.0, mask=H.mask)
-        Y = indicator_set(H.grid, center=(24.0,), radius=3.0, mask=H.mask)
+        # against the X x Y block of a dense inverse, no oracle code shared
+        (H, X, Y), z = CASES[op], SHIFTS[shift]
         got = block_norm_oracle(H, z, X, Y)
-        rows, cols = H.local_indices(X.indices), H.local_indices(Y.indices)
-        dense = block_norm_oracle(H.dense(), z, rows, cols)  # no bands
-        assert got == pytest.approx(dense, rel=1e-12, abs=0.0)
+        if isinstance(H, DiscreteHamiltonian):
+            A, rows, cols = H.dense(), H.local_indices(X), H.local_indices(Y)
+        else:
+            A, rows, cols = H, X, Y
+        z = z.z if isinstance(z, SpectralShift) else z
+        R = np.linalg.inv(A - z * np.eye(len(A)))
+        want = scipy.linalg.svdvals(R[np.ix_(rows, cols)])[0]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_never_made_dense(self, monkeypatch):
         monkeypatch.setattr(DiscreteHamiltonian, "dense", never_dense)
-        for H in list(BANDED.values()) + [
+        for H in [H for H, _, _ in CASES.values()
+                  if isinstance(H, DiscreteHamiltonian)] + [
                 gauge_chain(box=600.0, h=1.0).hamiltonian_for_seed(0)]:
             block_norm_oracle(H, SpectralShift(E=1.0, eps=1e-3),
                               H.mask[:3], H.mask[-3:])
 
     def test_unconjugated_subdiagonal_fails_the_residual(self, monkeypatch):
-        # the defect comes from H's stored entries, so factors of the
-        # wrong tridiagonal matrix cannot refine to the residual bound
-        H = BANDED["gauge-chain"]
+        # the defect comes from H's stored entries, so factors of a wrong
+        # band storage (its sub-diagonal left unconjugated) cannot refine
+        # to the residual bound
+        H = CASES["gauge-chain"][0]
         X = indicator_set(H.grid, center=(10.0,), radius=1.5)
         Y = indicator_set(H.grid, center=(30.0,), radius=1.5)
         z = SpectralShift(E=1.0, eps=1e-2)
         block_norm_oracle(H, z, X, Y)
-        gttrf = scipy.linalg.lapack.zgttrf
-        monkeypatch.setattr(scipy.linalg.lapack, "zgttrf",
-                            lambda dl, d, du: gttrf(du, d, du))
+        assert oracle_bandwidths(H.entries) == (1, 1)
+        gbtrf = scipy.linalg.lapack.zgbtrf
+
+        def corrupted(ab, kl, ku, **kw):
+            ab[kl + ku + 1] = np.conj(ab[kl + ku + 1])
+            return gbtrf(ab, kl, ku, **kw)
+        monkeypatch.setattr(scipy.linalg.lapack, "zgbtrf", corrupted)
         with pytest.raises(SolveError, match="after refinement"):
             block_norm_oracle(H, z, X, Y)
 
@@ -392,6 +387,19 @@ class TestBandedOracle:
         H = chain_config(lam=0.0, box=4.0).hamiltonian_for_seed(0)
         with pytest.raises(SolveError, match="singular"):
             block_norm_oracle(H, 2.0 + 0.0j, [0], [2])
+
+    def test_plane_gauge_box_matches_the_sparse_path(self):
+        # 9,025 points with kl = ku = 95: 2.6M band entries
+        H = plane_gauge_box().hamiltonian_for_seed(1)
+        assert H.n == 9025 and oracle_bandwidths(H.entries) == (95, 95)
+        X = indicator_set(H.grid, (6.0, 12.0), 1.0)
+        Y = indicator_set(H.grid, (16.0, 12.0), 1.0)
+        for eps in (0.1, 0.01):
+            z = SpectralShift(E=8.0, eps=eps)
+            got = block_norm_oracle(H, z, X, Y)
+            assert 0.0 < got < 1e-30
+            assert got == pytest.approx(ShiftedSolver(H, z).block_norm(X, Y),
+                                        rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
