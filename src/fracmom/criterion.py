@@ -23,6 +23,7 @@ from .resolvent import (
 )
 
 _GRID_SNAP = 1e-9
+_CONSISTENCY_R2 = 0.8  # fit quality a consistent decay must reach
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +351,15 @@ class ConsistencyReport:
 
 
 def verify_criterion_consistency(config, report, ladder, eps, N, master_seed,
-                                 x0=None, axis=0, r2_threshold=0.8,
-                                 workers=None):
+                                 x0=None, axis=0, workers=None):
     """Measure moment decay along a distance ladder in the full box.
 
     Requires a triggered criterion (factor < 1).  Moments are estimated
     at x0 against points x0 + dist * e_axis, the abscissa is the
     modified distance of the full-box domain, and the verdict is
-    qualitative: fitted mu > 0 with r2 above the threshold.  The ratio
-    against the predicted rate gamma/(2L) is recorded, not asserted;
-    the constants feeding gamma are conventions.
+    qualitative: fitted mu > 0 with r2 of at least _CONSISTENCY_R2.  The
+    ratio against the predicted rate gamma/(2L) is recorded, not
+    asserted; the constants feeding gamma are conventions.
     """
     if not isinstance(report, CriterionReport):
         raise DomainError("expected a CriterionReport")
@@ -387,5 +387,5 @@ def verify_criterion_consistency(config, report, ladder, eps, N, master_seed,
     fit = fit_exponential_decay(list(zip(dists, means)), stderrs=stderrs)
     ratio = fit.mu / report.predicted_rate
     return ConsistencyReport(criterion=report, fit=fit, rate_ratio=float(ratio),
-                             r2_threshold=r2_threshold, distances=tuple(dists),
+                             r2_threshold=_CONSISTENCY_R2, distances=tuple(dists),
                              means=tuple(means), stderrs=tuple(stderrs))

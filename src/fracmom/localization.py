@@ -1,8 +1,9 @@
 """Direct spectral diagnostics on finite volumes.
 
 Windowed eigensolves are verified for completeness against an
-independent inertia count (Sturm recurrence for tridiagonal operators,
-Bunch-Kaufman otherwise), so a correlator never silently misses states.
+independent inertia count (Sturm recurrence for every operator whose
+stored pattern is tridiagonal, every 1d model among them; Bunch-Kaufman
+otherwise), so a correlator never silently misses states.
 The eigenfunction correlator is the rank-one trace-norm sum, which is
 the computable upper bound for the dynamical quantity; the exact sup
 over Borel functions is not evaluated.
@@ -14,12 +15,11 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .criterion import fit_exponential_decay
 from .errors import DomainError, IncompleteWindowError, NumericalError
-from .model import grid_points
+from .model import _bandwidths, grid_points
 from .moments import map_samples
 from .resolvent import _local_positions
 
@@ -29,6 +29,7 @@ INERTIA_DENSE_CAP = 1500
 
 _ORTHO_TOL = 1e-10
 _RESID_TOL = 1e-8
+_EXCLUDE_OUTER = 0.1  # outer fraction of shell radii left out of decay fits
 
 
 # ---------------------------------------------------------------------------
@@ -52,30 +53,21 @@ class EigenWindow:
 
 
 def _tridiagonal_bands(H):
-    # (diagonal, superdiagonal) of a 1d operator, None otherwise; valid iff
-    # nothing lives beyond the first off-diagonal (true for 1d stencils,
-    # holes only zero entries out).  The one structure predicate: pivot
-    # counts and window eigensolves both dispatch on it
-    if H.grid.d != 1:
+    # (diagonal, superdiagonal) when H's stored pattern reaches no further
+    # than the first off-diagonal (every 1d model), None otherwise.  The
+    # one structure predicate: pivot counts and window eigensolves both
+    # dispatch on it
+    if max(_bandwidths(H.entries)) > 1:
         return None
-    d = H.entries.diagonal(0)
-    if H.n == 1:
-        return d.real, np.zeros(0)
-    u = H.entries.diagonal(1)
-    tri = (scipy.sparse.diags([np.conj(u), d, u], [-1, 0, 1], format="csr")
-           - H.entries)
-    tri.eliminate_zeros()
-    if tri.nnz:
-        return None
-    return d.real, u
+    return H.entries.diagonal(0).real, H.entries.diagonal(1)
 
 
 def spectrum_count_below(H, E):
     """#{eigenvalues of H < E} without an eigendecomposition.
 
-    Tridiagonal Hermitian operators (every 1d model) use the Sturm pivot
-    recurrence at any size; anything else goes through a dense
-    Bunch-Kaufman inertia up to INERTIA_DENSE_CAP points.
+    Every operator whose stored pattern is tridiagonal (every 1d model)
+    uses the Sturm pivot recurrence at any size; anything else goes
+    through a dense Bunch-Kaufman inertia up to INERTIA_DENSE_CAP points.
     """
     bands = _tridiagonal_bands(H)
     if bands is not None:
@@ -105,19 +97,11 @@ def _sturm_count(diag, offdiag_sq, E):
 
 
 def _inertia_negative(D):
-    n = D.shape[0]
-    count = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and D[i + 1, i] != 0.0:
-            block = D[i:i + 2, i:i + 2]
-            count += int(np.sum(np.linalg.eigvalsh(block) < 0.0))
-            i += 2
-        else:
-            if D[i, i].real < 0.0:
-                count += 1
-            i += 1
-    return count
+    # D is block diagonal with 1x1 and 2x2 Hermitian blocks, so it is a
+    # Hermitian tridiagonal matrix, similar to the real one with |D[i+1, i]|
+    vals = scipy.linalg.eigvalsh_tridiagonal(D.diagonal().real,
+                                             np.abs(D.diagonal(-1)))
+    return int(np.count_nonzero(vals < 0.0))
 
 
 def count_in_window(H, window):
@@ -158,13 +142,13 @@ class EigenPairSet:
 def eigensolve_window(H, window):
     """All eigenpairs of H with eigenvalue in the open window.
 
-    Tridiagonal operators (every 1d model) take LAPACK bisection and
-    inverse iteration on the bands of D^H H D, real for the unit diagonal
-    D that makes the off-diagonal |u|; D maps the vectors back.  Anything
-    else takes one dense subset eigensolve.  The pivot count comes first,
-    so an operator it refuses is never made dense, and the pairs must
-    match it: a mismatch aborts rather than returning a silently
-    incomplete set.
+    Every operator whose stored pattern is tridiagonal (every 1d model)
+    takes LAPACK bisection and inverse iteration on the bands of
+    D^H H D, real for the unit diagonal D that makes the off-diagonal
+    |u|; D maps the vectors back.  Anything else takes one dense subset
+    eigensolve.  The pivot count comes first, so an operator it refuses
+    is never made dense, and the pairs must match it: a mismatch aborts
+    rather than returning a silently incomplete set.
     """
     if not isinstance(window, EigenWindow):
         raise DomainError("expected an EigenWindow")
@@ -228,6 +212,17 @@ def correlator_from_pairs(pairs, H, X, Y):
 # eigenfunction decay
 # ---------------------------------------------------------------------------
 
+def _domain_points(psi, grid, mask):
+    # grid points of the domain (the masked ones), one per entry of psi
+    pts = grid_points(grid)
+    if mask is not None:
+        pts = pts[np.asarray(mask, dtype=np.int64)]
+    if pts.shape[0] != psi.size:
+        raise DomainError(
+            f"psi has {psi.size} entries but the domain has {pts.shape[0]} points")
+    return pts
+
+
 def localization_center(psi, grid, mask=None):
     """Position of max |psi|; ties resolved to the lowest grid index.
 
@@ -237,13 +232,7 @@ def localization_center(psi, grid, mask=None):
     psi = np.asarray(psi)
     if psi.size == 0:
         raise DomainError("empty vector")
-    pts = grid_points(grid)
-    if mask is not None:
-        pts = pts[np.asarray(mask, dtype=np.int64)]
-    if pts.shape[0] != psi.size:
-        raise DomainError(
-            f"psi has {psi.size} entries but the domain has {pts.shape[0]} points")
-    return pts[int(np.argmax(np.abs(psi)))]
+    return _domain_points(psi, grid, mask)[int(np.argmax(np.abs(psi)))]
 
 
 @dataclass(frozen=True)
@@ -258,27 +247,23 @@ class DecayRateEstimate:
                 "shell_values": list(self.shell_values)}
 
 
-def eigenfunction_decay_rate(psi, center, grid, mask=None, shell_width=1.0,
-                             exclude_outer=0.1):
+def eigenfunction_decay_rate(psi, center, grid, mask=None, shell_width=1.0):
     """Fitted rate nu of ln|psi| decay in shells around the center.
 
-    Shells of one width step out from the center; each contributes its
-    max |psi| at the radius where that max sits.  The outer fraction of
-    radii is excluded as boundary-contaminated, and empty or zero shells
-    are dropped.  Needs three usable shells.
+    Shells of one positive width step out from the center; each
+    contributes its max |psi| at the radius where that max sits.  The
+    outer _EXCLUDE_OUTER fraction of radii is excluded as
+    boundary-contaminated, and empty or zero shells are dropped.  Needs
+    three usable shells.
     """
+    if not (np.isfinite(shell_width) and shell_width > 0.0):
+        raise DomainError(
+            f"shell_width must be positive and finite, got {shell_width}")
     psi = np.asarray(psi)
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    pts = grid_points(grid)
-    if mask is not None:
-        pts = pts[np.asarray(mask, dtype=np.int64)]
-    if pts.shape[0] != psi.size:
-        raise DomainError(
-            f"psi has {psi.size} entries but the domain has {pts.shape[0]} points")
-    if not 0.0 <= exclude_outer < 1.0:
-        raise DomainError("exclude_outer must be in [0, 1)")
+    pts = _domain_points(psi, grid, mask)
     dist = np.linalg.norm(pts - center, axis=1)
-    rmax = dist.max() * (1.0 - exclude_outer)
+    rmax = dist.max() * (1.0 - _EXCLUDE_OUTER)
     mod = np.abs(psi)
     radii, values = [], []
     edge = 0.0

@@ -476,6 +476,17 @@ def _stored_pattern(entries):
     return A, np.flatnonzero(on_diag)
 
 
+def _bandwidths(entries):
+    """(kl, ku): how far a CSR pattern reaches below and above its diagonal.
+
+    Read off the stored pattern, explicit zeros included, so every
+    realization and shift of H0 has H0's bandwidths.
+    """
+    n = entries.shape[0]
+    off = entries.indices - np.repeat(np.arange(n), np.diff(entries.indptr))
+    return -int(off.min(initial=0)), int(off.max(initial=0))
+
+
 @dataclass(eq=False)
 class DiscreteHamiltonian:
     """Hermitian sparse operator on the active grid points.

@@ -108,12 +108,6 @@ class EpsilonSchedule:
         if not 0.0 < self.tol:
             raise DomainError("stabilization tolerance must be positive")
 
-    @classmethod
-    def geometric(cls, start, stop, num, tol=DEFAULT_STABILIZATION_TOL):
-        if not (start > stop > 0.0 and num >= 2):
-            raise DomainError("need start > stop > 0 and num >= 2")
-        return cls(eps=tuple(np.geomspace(start, stop, num)), tol=tol)
-
     def shifts(self, E):
         return [SpectralShift(E=E, eps=e) for e in self.eps]
 

@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import DomainError, NumericalError, SolveError
-from .model import DiscreteHamiltonian
+from .model import DiscreteHamiltonian, _bandwidths
 from .resolvent import (
     IndicatorSet,
     ShiftedSolver,
@@ -121,8 +121,7 @@ class HSOperator:
 def oracle_bandwidths(entries):
     """(kl, ku) of a CSR pattern, refused above ORACLE_BAND_CAP entries."""
     n = entries.shape[0]
-    off = entries.indices - np.repeat(np.arange(n), np.diff(entries.indptr))
-    kl, ku = -int(off.min(initial=0)), int(off.max(initial=0))
+    kl, ku = _bandwidths(entries)
     size = (2 * kl + ku + 1) * n
     if size > ORACLE_BAND_CAP:
         raise DomainError(f"oracle band storage of {size} entries (n = {n}, "

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+import scipy.sparse
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fracmom.errors import DomainError, NumericalError
 from fracmom.localization import (
@@ -95,6 +97,71 @@ def test_inertia_count_2d_matches_dense():
     ev = np.linalg.eigvalsh(H.dense())
     for E in (5.0, 10.0, 20.0):
         assert spectrum_count_below(H, E) == int(np.sum(ev < E))
+
+
+def one_column_of_a_landau_plane():
+    # a disordered Landau box restricted to one grid column: complex hops
+    # along axis 0, bandwidth 1 in the restriction's own numbering
+    g = GridSpec(d=2, box=(12.0, 6.0), h=0.5)  # 23 x 11 points
+    H0 = assemble_h0(g, BackgroundFields(A=LandauGauge(0.3)))
+    law = disorder_law(2.0, g)
+    v = realize_potential(sample_couplings(law, 5), SingleSiteProfile(), law, g)
+    H = assemble_hamiltonian(H0, v, 2.0)
+    return restrict_dirichlet(H, np.arange(g.npoints).reshape(g.shape)[:, 4])
+
+
+TRIDIAGONAL_PATTERNS = {
+    "chain": lambda: disordered_chain(40, lam=2.0, seed=3)[1],
+    "one-point": lambda: DiscreteHamiltonian(
+        grid=GridSpec(d=1, box=(4.0,), h=1.0),
+        entries=scipy.sparse.csr_matrix(np.array([[1.5]])), mask=np.array([0])),
+    "one-column-plane": one_column_of_a_landau_plane,
+}
+
+
+@pytest.mark.parametrize("name", list(TRIDIAGONAL_PATTERNS))
+def test_tridiagonal_pattern_takes_the_banded_path(monkeypatch, name):
+    # counts and pairs from the bands alone: neither a rebuilt sparse
+    # tridiagonal nor the dense matrix
+    H = TRIDIAGONAL_PATTERNS[name]()
+    ev, vecs = np.linalg.eigh(H.dense())
+
+    def off_the_banded_path(*args, **kwargs):
+        raise AssertionError("left the banded path")
+
+    monkeypatch.setattr(scipy.sparse, "diags", off_the_banded_path)
+    monkeypatch.setattr(DiscreteHamiltonian, "dense", off_the_banded_path)
+    cuts = np.concatenate(([ev[0] - 1.0], (ev[1:] + ev[:-1]) / 2.0,
+                           [ev[-1] + 1.0]))
+    assert [spectrum_count_below(H, E) for E in cuts] == list(range(H.n + 1))
+    keep = (H.n + 1) // 2
+    pairs = eigensolve_window(H, EigenWindow(cuts[0], cuts[keep]))
+    assert len(pairs) == keep
+    assert np.allclose(pairs.eigenvalues, ev[:keep], rtol=0, atol=1e-10)
+    overlaps = np.abs(np.sum(vecs[:, :keep].conj() * pairs.vectors, axis=0))
+    assert np.allclose(overlaps, 1.0, rtol=0, atol=1e-8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(parts=st.integers(1, 7).flatmap(
+           lambda n: arrays(np.int64, (2, n, n), elements=st.integers(-3, 3))),
+       zero_diagonal=st.booleans(), E=st.integers(-12, 12))
+def test_spectrum_count_matches_eigvalsh_on_random_hermitian(
+        parts, zero_diagonal, E):
+    # a zero diagonal forces Bunch-Kaufman's 2 x 2 pivots; a pattern that
+    # happens to be tridiagonal takes the Sturm recurrence
+    re, im = parts
+    upper = np.triu(re + 1j * im, 1)
+    A = upper + upper.conj().T
+    if not zero_diagonal:
+        A += np.diag(np.diag(re))
+    E = E + 0.5
+    ev = np.linalg.eigvalsh(A)
+    assume(np.abs(ev - E).min() > 1e-9)
+    H = DiscreteHamiltonian(grid=GridSpec(d=1, box=(8.0,), h=1.0),
+                            entries=scipy.sparse.csr_matrix(A),
+                            mask=np.arange(A.shape[0]))
+    assert spectrum_count_below(H, E) == np.count_nonzero(ev < E)
 
 
 def test_counting_refuses_large_non_tridiagonal():
@@ -323,6 +390,15 @@ def test_decay_rate_needs_three_shells():
         eigenfunction_decay_rate(psi, (2.0,), g, shell_width=5.0)
     with pytest.raises(DomainError):
         eigenfunction_decay_rate(np.ones(3), (2.0,), g)  # size mismatch
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
+def test_decay_rate_refuses_a_shell_width_that_never_reaches_the_edge(width):
+    g = GridSpec(d=1, box=(20.0,), h=0.5)  # 39 points
+    q = grid_points(g).ravel()
+    psi = np.exp(-0.5 * np.abs(q - 10.0))
+    with pytest.raises(DomainError, match="shell_width"):
+        eigenfunction_decay_rate(psi, (10.0,), g, shell_width=width)
 
 
 def test_decay_rate_on_masked_domain():

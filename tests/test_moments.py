@@ -95,12 +95,10 @@ def test_estimate_container_validation():
             MomentEstimate(**kw)
 
 
-def test_schedule_validation_and_geometric():
+def test_schedule_validation():
     s = EpsilonSchedule(eps=(1e-1, 1e-2, 1e-3))
     assert [sh.eps for sh in s.shifts(2.0)] == [1e-1, 1e-2, 1e-3]
     assert all(sh.E == 2.0 for sh in s.shifts(2.0))
-    g = EpsilonSchedule.geometric(1e-1, 1e-4, 4)
-    assert np.allclose(g.eps, [1e-1, 1e-2, 1e-3, 1e-4])
     for bad in [(1e-3, 1e-2), (1e-2,), (1e-2, 0.0), (1e-2, 1e-2)]:
         with pytest.raises(DomainError):
             EpsilonSchedule(eps=bad)
@@ -312,7 +310,7 @@ def test_scan_below_spectrum_is_stable_and_increasing():
     cfg = chain_config(npts=20, lam=1.0)
     X = indicator_set(cfg.grid, (3.0,), 1.0)
     Y = indicator_set(cfg.grid, (7.0,), 1.0)
-    sch = EpsilonSchedule.geometric(1e-1, 1e-4, 4)
+    sch = EpsilonSchedule(eps=(1e-1, 1e-2, 1e-3, 1e-4))
     [[res]] = epsilon_scan(cfg, [0.5], [-5.0], sch, X, Y, N=3, master_seed=2)
     assert res.stable
     assert np.all(np.diff(res.means) >= -1e-9 * res.means[0])
