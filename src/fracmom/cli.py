@@ -22,7 +22,7 @@ from .config import ExperimentConfig, load_config, parse_config
 from .errors import ConfigError, FracmomError, NumericalError
 from .model import ground_energy
 from .records import ResultRecord, append_records, emit_plot_data
-from .resolvent import SpectralShift, indicator_set
+from .resolvent import SpectralShift
 from .validation import (
     DissipativeOperator,
     HSOperator,
@@ -38,34 +38,17 @@ logger = logging.getLogger(__name__)
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _default_point(grid, frac):
-    return tuple(frac * b for b in grid.box)
-
-
-def _ball(cfg: ExperimentConfig, center, what):
-    grid = cfg.grid
-    for x, b in zip(center, grid.box):
-        if not (x - cfg.radius > 0.0 and x + cfg.radius < b):
-            raise ConfigError(
-                f"{what}: ball of radius {cfg.radius} at {tuple(center)} "
-                f"does not fit inside the box {grid.box}")
-    return indicator_set(grid, center, cfg.radius)
-
-
 def _moment_sets(cfg: ExperimentConfig):
-    x0 = cfg.x0 or _default_point(cfg.grid, 0.25)
-    y0 = cfg.y0 or _default_point(cfg.grid, 0.75)
-    return _ball(cfg, x0, "run.x0"), _ball(cfg, y0, "run.y0")
+    x0 = cfg.x0 or tuple(0.25 * b for b in cfg.grid.box)
+    y0 = cfg.y0 or tuple(0.75 * b for b in cfg.grid.box)
+    return (crit._ball(cfg.grid, x0, cfg.radius, "run.x0"),
+            crit._ball(cfg.grid, y0, cfg.radius, "run.y0"))
 
 
-def _ladder_sets(cfg: ExperimentConfig):
+def _ladder(cfg: ExperimentConfig):
     if cfg.ladder is None:
         raise ConfigError("run.ladder is required for this subcommand")
-    x0 = cfg.x0 or _default_point(cfg.grid, 0.25)
-    centers = crit.ladder_centers(x0, cfg.ladder, cfg.axis)
-    return _ball(cfg, x0, "run.x0"), [
-        _ball(cfg, y, f"run.ladder point {dist}")
-        for y, dist in zip(centers, cfg.ladder)]
+    return cfg.x0, cfg.ladder, cfg.axis, cfg.radius
 
 
 def _check_counting_cap(cfg: ExperimentConfig, what):
@@ -146,51 +129,39 @@ def run_criterion(cfg: ExperimentConfig, sink: _Sink, workers):
     # a custom boundary depth opts out of the default L > 24r regime gate;
     # the config cross-checks already required L > depth + r in that case
     gate_r = cfg.r if cfg.depth is None else None
-    reports = []
     for k, s in enumerate(cfg.s_values):
         for j, E in enumerate(cfg.E_values):
             for L, raw in zip(cfg.L_values, raws):
                 report = crit.criterion_factor(
                     s, cfg.lam, E, E0, L, cfg.grid.d, raw[k, j],
                     M_const=cfg.M_const, r=gate_r)
-                reports.append(report)
                 sink.add("criterion", report.payload())
                 print(f"criterion s={s} E={E} L={L}: factor={report.factor:.6g}"
                       f" triggered={report.triggered}")
     sink.emit_csv("criterion")
-    return reports
 
 
-def _add_fit(sink: _Sink, points, stderrs, **fields):
-    """Fit moment ~ A exp(-mu dist) to (dist, mean) points; record the fit."""
-    fit = crit.fit_exponential_decay(points, stderrs=stderrs)
+def _add_fit(sink: _Sink, fit, stderrs, **fields):
+    """Record a fit of moment ~ A exp(-mu dist) with its points' stderrs."""
     sink.add("fit", {**fields, "A": fit.A, "mu": fit.mu, "r2": fit.r2,
                      "points": [{"dist": d, "mean": m, "stderr": float(se)}
                                 for (d, m), se in zip(fit.points, stderrs)]})
-    return fit
 
 
 def run_decay(cfg: ExperimentConfig, sink: _Sink, workers):
     bad_s = [s for s in cfg.s_values if not s < 1.0]
     if bad_s:
         raise ConfigError(f"run.s: decay needs s < 1, got {bad_s}")
-    X, targets = _ladder_sets(cfg)
     eps = cfg.eps_schedule[-1]
     shifts = [SpectralShift(E=E, eps=eps) for E in cfg.E_values]
-    table = moments.ladder_moments(cfg.model, cfg.s_values, shifts, X,
-                                   targets, cfg.N, cfg.master_seed,
-                                   workers=workers)
-    fits = []
+    table = crit.measure_decay(cfg.model, cfg.s_values, shifts, *_ladder(cfg),
+                               cfg.N, cfg.master_seed, workers=workers)
     for s, row in zip(cfg.s_values, table):
-        for shift, ests in zip(shifts, row):
-            fit = _add_fit(sink, [(d, e.mean)
-                                  for d, e in zip(cfg.ladder, ests)],
-                           [e.stderr for e in ests], quantity="moment-decay",
-                           s=s, E=shift.E, eps=eps)
-            fits.append(fit)
+        for shift, (fit, ests) in zip(shifts, row):
+            _add_fit(sink, fit, [e.stderr for e in ests],
+                     quantity="moment-decay", s=s, E=shift.E, eps=eps)
             print(f"decay s={s} E={shift.E}: mu={fit.mu:.4f} r2={fit.r2:.4f}")
     sink.emit_csv("decay")
-    return fits
 
 
 def _correlator_row(window, X, targets, H):
@@ -203,23 +174,22 @@ def run_correlator(cfg: ExperimentConfig, sink: _Sink, workers):
         raise ConfigError("run.window is required for correlator runs")
     window = loc.EigenWindow(a=cfg.window[0], b=cfg.window[1])
     _check_counting_cap(cfg, "correlator")
-    X, targets = _ladder_sets(cfg)
+    X, targets, dists = crit.distance_ladder(cfg.model, *_ladder(cfg))
     values = np.array(moments.map_samples(
         cfg.model, partial(_correlator_row, window, X, targets), cfg.N,
         cfg.master_seed, workers))
     means = values.mean(axis=0)
     stderrs = values.std(axis=0, ddof=1) / np.sqrt(cfg.N)
-    for d, m, se in zip(cfg.ladder, means, stderrs):
+    for d, m, se in zip(dists, means, stderrs):
         sink.add("correlator", {
             "dist": d, "value": float(m), "stderr": float(se),
             "window_lo": window.a, "window_hi": window.b})
-    fit = _add_fit(sink, list(zip(cfg.ladder, means)), stderrs,
-                   quantity="correlator-decay", window_lo=window.a,
-                   window_hi=window.b)
+    fit = crit.fit_exponential_decay(list(zip(dists, means)), stderrs=stderrs)
+    _add_fit(sink, fit, stderrs, quantity="correlator-decay",
+             window_lo=window.a, window_hi=window.b)
     print(f"correlator window=({window.a}, {window.b}): "
           f"mu={fit.mu:.4f} r2={fit.r2:.4f}")
     sink.emit_csv("correlator")
-    return fit
 
 
 def run_ids(cfg: ExperimentConfig, sink: _Sink, workers):

@@ -35,31 +35,33 @@ class ModifiedDistance:
 
     The complement is the unmasked grid points together with the box
     exterior, so points near a wall or near a hole are metrically close
-    to each other regardless of their straight-line separation.
+    to each other regardless of their straight-line separation.  Without
+    holes any point of the open box is valid; with them, a grid point of
+    the mask.
     """
 
     def __init__(self, grid, mask=None):
         self.grid = grid
-        if mask is None:
-            mask = np.arange(grid.npoints, dtype=np.int64)
-        self.mask = np.unique(np.asarray(mask, dtype=np.int64))
-        comp = np.setdiff1d(np.arange(grid.npoints, dtype=np.int64), self.mask)
-        self._holes = grid_points(grid)[comp] if comp.size else None
+        self._holes = None
+        if mask is not None:
+            comp = np.setdiff1d(np.arange(grid.npoints, dtype=np.int64), mask)
+            if comp.size:
+                self._holes = grid_points(grid)[comp]
 
     def _require_inside(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.grid.d,):
             raise DomainError(f"point has shape {x.shape}, expected ({self.grid.d},)")
-        multi = np.round(x / self.grid.h).astype(np.int64) - 1
-        snapped = (multi + 1) * self.grid.h
-        if np.any(np.abs(x - snapped) > _GRID_SNAP):
-            raise DomainError(f"{tuple(x.tolist())} is not a grid point")
-        shape = np.asarray(self.grid.shape)
-        if np.any(multi < 0) or np.any(multi >= shape):
+        if np.any(x <= 0.0) or np.any(x >= np.asarray(self.grid.box)):
             raise DomainError(f"{tuple(x.tolist())} lies outside the box interior")
-        flat = int(np.ravel_multi_index(multi, self.grid.shape))
-        pos = np.searchsorted(self.mask, flat)
-        if pos >= self.mask.size or self.mask[pos] != flat:
+        if self._holes is None:
+            return x
+        multi = np.round(x / self.grid.h).astype(np.int64) - 1
+        if (np.any(np.abs(x - (multi + 1) * self.grid.h) > _GRID_SNAP)
+                or np.any(multi < 0) or np.any(multi >= self.grid.shape)):
+            raise DomainError(f"{tuple(x.tolist())} is not a grid point")
+        # grid points other than x itself are at least h away
+        if np.min(np.linalg.norm(self._holes - x, axis=1)) < 0.5 * self.grid.h:
             raise DomainError(f"{tuple(x.tolist())} is outside the domain mask")
         return x
 
@@ -312,13 +314,52 @@ def fit_exponential_decay(points, stderrs=None):
 
 
 # ---------------------------------------------------------------------------
-# consistency check
+# distance ladder and consistency check
 # ---------------------------------------------------------------------------
 
-def ladder_centers(x0, ladder, axis):
-    """The rung centers x0 + dist e_axis, in ladder order."""
-    return [tuple(x + dist if i == axis else x for i, x in enumerate(x0))
-            for dist in ladder]
+def _ball(grid, center, radius, what, mask=None):
+    """The open ball of the given radius, refused unless it fits the open box."""
+    if not all(x - radius > 0.0 and x + radius < b
+               for x, b in zip(center, grid.box)):
+        raise DomainError(
+            f"{what}: ball of radius {radius} at {tuple(center)} does not fit "
+            f"inside the box {grid.box}")
+    return indicator_set(grid, center, radius, mask=mask)
+
+
+def distance_ladder(config, x0, ladder, axis, radius):
+    """(X, rung balls, modified distances) along x0 + dist * e_axis.
+
+    x0 defaults to 0.25 * box.  Every ball must fit inside the open box
+    and is restricted to the model's domain, whose modified distance
+    (config.domain, or the whole box when None) gives each abscissa.
+    """
+    grid, domain = config.grid, config.domain
+    x0 = tuple(0.25 * b for b in grid.box) if x0 is None else tuple(x0)
+    if len(ladder) < 3 or not all(b > a for a, b in zip(ladder, ladder[1:])):
+        raise DomainError("ladder must be at least three increasing distances")
+    centers = [tuple(x + t if i == axis else x for i, x in enumerate(x0))
+               for t in ladder]
+    X = _ball(grid, x0, radius, "x0", domain)
+    rungs = [_ball(grid, y, radius, f"ladder point {t}", domain)
+             for t, y in zip(ladder, centers)]
+    metric = ModifiedDistance(grid, domain)
+    return X, rungs, [metric.distance(x0, y) for y in centers]
+
+
+def measure_decay(config, s_values, shifts, x0, ladder, axis, radius, N,
+                  master_seed, workers=None):
+    """(DecayFit, rung estimates) per [s][shift] along a distance_ladder.
+
+    One ladder_moments sweep; each ladder's means are fitted against the
+    modified distances, weighted by their standard errors.
+    """
+    X, rungs, dists = distance_ladder(config, x0, ladder, axis, radius)
+    table = ladder_moments(config, s_values, shifts, X, rungs, N, master_seed,
+                           workers=workers)
+    return [[(fit_exponential_decay([(d, e.mean) for d, e in zip(dists, ests)],
+                                    stderrs=[e.stderr for e in ests]), ests)
+             for ests in row] for row in table]
 
 
 @dataclass(frozen=True)
@@ -354,9 +395,8 @@ def verify_criterion_consistency(config, report, ladder, eps, N, master_seed,
                                  x0=None, axis=0, workers=None):
     """Measure moment decay along a distance ladder in the full box.
 
-    Requires a triggered criterion (factor < 1).  Moments are estimated
-    at x0 against points x0 + dist * e_axis, the abscissa is the
-    modified distance of the full-box domain, and the verdict is
+    Requires a triggered criterion (factor < 1).  The decay is measured
+    by measure_decay with balls of the bump radius, and the verdict is
     qualitative: fitted mu > 0 with r2 of at least _CONSISTENCY_R2.  The
     ratio against the predicted rate gamma/(2L) is recorded, not
     asserted; the constants feeding gamma are conventions.
@@ -367,25 +407,13 @@ def verify_criterion_consistency(config, report, ladder, eps, N, master_seed,
         raise DomainError(
             f"criterion factor {report.factor:.3g} is not < 1; "
             "nothing to verify")
-    grid = config.grid
-    r = config.profile.r
-    ladder = [float(t) for t in ladder]
-    if len(ladder) < 3 or not all(b > a for a, b in zip(ladder, ladder[1:])):
-        raise DomainError("ladder must be at least three increasing distances")
-    if x0 is None:
-        x0 = tuple(np.round(np.asarray(grid.box) / 4.0).tolist())
-    targets = ladder_centers(x0, ladder, axis)
-    Ys = [indicator_set(grid, y, r) for y in targets]
-    [[ests]] = ladder_moments(config, [report.s],
-                              [SpectralShift(E=report.E, eps=eps)],
-                              indicator_set(grid, x0, r), Ys, N, master_seed,
-                              workers=workers)
-    means = [e.mean for e in ests]
-    stderrs = [e.stderr for e in ests]
-    metric = ModifiedDistance(grid)
-    dists = [metric.distance(x0, y) for y in targets]
-    fit = fit_exponential_decay(list(zip(dists, means)), stderrs=stderrs)
-    ratio = fit.mu / report.predicted_rate
-    return ConsistencyReport(criterion=report, fit=fit, rate_ratio=float(ratio),
-                             r2_threshold=_CONSISTENCY_R2, distances=tuple(dists),
-                             means=tuple(means), stderrs=tuple(stderrs))
+    [[(fit, ests)]] = measure_decay(
+        config, [report.s], [SpectralShift(E=report.E, eps=eps)], x0, ladder,
+        axis, config.profile.r, N, master_seed, workers=workers)
+    return ConsistencyReport(
+        criterion=report, fit=fit,
+        rate_ratio=float(fit.mu / report.predicted_rate),
+        r2_threshold=_CONSISTENCY_R2,
+        distances=tuple(d for d, _ in fit.points),
+        means=tuple(e.mean for e in ests),
+        stderrs=tuple(e.stderr for e in ests))

@@ -261,6 +261,8 @@ def eigenfunction_decay_rate(psi, center, grid, mask=None, shell_width=1.0):
             f"shell_width must be positive and finite, got {shell_width}")
     psi = np.asarray(psi)
     center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.shape != (grid.d,):
+        raise DomainError(f"center has shape {center.shape}, expected ({grid.d},)")
     pts = _domain_points(psi, grid, mask)
     dist = np.linalg.norm(pts - center, axis=1)
     rmax = dist.max() * (1.0 - _EXCLUDE_OUTER)

@@ -343,10 +343,7 @@ def holder_modulus(factory, s, z1, z2, X, Y, N, master_seed, workers=None):
         raise DomainError("z1 and z2 must be SpectralShift instances")
     if z1.z == z2.z:
         raise DomainError("z1 = z2 leaves the modulus undefined")
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"s must be in (0,1), got {s}")
-    if N < 2:
-        raise DomainError("need N >= 2 for a standard error")
+    _check_estimates([s], N)
     norms = scan_norms(factory, [z1, z2], X, Y, N, master_seed, workers)
     m1, m2 = (norms ** s).mean(axis=0)
     return float(abs(m1 - m2) / abs(z1.z - z2.z) ** s)

@@ -15,8 +15,10 @@ from fracmom import cli, moments, validation
 from fracmom.config import load_config, parse_config
 from fracmom.criterion import (
     criterion_factor,
+    distance_ladder,
     estimate_raw_boundary_moment,
     fit_exponential_decay,
+    verify_criterion_consistency,
 )
 from fracmom.errors import ConfigError, NumericalError
 from fracmom.model import ground_energy
@@ -315,7 +317,9 @@ def test_cli_moments_match_standalone_estimates_bytewise(tmp_path):
                      "--out", str(tmp_path / "decay")]) == 0
     records = read_records(tmp_path / "decay" / "records.jsonl")
     assert len(records) == 4
-    X, targets = cli._ladder_sets(cfg)
+    X, targets, dists = distance_ladder(cfg.model, cfg.x0, cfg.ladder,
+                                        cfg.axis, cfg.radius)
+    assert dists == list(cfg.ladder)  # deep rungs: modified = nominal
     for rec in records:
         p = rec.payload
         shift = SpectralShift(E=p["E"], eps=p["eps"])
@@ -324,13 +328,13 @@ def test_cli_moments_match_standalone_estimates_bytewise(tmp_path):
         ests = estimates_from_norms(norms, p["s"], [shift] * len(targets),
                                     seed=cfg.master_seed)
         fit = fit_exponential_decay(
-            [(d, e.mean) for d, e in zip(cfg.ladder, ests)],
+            [(d, e.mean) for d, e in zip(dists, ests)],
             stderrs=[e.stderr for e in ests])
         assert dumps(p) == dumps({
             "quantity": "moment-decay", "s": p["s"], "E": p["E"],
             "eps": p["eps"], "A": fit.A, "mu": fit.mu, "r2": fit.r2,
             "points": [{"dist": d, "mean": e.mean, "stderr": e.stderr}
-                       for d, e in zip(cfg.ladder, ests)]})
+                       for d, e in zip(dists, ests)]})
 
     doc = criterion_doc(tmp_path / "results")
     doc["run"].update(E=[1.0, 2.0], L=[26.0, 27.0])
@@ -458,6 +462,40 @@ def test_ladder_ball_must_fit(tmp_path, capsys):
     assert cli.main(["decay", "--config",
                      str(write_config(tmp_path, doc))]) == 2
     assert "does not fit" in capsys.readouterr().err
+
+
+def test_decay_abscissa_is_the_modified_distance(tmp_path):
+    # x0 = 6 in a 24 box: the rung at 6 + 15 = 21 is 3 from the wall, so
+    # its wall detour 6 + 3 = 9 beats the nominal 15
+    doc = tiny_doc(tmp_path / "results")
+    doc["run"].update(s=[0.3], ladder=[2.0, 4.0, 6.0, 15.0])
+    path = write_config(tmp_path, doc)
+    assert cli.main(["decay", "--config", str(path)]) == 0
+    [rec] = read_records(tmp_path / "results" / "records.jsonl")
+    p = rec.payload
+    assert [pt["dist"] for pt in p["points"]] == [2.0, 4.0, 6.0, 9.0]
+
+    cfg = load_config(path)
+    report = criterion_factor(0.3, cfg.lam, 1.0, 0.0, 26.0, 1,
+                              raw_moment=1e-30)
+    check = verify_criterion_consistency(
+        cfg.model, report, cfg.ladder, eps=cfg.eps_schedule[-1], N=cfg.N,
+        master_seed=cfg.master_seed, x0=cfg.x0)
+    assert (p["A"], p["mu"], p["r2"]) == (check.fit.A, check.fit.mu,
+                                          check.fit.r2)
+    assert [(pt["dist"], pt["mean"], pt["stderr"]) for pt in p["points"]] == \
+        list(zip(check.distances, check.means, check.stderrs))
+
+
+def test_decay_runs_from_an_off_grid_x0(tmp_path):
+    # a hole-free box takes any point of the open box as x0, on or off grid
+    doc = tiny_doc(tmp_path / "results")
+    doc["run"]["x0"] = [6.3]
+    assert cli.main(["decay", "--config",
+                     str(write_config(tmp_path, doc))]) == 0
+    [rec] = read_records(tmp_path / "results" / "records.jsonl")
+    dists = [pt["dist"] for pt in rec.payload["points"]]
+    assert dists == pytest.approx(doc["run"]["ladder"], abs=1e-12)
 
 
 @pytest.mark.parametrize("sub", ["decay", "correlator"])

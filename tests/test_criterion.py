@@ -9,8 +9,10 @@ from fracmom.criterion import (
     DecayFit,
     ModifiedDistance,
     criterion_factor,
+    distance_ladder,
     estimate_raw_boundary_moment,
     fit_exponential_decay,
+    measure_decay,
     moment_bound,
     verify_criterion_consistency,
 )
@@ -25,7 +27,7 @@ from fracmom.model import (
     ground_energy,
 )
 from fracmom.moments import EpsilonSchedule, epsilon_scan
-from fracmom.resolvent import boundary_layer_indices, indicator_set
+from fracmom.resolvent import SpectralShift, boundary_layer_indices, indicator_set
 
 
 def chain_config(box, lam, h=0.5, u0=1.0):
@@ -73,6 +75,17 @@ def test_modified_distance_domain_errors():
         m.distance((5.0,), (2.0,))  # masked out
     with pytest.raises(DomainError, match=r"^\(11\.0,\) lies outside the box"):
         m.distance((11.0,), (2.0,))  # outside the box
+
+
+def test_modified_distance_without_holes_takes_any_point_of_the_open_box():
+    g = GridSpec(d=1, box=(10.0,), h=1.0)
+    for m in (ModifiedDistance(g), ModifiedDistance(g, np.arange(g.npoints))):
+        assert m.distance((2.5,), (6.0,)) == 3.5  # off the grid
+        assert m.distance((0.5,), (9.5,)) == 1.0  # between a wall and q = 1
+        with pytest.raises(DomainError, match="outside the box interior"):
+            m.distance((10.0,), (2.0,))
+        with pytest.raises(DomainError, match=r"shape \(2,\)"):
+            m.distance((2.0, 2.0), (3.0,))
 
 
 @settings(max_examples=25, deadline=None)
@@ -364,6 +377,42 @@ def test_consistency_positive_path_strong_disorder():
     p = out.payload()
     assert p["consistent"] == out.consistent
     assert len(p["means"]) == 3 and len(p["stderrs"]) == 3
+
+
+def test_distance_ladder_abscissae_see_a_hole():
+    # q = 12 removed from a 39-point chain; balls of radius 1.5 around
+    # x0 = 3 and the rungs 7, 9, 11, 13
+    cfg = chain_config(40.0, lam=50.0, h=1.0, u0=8.0)
+    holed = cfg.on_domain(np.setdiff1d(np.arange(cfg.grid.npoints), [11]))
+    ladder = (4.0, 6.0, 8.0, 10.0)
+    X, rungs, dists = distance_ladder(cfg, (3.0,), ladder, 0, 1.5)
+    assert dists == [4.0, 6.0, 8.0, 10.0]
+    X, rungs, dists = distance_ladder(holed, (3.0,), ladder, 0, 1.5)
+    # 11 and 13 sit next to the hole: 3 (wall) + 1 (hole) beats 8 and 10
+    assert dists == [4.0, 6.0, 4.0, 4.0]
+    assert [Y.indices.tolist() for Y in rungs] == [[5, 6, 7], [7, 8, 9],
+                                                   [9, 10], [12, 13]]
+    assert X.indices.tolist() == [1, 2, 3]
+    with pytest.raises(DomainError, match="is not a grid point"):
+        distance_ladder(holed, (3.5,), ladder, 0, 1.5)
+    # the hole cuts the chain, so only rungs on x0's side have a moment
+    [[(fit, ests)]] = measure_decay(holed, [0.3], [SpectralShift(8.0, 1e-3)],
+                                    (3.0,), ladder[:3], 0, 1.5, N=4,
+                                    master_seed=1)
+    assert [d for d, _ in fit.points] == dists[:3]
+    assert [m for _, m in fit.points] == [e.mean for e in ests]
+
+
+def test_distance_ladder_defaults_x0_and_refuses_a_ball_outside_the_box():
+    cfg = chain_config(32.0, lam=50.0, u0=8.0)
+    X, rungs, dists = distance_ladder(cfg, None, (2.0, 3.0, 4.0), 0, 1.0)
+    assert X.center == (8.0,) and [Y.center for Y in rungs] == [
+        (10.0,), (11.0,), (12.0,)]
+    rep = criterion_factor(0.2, 50.0, 8.0, 0.0, 26.0, 1, raw_moment=1e-12)
+    # x0 = 8 + 23 = 31: the ball of radius r = 1 reaches the wall at 32
+    with pytest.raises(DomainError, match="does not fit inside the box"):
+        verify_criterion_consistency(cfg, rep, (2.0, 3.0, 23.0), eps=1e-3,
+                                     N=4, master_seed=0)
 
 
 def test_consistency_ladder_validation():

@@ -401,6 +401,18 @@ def test_decay_rate_refuses_a_shell_width_that_never_reaches_the_edge(width):
         eigenfunction_decay_rate(psi, (10.0,), g, shell_width=width)
 
 
+@pytest.mark.parametrize("center", [(10.0,), (3.0,), (10.0, 10.0, 10.0)])
+def test_decay_rate_refuses_a_center_of_the_wrong_dimension(center):
+    # a 1-coordinate center used to broadcast over both axes and return
+    # nu = 0.5 for (10.0,) as if it were (10, 10)
+    g = GridSpec(d=2, box=(40.0, 40.0), h=1.0)  # 39 x 39
+    psi = np.exp(-0.5 * np.linalg.norm(grid_points(g) - 10.0, axis=1))
+    assert eigenfunction_decay_rate(psi, (10.0, 10.0), g).nu == \
+        pytest.approx(0.5, rel=0.02)
+    with pytest.raises(DomainError, match=r"center has shape .*expected \(2,\)"):
+        eigenfunction_decay_rate(psi, center, g)
+
+
 def test_decay_rate_on_masked_domain():
     g = GridSpec(d=1, box=(40.0,), h=0.5)
     mask = np.arange(10, 60)
