@@ -1,9 +1,12 @@
 """Command line front end: load a config, run a pipeline, persist records.
 
 Numerics are delegated entirely to the library modules; this file only
-sequences them and writes results.  Exit codes: 0 success, 2 for any
-configuration problem, 3 for a numerical failure (records produced
-before the failure are already flushed).
+sequences them and writes results.  Each rule on the inputs has one
+owner: config refuses at parse time, and each library call refuses
+before its first draw, so the runners check only the run keys their
+subcommand needs.  Exit codes: 0 success, 2 for any configuration
+problem, 3 for a numerical failure (records produced before the failure
+are already flushed).
 """
 
 import argparse
@@ -38,26 +41,10 @@ logger = logging.getLogger(__name__)
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _moment_sets(cfg: ExperimentConfig):
-    x0 = cfg.x0 or tuple(0.25 * b for b in cfg.grid.box)
-    y0 = cfg.y0 or tuple(0.75 * b for b in cfg.grid.box)
-    return (crit._ball(cfg.grid, x0, cfg.radius, "run.x0"),
-            crit._ball(cfg.grid, y0, cfg.radius, "run.y0"))
-
-
 def _ladder(cfg: ExperimentConfig):
     if cfg.ladder is None:
         raise ConfigError("run.ladder is required for this subcommand")
     return cfg.x0, cfg.ladder, cfg.axis, cfg.radius
-
-
-def _check_counting_cap(cfg: ExperimentConfig, what):
-    # only a 1d operator is tridiagonal, counted by Sturm pivots at any size
-    if cfg.grid.d > 1 and cfg.grid.npoints > loc.INERTIA_DENSE_CAP:
-        raise ConfigError(
-            f"{what} counts eigenvalues densely on a {cfg.grid.d}d grid and "
-            f"needs <= {loc.INERTIA_DENSE_CAP} grid points, got "
-            f"{cfg.grid.npoints}")
 
 
 class _Sink:
@@ -85,7 +72,7 @@ class _Sink:
 # ---------------------------------------------------------------------------
 
 def run_moment(cfg: ExperimentConfig, sink: _Sink, workers):
-    X, Y = _moment_sets(cfg)
+    X, Y = crit.moment_sets(cfg.grid, cfg.x0, cfg.y0, cfg.radius)
     shifts = [SpectralShift(E=E, eps=eps)
               for E in cfg.E_values for eps in cfg.eps_schedule]
     table = moments.estimate_fractional_moment(
@@ -100,9 +87,7 @@ def run_moment(cfg: ExperimentConfig, sink: _Sink, workers):
 
 
 def run_epsilon_scan(cfg: ExperimentConfig, sink: _Sink, workers):
-    if len(cfg.eps_schedule) < 2:
-        raise ConfigError("run.eps: a scan needs at least two values")
-    X, Y = _moment_sets(cfg)
+    X, Y = crit.moment_sets(cfg.grid, cfg.x0, cfg.y0, cfg.radius)
     table = moments.epsilon_scan(
         cfg.model, cfg.s_values, cfg.E_values,
         moments.EpsilonSchedule(cfg.eps_schedule), X, Y, cfg.N,
@@ -126,15 +111,12 @@ def run_criterion(cfg: ExperimentConfig, sink: _Sink, workers):
                 cfg.master_seed, alphas=cfg.alphas, depth=cfg.depth,
                 workers=workers)
             for L in cfg.L_values]
-    # a custom boundary depth opts out of the default L > 24r regime gate;
-    # the config cross-checks already required L > depth + r in that case
-    gate_r = cfg.r if cfg.depth is None else None
     for k, s in enumerate(cfg.s_values):
         for j, E in enumerate(cfg.E_values):
             for L, raw in zip(cfg.L_values, raws):
                 report = crit.criterion_factor(
                     s, cfg.lam, E, E0, L, cfg.grid.d, raw[k, j],
-                    M_const=cfg.M_const, r=gate_r)
+                    M_const=cfg.M_const)
                 sink.add("criterion", report.payload())
                 print(f"criterion s={s} E={E} L={L}: factor={report.factor:.6g}"
                       f" triggered={report.triggered}")
@@ -149,9 +131,6 @@ def _add_fit(sink: _Sink, fit, stderrs, **fields):
 
 
 def run_decay(cfg: ExperimentConfig, sink: _Sink, workers):
-    bad_s = [s for s in cfg.s_values if not s < 1.0]
-    if bad_s:
-        raise ConfigError(f"run.s: decay needs s < 1, got {bad_s}")
     eps = cfg.eps_schedule[-1]
     shifts = [SpectralShift(E=E, eps=eps) for E in cfg.E_values]
     table = crit.measure_decay(cfg.model, cfg.s_values, shifts, *_ladder(cfg),
@@ -173,8 +152,8 @@ def run_correlator(cfg: ExperimentConfig, sink: _Sink, workers):
     if cfg.window is None:
         raise ConfigError("run.window is required for correlator runs")
     window = loc.EigenWindow(a=cfg.window[0], b=cfg.window[1])
-    _check_counting_cap(cfg, "correlator")
     X, targets, dists = crit.distance_ladder(cfg.model, *_ladder(cfg))
+    loc.check_countable(cfg.model.h0())
     values = np.array(moments.map_samples(
         cfg.model, partial(_correlator_row, window, X, targets), cfg.N,
         cfg.master_seed, workers))
@@ -193,7 +172,6 @@ def run_correlator(cfg: ExperimentConfig, sink: _Sink, workers):
 
 
 def run_ids(cfg: ExperimentConfig, sink: _Sink, workers):
-    _check_counting_cap(cfg, "ids")
     counts = loc.ids_counts(cfg.model, cfg.E_values, cfg.N, cfg.master_seed,
                             workers=workers)
     vol = cfg.grid.volume
@@ -209,7 +187,7 @@ def run_validate(cfg: ExperimentConfig, sink: _Sink, workers):
     # every realization shares H0's pattern, so its band storage is the
     # oracle's: refuse it before the first draw
     oracle_bandwidths(cfg.model.h0().entries)
-    X, Y = _moment_sets(cfg)
+    X, Y = crit.moment_sets(cfg.grid, cfg.x0, cfg.y0, cfg.radius)
     failures = 0
     for i in range(cfg.n_configs):
         seed = moments.sample_seed(cfg.master_seed, i)

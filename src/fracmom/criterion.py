@@ -67,7 +67,10 @@ class ModifiedDistance:
 
     def to_complement(self, x):
         """Distance from x to unmasked grid points and the box exterior."""
-        x = self._require_inside(x)
+        return self._to_complement(self._require_inside(x))
+
+    def _to_complement(self, x):
+        # x already passed _require_inside
         face = float(np.min(np.minimum(x, np.asarray(self.grid.box) - x)))
         if self._holes is None:
             return face
@@ -85,7 +88,7 @@ class ModifiedDistance:
         x = self._require_inside(x)
         y = self._require_inside(y)
         direct = float(np.linalg.norm(x - y))
-        return min(direct, self.to_complement(x) + self.to_complement(y))
+        return min(direct, self._to_complement(x) + self._to_complement(y))
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +330,43 @@ def _ball(grid, center, radius, what, mask=None):
     return indicator_set(grid, center, radius, mask=mask)
 
 
+def _point_or_default(grid, point, fraction):
+    # the point, or fraction * box when it is None
+    return tuple(fraction * b for b in grid.box) if point is None else point
+
+
+def moment_sets(grid, x0, y0, radius):
+    """Balls X at x0 (default 0.25 * box) and Y at y0 (0.75 * box)."""
+    return (_ball(grid, _point_or_default(grid, x0, 0.25), radius, "x0"),
+            _ball(grid, _point_or_default(grid, y0, 0.75), radius, "y0"))
+
+
+def _check_rungs_connected(config, X, rungs, ladder):
+    # a rung outside every component of H0's graph that X touches has an
+    # exact zero block norm in every realization, which no fit can take.
+    # Imported here: loading csgraph adds about 1.3 MiB to every run's
+    # peak RSS, and only a ladder on a domain needs it
+    from scipy.sparse.csgraph import connected_components
+    H = config.h0()
+    _, labels = connected_components(H.entries, directed=False)
+    reach = np.unique(labels[H.local_indices(X.indices)])
+    for t, Y in zip(ladder, rungs):
+        if not np.isin(labels[H.local_indices(Y.indices)], reach).any():
+            raise DomainError(
+                f"ladder point {t}: its ball has no point in the component "
+                f"of the domain that X lies in")
+
+
 def distance_ladder(config, x0, ladder, axis, radius):
     """(X, rung balls, modified distances) along x0 + dist * e_axis.
 
     x0 defaults to 0.25 * box.  Every ball must fit inside the open box
     and is restricted to the model's domain, whose modified distance
-    (config.domain, or the whole box when None) gives each abscissa.
+    (config.domain, or the whole box when None) gives each abscissa.  On
+    a domain, every rung ball must reach X's connected component.
     """
     grid, domain = config.grid, config.domain
-    x0 = tuple(0.25 * b for b in grid.box) if x0 is None else tuple(x0)
+    x0 = tuple(_point_or_default(grid, x0, 0.25))
     if len(ladder) < 3 or not all(b > a for a, b in zip(ladder, ladder[1:])):
         raise DomainError("ladder must be at least three increasing distances")
     centers = [tuple(x + t if i == axis else x for i, x in enumerate(x0))
@@ -343,6 +374,8 @@ def distance_ladder(config, x0, ladder, axis, radius):
     X = _ball(grid, x0, radius, "x0", domain)
     rungs = [_ball(grid, y, radius, f"ladder point {t}", domain)
              for t, y in zip(ladder, centers)]
+    if domain is not None:
+        _check_rungs_connected(config, X, rungs, ladder)
     metric = ModifiedDistance(grid, domain)
     return X, rungs, [metric.distance(x0, y) for y in centers]
 

@@ -52,31 +52,34 @@ class EigenWindow:
         return (self.a < values) & (values < self.b)
 
 
-def _tridiagonal_bands(H):
-    # (diagonal, superdiagonal) when H's stored pattern reaches no further
-    # than the first off-diagonal (every 1d model), None otherwise.  The
-    # one structure predicate: pivot counts and window eigensolves both
-    # dispatch on it
-    if max(_bandwidths(H.entries)) > 1:
-        return None
-    return H.entries.diagonal(0).real, H.entries.diagonal(1)
+def check_countable(H):
+    """(diagonal, superdiagonal) of a tridiagonal H, None for a dense one.
+
+    The one structure rule: an operator whose stored pattern reaches no
+    further than the first off-diagonal (every 1d model) is counted by
+    the Sturm pivot recurrence and eigensolved on its bands at any size;
+    any other is made dense, and refused above INERTIA_DENSE_CAP points.
+    Every realization shares H0's stored pattern and size, so H0 decides
+    for all of them before any draw.
+    """
+    if max(_bandwidths(H.entries)) <= 1:
+        return H.entries.diagonal(0).real, H.entries.diagonal(1)
+    if H.n > INERTIA_DENSE_CAP:
+        raise DomainError(
+            f"no spectrum-counting path for non-tridiagonal operators with "
+            f"{H.n} > {INERTIA_DENSE_CAP} points")
+    return None
 
 
 def spectrum_count_below(H, E):
     """#{eigenvalues of H < E} without an eigendecomposition.
 
-    Every operator whose stored pattern is tridiagonal (every 1d model)
-    uses the Sturm pivot recurrence at any size; anything else goes
-    through a dense Bunch-Kaufman inertia up to INERTIA_DENSE_CAP points.
+    Sturm pivots or a dense inertia, as check_countable admits H.
     """
-    bands = _tridiagonal_bands(H)
+    bands = check_countable(H)
     if bands is not None:
         d, u = bands
         return _sturm_count(d, np.abs(u) ** 2, E)
-    if H.n > INERTIA_DENSE_CAP:
-        raise NumericalError(
-            f"no spectrum-counting path for non-tridiagonal operators with "
-            f"{H.n} > {INERTIA_DENSE_CAP} points")
     A = H.dense() - E * np.eye(H.n)
     _, D, _ = scipy.linalg.ldl(A, hermitian=True)
     return _inertia_negative(D)
@@ -153,7 +156,7 @@ def eigensolve_window(H, window):
     if not isinstance(window, EigenWindow):
         raise DomainError("expected an EigenWindow")
     expected = count_in_window(H, window)
-    bands = _tridiagonal_bands(H)
+    bands = check_countable(H)
     try:
         if bands is None:
             vals, vecs = scipy.linalg.eigh(
@@ -303,6 +306,8 @@ def ids_counts(config, energies, N, master_seed, workers=None):
     have probability zero under continuous coupling densities, so they
     stand in for the closed count #{eigenvalues <= E}.  The IDS per unit
     continuum volume is counts.mean(axis=0) / config.grid.volume.
+    H0 is checked against the counting cap before the first draw.
     """
+    check_countable(config.h0())
     return np.array(map_samples(config, partial(_counts_below, energies),
                                 N, master_seed, workers), dtype=np.int64)

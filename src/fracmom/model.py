@@ -584,6 +584,8 @@ def assemble_h0(grid: GridSpec, bg: BackgroundFields) -> DiscreteHamiltonian:
     off = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
     diag = scipy.sparse.diags(2 * grid.d / h ** 2 + v0)
     H = (off + diag).tocsr()
+    if not np.isfinite(H.data).all():
+        raise ConstructionError(f"H0's entries overflow at h = {h}")
     return DiscreteHamiltonian(grid=grid, entries=H, mask=np.arange(n, dtype=np.int64))
 
 
@@ -604,7 +606,11 @@ def assemble_hamiltonian(h0: DiscreteHamiltonian, potential, lam) -> DiscreteHam
         return h0
     ent = h0.entries
     data = ent.data.astype(np.result_type(ent.dtype, potential.dtype))
-    data[h0.diagonal] += lam * potential[h0.mask]
+    diag = data[h0.diagonal] + lam * potential[h0.mask]
+    if not np.isfinite(diag).all():
+        raise ConstructionError(
+            f"the diagonal of H0 + lam * V is not finite at lam = {lam}")
+    data[h0.diagonal] = diag
     ent = scipy.sparse.csr_matrix((data, ent.indices, ent.indptr), shape=ent.shape)
     return DiscreteHamiltonian(grid=h0.grid, entries=ent, mask=h0.mask,
                                diagonal=h0.diagonal)

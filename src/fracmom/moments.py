@@ -36,7 +36,7 @@ def _center_of(sel):
 def _check_exponent(s, diagnostic):
     if not (0.0 < s < 1.0 or (s == 1.0 and diagnostic)):
         raise DomainError(
-            f"s must be in (0,1); s=1.0 needs diagnostic=True (got {s})")
+            f"s must be in (0, {'1]' if diagnostic else '1)'}, got {s}")
 
 
 # ---------------------------------------------------------------------------

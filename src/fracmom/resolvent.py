@@ -21,9 +21,10 @@ from .model import DiscreteHamiltonian, grid_points
 
 # the solve contract: one sparse LU of H - conj z, every solve verified to
 # this relative residual per column, and operators up to a per-dimension
-# point cap.  Both caps give LU factors of about 5.5M entries; a 1d
-# operator is tridiagonal, its LU O(n), so it has none.
-SOLVE_POINT_CAP = {2: 50_000, 3: 10_000}
+# point cap.  The 2d and 3d caps give LU factors of about 5.5M entries; a
+# 1d operator is tridiagonal, its LU O(n), and its cap bounds the grid and
+# bump matrix that parsing a document allocates.
+SOLVE_POINT_CAP = {1: 2 ** 18, 2: 50_000, 3: 10_000}
 SOLVE_TOL = 1e-10
 _TINY = np.finfo(float).tiny
 

@@ -18,6 +18,7 @@ from fracmom.criterion import (
     distance_ladder,
     estimate_raw_boundary_moment,
     fit_exponential_decay,
+    moment_sets,
     verify_criterion_consistency,
 )
 from fracmom.errors import ConfigError, NumericalError
@@ -288,7 +289,7 @@ def test_cli_moments_match_standalone_estimates_bytewise(tmp_path):
     doc["run"].update(s=[0.3, 0.5], E=[1.0, 2.0], eps=[0.1, 0.01], N=25)
     path = write_config(tmp_path, doc)
     cfg = load_config(path)
-    X, Y = cli._moment_sets(cfg)
+    X, Y = moment_sets(cfg.grid, cfg.x0, cfg.y0, cfg.radius)
 
     assert cli.main(["moment", "--config", str(path),
                      "--out", str(tmp_path / "moment")]) == 0
@@ -440,15 +441,6 @@ def test_ground_energy_nonconvergence_exits_3(tmp_path, monkeypatch, capsys):
     assert "ground energy iteration failed" in capsys.readouterr().err
 
 
-def test_epsilon_scan_requires_two_eps(tmp_path, capsys):
-    doc = tiny_doc(tmp_path / "results")
-    doc["run"]["eps"] = [0.1]
-    code = cli.main(["epsilon-scan", "--config",
-                     str(write_config(tmp_path, doc))])
-    assert code == 2
-    assert "at least two" in capsys.readouterr().err
-
-
 def test_decay_requires_a_ladder(tmp_path):
     doc = tiny_doc(tmp_path / "results")
     del doc["run"]["ladder"]
@@ -508,32 +500,55 @@ def test_two_rung_ladder_exits_2_before_sampling(tmp_path, draws, capsys, sub):
     assert not (tmp_path / "results" / "records.jsonl").exists()
 
 
-def test_decay_refuses_s_one_before_sampling(tmp_path, draws, capsys):
-    doc = tiny_doc(tmp_path / "results")
-    doc["run"]["s"] = [0.3, 1.0]
-    assert cli.main(["decay", "--config",
-                     str(write_config(tmp_path, doc))]) == 2
-    assert "run.s" in capsys.readouterr().err
-    assert draws == []
-    assert not (tmp_path / "results" / "records.jsonl").exists()
+# 39 x 39 = 1521 points: not tridiagonal, and above the dense counting cap
+PLANE_1521 = {"d": 2, "box": [40.0, 40.0], "h": 1.0}
 
 
-@pytest.mark.parametrize("sub", ["ids", "correlator"])
-def test_counting_cap_exits_2_before_sampling(tmp_path, draws, capsys, sub):
-    # 39 x 39 = 1521 points: no tridiagonal count, and above the dense cap
+@pytest.mark.parametrize("sub, grid, run, message", [
+    ("ids", PLANE_1521, {}, "1521 > 1500 points"),
+    ("correlator", PLANE_1521, {"ladder": [2.0, 4.0, 6.0]},
+     "1521 > 1500 points"),
+    ("epsilon-scan", None, {"eps": [0.1]}, "at least two eps values"),
+    ("decay", None, {"s": [0.3, 1.0]}, "s must be in (0, 1), got 1.0"),
+], ids=["ids", "correlator", "epsilon-scan", "decay"])
+def test_library_refusal_exits_2_before_sampling(
+        tmp_path, draws, capsys, sub, grid, run, message):
+    # the runner repeats none of these rules: the library call refuses
     doc = tiny_doc(tmp_path / "results")
-    doc["model"]["grid"] = {"d": 2, "box": [40.0, 40.0], "h": 1.0}
-    doc["run"].update(x0=[10.0, 10.0], ladder=[2.0, 4.0, 6.0])
+    if grid is not None:
+        doc["model"]["grid"] = grid
+        doc["run"]["x0"] = [10.0, 10.0]
+    doc["run"].update(run)
     assert cli.main([sub, "--config", str(write_config(tmp_path, doc))]) == 2
-    assert "needs <= 1500 grid points, got 1521" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert draws == []
     assert not (tmp_path / "results" / "records.jsonl").exists()
+
+
+@pytest.mark.filterwarnings("ignore:eps scan at alpha")
+def test_criterion_with_a_custom_depth_runs_below_24_r(tmp_path):
+    # depth + r < L <= 24 r: the parse-time L > depth + r is the only gate
+    doc = tiny_doc(tmp_path / "results")
+    doc["run"].update(s=[0.3], L=[5.0])
+    doc["constants"] = {"depth": 3.0}
+    path = write_config(tmp_path, doc)
+    assert cli.main(["criterion", "--config", str(path)]) == 0
+    [rec] = read_records(tmp_path / "results" / "records.jsonl")
+    cfg = load_config(path)
+    raw = estimate_raw_boundary_moment(
+        cfg.model, cfg.s_values, cfg.E_values, 5.0,
+        EpsilonSchedule(cfg.eps_schedule), cfg.N, cfg.master_seed,
+        depth=3.0)[0, 0]
+    report = criterion_factor(0.3, cfg.lam, 1.0, ground_energy(cfg.model.h0()),
+                              5.0, 1, raw)
+    assert dumps(rec.payload) == dumps(report.payload())
 
 
 @pytest.mark.parametrize("box, points", [
+    ([262_146.0], 262_145),          # one point over the 1d cap
     ([22.0, 2382.0], 50_001),        # 21 x 2381: one point over the 2d cap
     ([5.0, 42.0, 62.0], 10_004),     # 4 x 41 x 61: no 3d box has 10,001-10,003
-], ids=["2d", "3d"])
+], ids=["1d", "2d", "3d"])
 def test_grid_over_its_solve_cap_exits_2_before_sampling(
         tmp_path, draws, capsys, box, points):
     doc = tiny_doc(tmp_path / "results")

@@ -387,20 +387,33 @@ def test_distance_ladder_abscissae_see_a_hole():
     ladder = (4.0, 6.0, 8.0, 10.0)
     X, rungs, dists = distance_ladder(cfg, (3.0,), ladder, 0, 1.5)
     assert dists == [4.0, 6.0, 8.0, 10.0]
-    X, rungs, dists = distance_ladder(holed, (3.0,), ladder, 0, 1.5)
-    # 11 and 13 sit next to the hole: 3 (wall) + 1 (hole) beats 8 and 10
-    assert dists == [4.0, 6.0, 4.0, 4.0]
+    X, rungs, dists = distance_ladder(holed, (3.0,), ladder[:3], 0, 1.5)
+    # 11 sits next to the hole: 3 (wall) + 1 (hole) beats 8
+    assert dists == [4.0, 6.0, 4.0]
     assert [Y.indices.tolist() for Y in rungs] == [[5, 6, 7], [7, 8, 9],
-                                                   [9, 10], [12, 13]]
+                                                   [9, 10]]
     assert X.indices.tolist() == [1, 2, 3]
+    # so does 13 on the far side, whose ball the hole cuts off from X
+    assert ModifiedDistance(cfg.grid, holed.domain).distance(
+        (3.0,), (13.0,)) == 4.0
     with pytest.raises(DomainError, match="is not a grid point"):
-        distance_ladder(holed, (3.5,), ladder, 0, 1.5)
-    # the hole cuts the chain, so only rungs on x0's side have a moment
+        distance_ladder(holed, (3.5,), ladder[:3], 0, 1.5)
     [[(fit, ests)]] = measure_decay(holed, [0.3], [SpectralShift(8.0, 1e-3)],
                                     (3.0,), ladder[:3], 0, 1.5, N=4,
                                     master_seed=1)
-    assert [d for d, _ in fit.points] == dists[:3]
+    assert [d for d, _ in fit.points] == dists
     assert [m for _, m in fit.points] == [e.mean for e in ests]
+
+
+def test_decay_refuses_a_rung_cut_off_by_a_hole_before_any_draw(draws):
+    # q = 12 removed from a 39-point chain: the rung at 13 lies past it,
+    # so its block norm is an exact zero in every realization
+    cfg = chain_config(40.0, lam=50.0, h=1.0, u0=8.0)
+    holed = cfg.on_domain(np.setdiff1d(np.arange(cfg.grid.npoints), [11]))
+    with pytest.raises(DomainError, match="ladder point 10.0: .* component"):
+        measure_decay(holed, [0.3], [SpectralShift(8.0, 1e-3)], (3.0,),
+                      (4.0, 6.0, 8.0, 10.0), 0, 1.5, N=4, master_seed=1)
+    assert draws == []
 
 
 def test_distance_ladder_defaults_x0_and_refuses_a_ball_outside_the_box():

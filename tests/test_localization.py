@@ -168,7 +168,7 @@ def test_counting_refuses_large_non_tridiagonal():
     g = GridSpec(d=2, box=(20.5, 20.5), h=0.5)
     H = assemble_h0(g, BackgroundFields())
     assert H.n > 1500
-    with pytest.raises(NumericalError):
+    with pytest.raises(DomainError):
         spectrum_count_below(H, 1.0)
 
 
@@ -248,7 +248,7 @@ def test_eigensolve_refuses_large_non_tridiagonal_before_densifying(
         raise AssertionError("operator made dense")
 
     monkeypatch.setattr(DiscreteHamiltonian, "dense", no_dense)
-    with pytest.raises(NumericalError, match="no spectrum-counting path"):
+    with pytest.raises(DomainError, match="no spectrum-counting path"):
         eigensolve_window(H, EigenWindow(1.0, 3.0))
 
 
@@ -478,6 +478,16 @@ def test_ids_counts_many_energies_match_one_at_a_time():
     for j, E in enumerate(energies):
         assert np.array_equal(counts[:, j],
                               ids_counts(cfg, [E], N=6, master_seed=9)[:, 0])
+
+
+def test_ids_refuses_a_large_plane_before_any_draw(draws):
+    g = GridSpec(d=2, box=(40.0, 40.0), h=1.0)  # 1521 points
+    cfg = ModelConfig(grid=g, background=BackgroundFields(),
+                      profile=SingleSiteProfile(r=1.0, u0=1.0),
+                      law=disorder_law(1.0, g))
+    with pytest.raises(DomainError, match="1521 > 1500 points"):
+        ids_counts(cfg, [1.0], N=2, master_seed=0)
+    assert draws == []
 
 
 def test_ids_worker_determinism():

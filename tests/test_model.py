@@ -138,6 +138,16 @@ def test_constant_vector_potential_is_gauge_trivial():
                        np.linalg.eigvalsh(H0.dense()), atol=1e-10)
 
 
+def test_operator_entries_that_overflow_are_refused():
+    # 1 / h^2 overflows at h = 1e-161
+    with pytest.raises(ConstructionError, match="entries overflow at h = 1e-161"):
+        assemble_h0(GridSpec(d=1, box=(1e-159,), h=1e-161), BackgroundFields())
+    g = GridSpec(d=1, box=(5.0,), h=1.0)
+    H0 = assemble_h0(g, BackgroundFields(V0=ConstantScalar(1e308)))
+    with pytest.raises(ConstructionError, match="not finite at lam = 2.0"):
+        assemble_hamiltonian(H0, np.full(g.npoints, 1e308), 2.0)
+
+
 def test_nonfinite_background_is_named():
     g = GridSpec(d=1, box=(5.0,), h=1.0)
     spike = lambda q: np.where(q[:, 0] == 3.0, np.inf, 0.0)
