@@ -54,7 +54,7 @@ for L in (26.0, 30.0, 40.0):
     raw, = estimate_raw_boundary_moment(cfg, [S], [E], L, schedule, N=200,
                                         master_seed=2024, alphas=[(L,)])[0]
     rep = criterion_factor(S, LAM, E, ground_energy(cfg.h0()), L, 1,
-                           raw, M_const=1.0, r=1.0)
+                           raw, M_const=1.0)
     reports.append(rep)
     print(f"{L:4.0f} {raw:22.6e} {rep.factor:18.6e} {str(rep.triggered):>10}")
 

@@ -151,7 +151,7 @@ def _correlator_row(window, X, targets, H):
 def run_correlator(cfg: ExperimentConfig, sink: _Sink, workers):
     if cfg.window is None:
         raise ConfigError("run.window is required for correlator runs")
-    window = loc.EigenWindow(a=cfg.window[0], b=cfg.window[1])
+    window = cfg.window
     X, targets, dists = crit.distance_ladder(cfg.model, *_ladder(cfg))
     loc.check_countable(cfg.model.h0())
     values = np.array(moments.map_samples(

@@ -9,14 +9,16 @@ document alone: no environment variable changes a number.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
 import jsonschema
 
-from .criterion import _ball_fits_box, default_center
+from .criterion import check_criterion_regime, check_ladder
 from .errors import ConfigError
+from .localization import EigenWindow
 from .model import (
     BackgroundFields,
     ConstantScalar,
@@ -61,7 +63,7 @@ class ExperimentConfig:
     y0: tuple | None
     radius: float
     axis: int
-    window: tuple | None
+    window: EigenWindow | None
     n_configs: int
     M_const: float
     depth: float | None
@@ -134,41 +136,16 @@ def _build_model(block):
                        law=law)
 
 
-def _check_point_in_box(name, point, grid):
-    point = tuple(float(x) for x in point)
-    if len(point) != grid.d:
-        raise ConfigError(f"{name} has {len(point)} coordinates, grid is {grid.d}d")
-    for x, b in zip(point, grid.box):
-        if not 0.0 < x < b:
-            raise ConfigError(f"{name} {point} is outside the open box {grid.box}")
-    return point
-
-
 def _cross_checks(cfg: "ExperimentConfig"):
+    # a document's eps may hold the one value a moment run needs
     eps = cfg.eps_schedule
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ConfigError("run.eps must be strictly decreasing")
     if cfg.ladder is not None:
-        if any(b <= a for a, b in zip(cfg.ladder, cfg.ladder[1:])):
-            raise ConfigError("run.ladder must be strictly increasing")
-    if cfg.window is not None and not cfg.window[0] < cfg.window[1]:
-        raise ConfigError("run.window must satisfy lo < hi")
+        check_ladder(cfg.ladder)
     if cfg.L_values is not None:
-        # the criterion gates: subcritical s, thick enough balls, balls in box
-        bad_s = [s for s in cfg.s_values if not s < 1.0 / 3.0]
-        if bad_s:
-            raise ConfigError(
-                f"run.s: criterion runs need s < 1/3, got {bad_s}")
-        min_L = (cfg.depth + cfg.r) if cfg.depth is not None else 24.0 * cfg.r
-        for L in cfg.L_values:
-            if not L > min_L:
-                raise ConfigError(
-                    f"run.L: ball radius {L} too small; needs L > {min_L}")
-            for alpha in cfg.alphas or (default_center(cfg.grid),):
-                if not _ball_fits_box(cfg.grid, alpha, L):
-                    raise ConfigError(
-                        f"run.alphas: ball of radius {L} around {tuple(alpha)} "
-                        f"exceeds the box {cfg.grid.box}")
+        check_criterion_regime(cfg.grid, cfg.r, cfg.s_values, cfg.L_values,
+                               cfg.alphas, cfg.depth)
 
 
 def parse_config(data, env=None):
@@ -191,16 +168,12 @@ def parse_config(data, env=None):
         L = [L]
     constants = {**_DEFAULT_CONSTANTS, **data.get("constants", {})}
     alphas = run.get("alphas")
-    x0 = run.get("x0")
-    y0 = run.get("y0")
     grid = model.grid
     if alphas is not None:
-        alphas = tuple(_check_point_in_box(f"run.alphas[{i}]", a, grid)
+        alphas = tuple(grid.interior_point(a, f"run.alphas[{i}]")
                        for i, a in enumerate(alphas))
-    if x0 is not None:
-        x0 = _check_point_in_box("run.x0", x0, grid)
-    if y0 is not None:
-        y0 = _check_point_in_box("run.y0", y0, grid)
+    x0, y0 = (grid.interior_point(run[k], f"run.{k}") if k in run else None
+              for k in ("x0", "y0"))
     axis = int(run.get("axis", 0))
     if axis >= grid.d:
         raise ConfigError(f"run.axis {axis} out of range for a {grid.d}d grid")
@@ -221,7 +194,7 @@ def parse_config(data, env=None):
         y0=y0,
         radius=float(run.get("radius", model.profile.r)),
         axis=axis,
-        window=tuple(float(w) for w in run["window"])
+        window=EigenWindow(*(float(w) for w in run["window"]))
         if run.get("window") is not None else None,
         n_configs=int(run.get("n_configs", 50)),
         M_const=float(constants["M_const"]),
@@ -234,9 +207,17 @@ def parse_config(data, env=None):
 
 
 def load_config(path):
+    # Python's json reads NaN, Infinity and overflowing numbers such as
+    # 1e400, where the schema's bounds compare False or pass infinities
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"config {path}: the number {text} is not "
+                              "finite in double precision")
+        return value
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

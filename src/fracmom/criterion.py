@@ -20,6 +20,7 @@ from .resolvent import (
     SpectralShift,
     boundary_layer_indices,
     indicator_set,
+    layer_depth,
 )
 
 _GRID_SNAP = 1e-9
@@ -49,11 +50,7 @@ class ModifiedDistance:
                 self._holes = grid_points(grid)[comp]
 
     def _require_inside(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.grid.d,):
-            raise DomainError(f"point has shape {x.shape}, expected ({self.grid.d},)")
-        if np.any(x <= 0.0) or np.any(x >= np.asarray(self.grid.box)):
-            raise DomainError(f"{tuple(x.tolist())} lies outside the box interior")
+        x = np.asarray(self.grid.interior_point(x))
         if self._holes is None:
             return x
         multi = np.round(x / self.grid.h).astype(np.int64) - 1
@@ -111,6 +108,11 @@ def moment_bound(s, lam, E, E0, d, C_const=1.0):
             * (1.0 + 1.0 / lam) ** s * (1.0 + abs(E - E0)) ** p)
 
 
+def _check_criterion_exponent(s):
+    if not 0.0 < s < 1.0 / 3.0:
+        raise DomainError(f"the criterion needs s in (0, 1/3), got {s}")
+
+
 @dataclass(frozen=True)
 class CriterionReport:
     """Outcome of the finite-volume criterion at one (s, E, L).
@@ -133,8 +135,7 @@ class CriterionReport:
     predicted_rate: float | None
 
     def __post_init__(self):
-        if not 0.0 < self.s < 1.0 / 3.0:
-            raise DomainError(f"s must be in (0, 1/3), got {self.s}")
+        _check_criterion_exponent(self.s)
         if self.factor < 0.0:
             raise DomainError("factor must be nonnegative")
         if (self.factor < 1.0) != (self.gamma is not None):
@@ -153,14 +154,11 @@ class CriterionReport:
         }
 
 
-def criterion_factor(s, lam, E, E0, L, d, raw_moment, M_const=1.0, r=None):
+def criterion_factor(s, lam, E, E0, L, d, raw_moment, M_const=1.0):
     """Fold a raw boundary moment into the criterion factor e^{-gamma}.
 
     factor = M_const * (1+lam)^{5s(d+4)} / (1-3s) * (1+1/lam)^{2s}
              * (1+|E-E0|)^{5s(d+2)} * (1+L)^{2(d-1)} * raw_moment.
-
-    If the bump radius r is supplied, the regime gate L > 24 r is
-    enforced; without it the caller vouches for the regime.
 
     Hand checks:
       s=1/4, lam=1, E=3, E0=1, L=25, d=1, raw=1e-8, M_const=2 gives
@@ -168,14 +166,11 @@ def criterion_factor(s, lam, E, E0, L, d, raw_moment, M_const=1.0, r=None):
       s=1/5, lam=4, E=E0, L=30, d=2, raw=1 gives
       5^6 / (2/5) * 1.25^0.4 * 31^2 (not triggered).
     """
-    if not 0.0 < s < 1.0 / 3.0:
-        raise DomainError(f"exponent regime is s in (0, 1/3), got {s}")
+    _check_criterion_exponent(s)
     if not lam > 0.0:
         raise DomainError("lam must be positive")
     if raw_moment < 0.0:
         raise DomainError("raw_moment must be nonnegative")
-    if r is not None and not L > 24.0 * r:
-        raise DomainError(f"need L > 24 r, got L={L}, r={r}")
     prefactor = (M_const * (1.0 + lam) ** (5.0 * s * (d + 4)) / (1.0 - 3.0 * s)
                  * (1.0 + 1.0 / lam) ** (2.0 * s)
                  * (1.0 + abs(E - E0)) ** (5.0 * s * (d + 2))
@@ -203,10 +198,26 @@ def default_center(grid):
     return tuple(float(c) for c in np.round(np.asarray(grid.box) / 2.0))
 
 
-def _ball_fits_box(grid, alpha, L):
-    alpha = np.asarray(alpha, dtype=float)
-    return bool(np.all(alpha - L >= 0.0) and
-                np.all(alpha + L <= np.asarray(grid.box)))
+def check_criterion_regime(grid, r, s_values, Ls, alphas=None, depth=None):
+    """Refuse inputs outside the criterion's regime; return the centers.
+
+    The regime: every s in (0, 1/3), every L > depth + r (layer_depth),
+    and every ball of radius L around a center inside the closed box.
+    The centers default to [default_center(grid)].
+    """
+    for s in s_values:
+        _check_criterion_exponent(s)
+    alphas = ([default_center(grid)] if alphas is None
+              else [grid.interior_point(a, "alpha") for a in alphas])
+    for L in Ls:
+        layer_depth(L, r, depth)
+        for alpha in alphas:
+            if not all(a - L >= 0.0 and a + L <= b
+                       for a, b in zip(alpha, grid.box)):
+                raise DomainError(
+                    f"ball of radius {L} around {tuple(alpha)} exceeds the "
+                    f"box {grid.box}")
+    return alphas
 
 
 def estimate_raw_boundary_moment(config, s_values, energies, L, schedule, N,
@@ -222,17 +233,12 @@ def estimate_raw_boundary_moment(config, s_values, energies, L, schedule, N,
     covariance of the ensemble.
 
     Returns a (len(s_values), len(energies)) array.  Each center is one
-    epsilon_scan over every energy's schedule, and every center is
-    checked against the box before any draw.
+    epsilon_scan over every energy's schedule, and the whole regime is
+    checked (check_criterion_regime) before any draw.
     """
     grid = config.grid
     r = config.profile.r
-    if alphas is None:
-        alphas = [default_center(grid)]
-    for alpha in alphas:
-        if not _ball_fits_box(grid, alpha, L):
-            raise DomainError(
-                f"ball of radius {L} around {tuple(alpha)} exceeds the box {grid.box}")
+    alphas = check_criterion_regime(grid, r, s_values, [L], alphas, depth)
     best = np.full((len(s_values), len(energies)), -math.inf)
     for alpha in alphas:
         ball = indicator_set(grid, alpha, L).indices
@@ -330,6 +336,13 @@ def _ball(grid, center, radius, what, mask=None):
     return indicator_set(grid, center, radius, mask=mask)
 
 
+def check_ladder(ladder):
+    """Refuse a ladder unless it is three or more increasing distances."""
+    if len(ladder) < 3 or not all(b > a for a, b in zip(ladder, ladder[1:])):
+        raise DomainError(f"ladder must be at least three strictly "
+                          f"increasing distances, got {tuple(ladder)}")
+
+
 def _point_or_default(grid, point, fraction):
     # the point, or fraction * box when it is None
     return tuple(fraction * b for b in grid.box) if point is None else point
@@ -367,8 +380,7 @@ def distance_ladder(config, x0, ladder, axis, radius):
     """
     grid, domain = config.grid, config.domain
     x0 = tuple(_point_or_default(grid, x0, 0.25))
-    if len(ladder) < 3 or not all(b > a for a, b in zip(ladder, ladder[1:])):
-        raise DomainError("ladder must be at least three increasing distances")
+    check_ladder(ladder)
     centers = [tuple(x + t if i == axis else x for i, x in enumerate(x0))
                for t in ladder]
     X = _ball(grid, x0, radius, "x0", domain)

@@ -45,7 +45,7 @@ class EigenWindow:
 
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
-            raise DomainError(f"need finite a < b, got ({self.a}, {self.b})")
+            raise DomainError(f"window ({self.a}, {self.b}) needs finite a < b")
 
     def contains(self, values):
         values = np.asarray(values)

@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
@@ -26,6 +25,7 @@ from .errors import (
     ConstructionError,
     CoveringError,
     DensityError,
+    DomainError,
     NonConvergenceError,
 )
 
@@ -99,6 +99,15 @@ class GridSpec:
     @property
     def volume(self):
         return float(np.prod(self.box))
+
+    def interior_point(self, point, name="point"):
+        """point as a tuple of d floats, refused unless inside the open box."""
+        x = tuple(np.asarray(point, dtype=float).reshape(-1).tolist())
+        if len(x) != self.d:
+            raise DomainError(f"{name} has {len(x)} coordinates, grid is {self.d}d")
+        if not all(0.0 < c < b for c, b in zip(x, self.box)):
+            raise DomainError(f"{name} {x} is outside the open box {self.box}")
+        return x
 
 
 @lru_cache(maxsize=64)
@@ -258,6 +267,9 @@ class DisorderLaw:
 
 
 def _inverse_cdf_table(pdf):
+    # imported here: scipy.integrate (which loads scipy.optimize) adds
+    # about 12 MiB to every process, and only a callable density needs it
+    import scipy.integrate
     total, err = scipy.integrate.quad(pdf, 0.0, 1.0, epsabs=1e-12, limit=200)
     if abs(total - 1.0) > 1e-10:
         raise DensityError(

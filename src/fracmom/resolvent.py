@@ -26,6 +26,8 @@ from .model import DiscreteHamiltonian, grid_points
 # bump matrix that parsing a document allocates.
 SOLVE_POINT_CAP = {1: 2 ** 18, 2: 50_000, 3: 10_000}
 SOLVE_TOL = 1e-10
+# a dense block solve holds n x |set| complex entries: 2^25 is 512 MiB
+BLOCK_ENTRY_CAP = 2 ** 25
 _TINY = np.finfo(float).tiny
 
 
@@ -36,6 +38,14 @@ def check_solve_size(d, npoints):
         raise DomainError(
             f"a {d}d operator of {npoints} points is above the sparse LU "
             f"cap of {cap} points")
+
+
+def check_block_size(n, size):
+    """Refuse a dense n x size block solve above BLOCK_ENTRY_CAP entries."""
+    if n * size > BLOCK_ENTRY_CAP:
+        raise DomainError(
+            f"a dense solve on {size} columns of an operator of {n} points "
+            f"holds {n * size} entries, above the cap of {BLOCK_ENTRY_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +131,8 @@ def indicator_set(grid, center, radius, inner_radius=0.0, mask=None):
                         indices=idx, inner_radius=float(inner_radius))
 
 
-def boundary_layer_indices(center, L, r, grid, depth=None):
-    """Layer of points whose distance to the ball complement is in (r, depth).
-
-    For the ball of radius L around `center` this is the open annulus
-    L - depth < |q - center| < L - r.  The depth defaults to 23*r; the
-    ball must satisfy L > depth + r or the layer degenerates.
-
-    Hand check: 1d box [0, 30] with h = 1, center 15, L = 15, r = 1,
-    depth = 13 selects 2 < |q - 15| < 14, i.e. the grid points
-    {2..12} and {18..28} (flat indices {1..11} and {17..27}).
-    """
+def layer_depth(L, r, depth=None):
+    """The layer depth (23 r when None), refused unless r < depth < L - r."""
     if depth is None:
         depth = 23.0 * r
     if not (r > 0.0 and depth > r):
@@ -139,6 +140,20 @@ def boundary_layer_indices(center, L, r, grid, depth=None):
     if not L > depth + r:
         raise DomainError(
             f"ball radius {L} too small for layer depth {depth} with bump radius {r}")
+    return depth
+
+
+def boundary_layer_indices(center, L, r, grid, depth=None):
+    """Layer of points whose distance to the ball complement is in (r, depth).
+
+    For the ball of radius L around `center` this is the open annulus
+    L - depth < |q - center| < L - r, with the depth of layer_depth.
+
+    Hand check: 1d box [0, 30] with h = 1, center 15, L = 15, r = 1,
+    depth = 13 selects 2 < |q - 15| < 14, i.e. the grid points
+    {2..12} and {18..28} (flat indices {1..11} and {17..27}).
+    """
+    depth = layer_depth(L, r, depth)
     return indicator_set(grid, center, radius=L - r, inner_radius=L - depth)
 
 
@@ -290,6 +305,7 @@ class ShiftedSolver:
         """
         rows = _local_positions(self.H, X, "X")
         if not np.array_equal(rows, self._X_rows):
+            check_block_size(self.n, rows.size)
             rhs = np.zeros((self.n, rows.size), dtype=np.complex128)
             rhs[rows, np.arange(rows.size)] = 1.0
             self._X_solved = self.solve_adjoint(rhs)

@@ -25,6 +25,7 @@ from .resolvent import (
     _as_z,
     _local_positions,
     _normal_block_norm,
+    check_block_size,
 )
 
 # LAPACK band storage of the oracle's LU, (2 kl + ku + 1) n complex
@@ -162,6 +163,7 @@ def block_norm_oracle(H, shift, X, Y):
                 raise DomainError(f"{name} is empty")
             if idx.min() < 0 or idx.max() >= n:
                 raise DomainError(f"{name} has an index outside [0, {n})")
+    check_block_size(n, cols.size)
     kl, ku = oracle_bandwidths(A)
     # (i, j) at row kl + ku + i - j of column j; zgbtrf fills the top kl rows
     ab = np.zeros((2 * kl + ku + 1, n), dtype=np.complex128, order="F")

@@ -269,7 +269,7 @@ def test_criterion_05_criterion_decay_consistency():
             alphas=[(L,)])[0]
         E0 = ground_energy(cfg.h0())
         reports.append(criterion_factor(0.3, LOCALIZED["lam"], 8.0, E0, L,
-                                        1, raw, M_const=1.0, r=1.0))
+                                        1, raw, M_const=1.0))
     triggered = [rep for rep in reports if rep.triggered]
     assert triggered, ("no factor < 1 in the scanned set: "
                        + ", ".join(f"L={r.L}: {r.factor:.3g}"
@@ -487,7 +487,7 @@ def test_criterion_10_exact_identities():
 
     # criterion factor arithmetic, both hand cases from its docstring
     rep = criterion_factor(0.25, 1.0, 3.0, 1.0, 25.0, 1, 1e-8,
-                           M_const=2.0, r=1.0)
+                           M_const=2.0)
     expected = 2.0 * 2.0 ** 6.25 / 0.25 * 2.0 ** 0.5 * 3.0 ** 3.75 * 1e-8
     assert rep.factor == pytest.approx(expected, rel=1e-13)
     assert rep.triggered

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from fracmom import cli, moments, validation
+from fracmom import cli, moments, resolvent, validation
 from fracmom.config import load_config, parse_config
 from fracmom.criterion import (
     criterion_factor,
@@ -351,8 +351,7 @@ def test_cli_moments_match_standalone_estimates_bytewise(tmp_path):
         raw = estimate_raw_boundary_moment(
             cfg.model, [p["s"]], [p["E"]], p["L"],
             EpsilonSchedule(cfg.eps_schedule), cfg.N, cfg.master_seed)[0, 0]
-        report = criterion_factor(p["s"], cfg.lam, p["E"], E0, p["L"], 1, raw,
-                                  r=cfg.r)
+        report = criterion_factor(p["s"], cfg.lam, p["E"], E0, p["L"], 1, raw)
         assert dumps(p) == dumps(report.payload())
 
 
@@ -557,6 +556,20 @@ def test_grid_over_its_solve_cap_exits_2_before_sampling(
     assert cli.main(["moment", "--config", str(write_config(tmp_path, doc))]) == 2
     assert f"operator of {points} points is above" in capsys.readouterr().err
     assert draws == []
+    assert not (tmp_path / "results" / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("sub", ["moment", "validate"])
+def test_dense_block_over_its_entry_cap_exits_2(
+        tmp_path, monkeypatch, capsys, sub):
+    # 23 points and |X| = 1 (|Y| = 1 for the oracle): 23 entries a block
+    monkeypatch.setattr(resolvent, "BLOCK_ENTRY_CAP", 22)
+    doc = tiny_doc(tmp_path / "results")
+    doc["run"].update(y0=[18.0], radius=1.0)
+    assert cli.main([sub, "--config", str(write_config(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert "1 columns of an operator of 23 points" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "results" / "records.jsonl").exists()
 
 

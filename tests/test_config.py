@@ -7,6 +7,7 @@ import pytest
 
 import fracmom
 
+from fracmom import cli
 from fracmom.config import (
     canonical_bytes,
     config_hash,
@@ -222,7 +223,7 @@ def test_ladder_must_strictly_increase():
 def test_window_must_be_ordered():
     doc = base_doc()
     doc["run"]["window"] = [4.0, 1.0]
-    with pytest.raises(ConfigError, match="lo < hi"):
+    with pytest.raises(ConfigError, match="a < b"):
         parse_config(doc)
 
 
@@ -231,7 +232,7 @@ def test_criterion_runs_need_subcritical_s():
     doc["model"]["grid"]["box"] = [120.0]
     doc["run"]["L"] = 26.0
     doc["run"]["alphas"] = [[60.0]]
-    with pytest.raises(ConfigError, match="s < 1/3"):
+    with pytest.raises(ConfigError, match=r"s in \(0, 1/3\)"):
         parse_config(doc)
     doc["run"]["s"] = [0.3]
     cfg = parse_config(doc)
@@ -326,3 +327,63 @@ def test_load_config_invalid_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(p)
+
+
+# ---------------------------------------------------------------------------
+# the library's rules, refused at parse time
+
+def _criterion_run(box, L, alpha, s=0.3):
+    return {"box": [box], "run": {"s": [s], "L": L, "alphas": [[alpha]]}}
+
+
+@pytest.mark.parametrize("sub, change, message", [
+    ("criterion", _criterion_run(120.0, 26.0, 60.0, s=1.0 / 3.0),
+     r"s in \(0, 1/3\), got 0\.333"),
+    ("criterion", _criterion_run(120.0, 24.0, 60.0),
+     "ball radius 24.0 too small for layer depth 23.0"),
+    ("criterion", {**_criterion_run(24.0, 4.0, 12.0),
+                   "constants": {"depth": 3.0}},
+     "ball radius 4.0 too small for layer depth 3.0"),
+    ("criterion", _criterion_run(60.0, 26.0, 25.0),
+     r"ball of radius 26.0 around \(25.0,\) exceeds the box"),
+    ("moment", {"run": {"x0": [24.0]}}, r"run.x0 \(24.0,\) is outside"),
+    ("moment", {"run": {"y0": [0.0]}}, r"run.y0 \(0.0,\) is outside"),
+    ("moment", {"run": {"x0": [6.0, 6.0]}}, "run.x0 has 2 coordinates"),
+    ("correlator", {"run": {"window": [4.0, 4.0]}}, r"window \(4.0, 4.0\) needs finite a < b"),
+    ("decay", {"run": {"ladder": [2.0, 4.0, 4.0]}},
+     "at least three strictly increasing"),
+], ids=["s-one-third", "L-default-depth", "L-custom-depth", "alpha-ball",
+        "x0-outside", "y0-outside", "x0-dimension", "window", "ladder"])
+def test_library_rules_refuse_a_document_at_parse(
+        tmp_path, draws, capsys, sub, change, message):
+    doc = base_doc()
+    doc["run"].update(x0=[6.0], ladder=[2.0, 4.0, 6.0], window=[1.0, 4.0])
+    doc["run"].update(change["run"])
+    if "box" in change:
+        doc["model"]["grid"]["box"] = change["box"]
+    if "constants" in change:
+        doc["constants"] = change["constants"]
+    doc["output"] = {"dir": str(tmp_path / "results")}
+    with pytest.raises(ConfigError, match=message):
+        parse_config(doc)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([sub, "--config", str(path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert draws == []
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_numbers_are_refused_when_a_document_is_loaded(
+        tmp_path, capsys, literal):
+    doc = base_doc()
+    doc["run"]["E"] = ["VALUE"]
+    doc["output"] = {"dir": str(tmp_path / "results")}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc).replace('"VALUE"', literal))
+    with pytest.raises(ConfigError, match=f"{literal} is not finite"):
+        load_config(path)
+    assert cli.main(["ids", "--config", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "results" / "records.jsonl").exists()

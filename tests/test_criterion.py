@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from fracmom.criterion import (
     verify_criterion_consistency,
 )
 from fracmom import model
+from fracmom.config import parse_config
 from fracmom.errors import DomainError
 from fracmom.model import (
     BackgroundFields,
@@ -27,6 +29,7 @@ from fracmom.model import (
     ground_energy,
 )
 from fracmom.moments import EpsilonSchedule, epsilon_scan
+from fracmom.presets import get_preset
 from fracmom.resolvent import SpectralShift, boundary_layer_indices, indicator_set
 
 
@@ -73,7 +76,7 @@ def test_modified_distance_domain_errors():
         m.distance((2.5,), (2.0,))  # off the grid
     with pytest.raises(DomainError, match=r"^\(5\.0,\) is outside the domain mask$"):
         m.distance((5.0,), (2.0,))  # masked out
-    with pytest.raises(DomainError, match=r"^\(11\.0,\) lies outside the box"):
+    with pytest.raises(DomainError, match=r"^point \(11\.0,\) is outside the open box"):
         m.distance((11.0,), (2.0,))  # outside the box
 
 
@@ -82,9 +85,9 @@ def test_modified_distance_without_holes_takes_any_point_of_the_open_box():
     for m in (ModifiedDistance(g), ModifiedDistance(g, np.arange(g.npoints))):
         assert m.distance((2.5,), (6.0,)) == 3.5  # off the grid
         assert m.distance((0.5,), (9.5,)) == 1.0  # between a wall and q = 1
-        with pytest.raises(DomainError, match="outside the box interior"):
+        with pytest.raises(DomainError, match="outside the open box"):
             m.distance((10.0,), (2.0,))
-        with pytest.raises(DomainError, match=r"shape \(2,\)"):
+        with pytest.raises(DomainError, match="has 2 coordinates"):
             m.distance((2.0, 2.0), (3.0,))
 
 
@@ -182,14 +185,22 @@ def test_criterion_factor_gates():
     with pytest.raises(DomainError):
         criterion_factor(0.4, 1.0, 0.0, 0.0, 30.0, 1, 0.1)
     with pytest.raises(DomainError):
-        criterion_factor(0.2, 1.0, 0.0, 0.0, 24.0, 1, 0.1, r=1.0)
-    criterion_factor(0.2, 1.0, 0.0, 0.0, 24.5, 1, 0.1, r=1.0)
-    with pytest.raises(DomainError):
         criterion_factor(0.2, 1.0, 0.0, 0.0, 30.0, 1, -0.1)
     with pytest.raises(DomainError):
         CriterionReport(s=0.2, lam=1.0, E=0.0, E0=0.0, L=30.0, d=1,
                         raw_moment=0.1, M_const=1.0, factor=0.5,
                         gamma=None, predicted_rate=None)
+
+
+def test_criterion_factor_folds_the_large_disorder_2d_preset():
+    # depth 3 and L = 8 < 24 r: the ball's regime is the raw moment's,
+    # refused at parse, so the fold takes any ball the document passed
+    cfg = parse_config(get_preset("large-disorder-2d")[0])
+    assert "r" not in inspect.signature(criterion_factor).parameters
+    [s], [E], [L] = cfg.s_values, cfg.E_values, cfg.L_values
+    rep = criterion_factor(s, cfg.lam, E, 8.0, L, cfg.grid.d, 1e-3,
+                           M_const=cfg.M_const)
+    assert isinstance(rep, CriterionReport) and rep.L == 8.0
 
 
 def test_criterion_report_payload():
@@ -284,8 +295,9 @@ def test_raw_boundary_moment_ball_must_fit(draws):
 
 
 @pytest.mark.parametrize("bad", [
-    dict(schedule=(1e-1, 1e-2)), dict(N=1), dict(s_values=[0.2, 1.0])],
-    ids=["schedule", "N", "s"])
+    dict(schedule=(1e-1, 1e-2)), dict(N=1), dict(s_values=[0.2, 1.0]),
+    dict(s_values=[0.4])],
+    ids=["schedule", "N", "s", "s-above-one-third"])
 def test_raw_boundary_moment_input_checks_precede_any_draw(draws, bad):
     cfg = chain_config(60.0, lam=1.0)
     kw = dict(s_values=[0.2], energies=[2.0], L=26.0,

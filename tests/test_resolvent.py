@@ -252,6 +252,23 @@ def test_solver_refuses_an_operator_above_its_point_cap(monkeypatch):
         ShiftedSolver(H, z)
 
 
+def test_dense_block_solves_refuse_blocks_above_the_entry_cap(monkeypatch):
+    # n x |X| for the adjoint solve, n x |Y| for the oracle's, counted
+    # before either block is allocated
+    g, H = disordered_chain(40, 1.0, seed=2)
+    z = SpectralShift(E=1.0, eps=0.1)
+    X, Y = np.arange(4), np.arange(30, 33)
+    monkeypatch.setattr(resolvent, "BLOCK_ENTRY_CAP", 40 * 4)
+    ShiftedSolver(H, z).block_norm(X, Y)
+    monkeypatch.setattr(resolvent, "BLOCK_ENTRY_CAP", 40 * 3)
+    block_norm_oracle(H, z, X, Y)
+    with pytest.raises(DomainError, match="4 columns of an operator of 40"):
+        ShiftedSolver(H, z).block_norm(X, Y)
+    monkeypatch.setattr(resolvent, "BLOCK_ENTRY_CAP", 40 * 3 - 1)
+    with pytest.raises(DomainError, match="3 columns of an operator of 40"):
+        block_norm_oracle(H, z, X, Y)
+
+
 def test_chain_above_the_plane_cap_is_solved_by_the_lu():
     # 1d's point cap is above the plane's: its LU is tridiagonal
     n = resolvent.SOLVE_POINT_CAP[2] + 10_000
