@@ -44,6 +44,7 @@ from .model import (
     SingleSiteProfile,
     disorder_law,
     ground_energy,
+    indicator_set,
 )
 from .moments import (
     EpsilonSchedule,
@@ -61,7 +62,6 @@ from .resolvent import (
     ShiftedSolver,
     SpectralShift,
     boundary_layer_indices,
-    indicator_set,
 )
 from .validation import (
     DissipativeOperator,

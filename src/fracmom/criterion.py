@@ -14,14 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import grid_points
+from .model import component_labels, grid_points, indicator_set, set_rows
 from .moments import epsilon_scan, ladder_moments
-from .resolvent import (
-    SpectralShift,
-    boundary_layer_indices,
-    indicator_set,
-    layer_depth,
-)
+from .resolvent import SpectralShift, boundary_layer_indices, layer_depth
 
 _GRID_SNAP = 1e-9
 _CONSISTENCY_R2 = 0.8  # fit quality a consistent decay must reach
@@ -242,7 +237,7 @@ def estimate_raw_boundary_moment(config, s_values, energies, L, schedule, N,
     best = np.full((len(s_values), len(energies)), -math.inf)
     for alpha in alphas:
         ball = indicator_set(grid, alpha, L).indices
-        X = indicator_set(grid, alpha, r, mask=ball)
+        X = indicator_set(grid, alpha, r)
         Y = boundary_layer_indices(alpha, L, r, grid, depth=depth)
         table = epsilon_scan(config.on_domain(ball), s_values, energies,
                              schedule, X, Y, N, master_seed, workers=workers)
@@ -326,14 +321,14 @@ def fit_exponential_decay(points, stderrs=None):
 # distance ladder and consistency check
 # ---------------------------------------------------------------------------
 
-def _ball(grid, center, radius, what, mask=None):
+def _ball(grid, center, radius, what):
     """The open ball of the given radius, refused unless it fits the open box."""
     if not all(x - radius > 0.0 and x + radius < b
                for x, b in zip(center, grid.box)):
         raise DomainError(
             f"{what}: ball of radius {radius} at {tuple(center)} does not fit "
             f"inside the box {grid.box}")
-    return indicator_set(grid, center, radius, mask=mask)
+    return indicator_set(grid, center, radius)
 
 
 def check_ladder(ladder):
@@ -355,36 +350,37 @@ def moment_sets(grid, x0, y0, radius):
 
 
 def _check_rungs_connected(config, X, rungs, ladder):
-    # a rung outside every component of H0's graph that X touches has an
-    # exact zero block norm in every realization, which no fit can take.
-    # Imported here: loading csgraph adds about 1.3 MiB to every run's
-    # peak RSS, and only a ladder on a domain needs it
-    from scipy.sparse.csgraph import connected_components
+    # a ball with no point in the domain has no rows, and a rung outside
+    # every component of H0's graph that X touches has an exact zero block
+    # norm in every realization, which no fit can take
     H = config.h0()
-    _, labels = connected_components(H.entries, directed=False)
-    reach = np.unique(labels[H.local_indices(X.indices)])
+    labels = component_labels(H.entries)
+    reach = np.unique(labels[set_rows(X, H.mask, H.grid.npoints, "x0")])
     for t, Y in zip(ladder, rungs):
-        if not np.isin(labels[H.local_indices(Y.indices)], reach).any():
+        name = f"ladder point {t}"
+        if not np.isin(labels[set_rows(Y, H.mask, H.grid.npoints, name)],
+                       reach).any():
             raise DomainError(
-                f"ladder point {t}: its ball has no point in the component "
-                f"of the domain that X lies in")
+                f"{name}: its ball has no point in the component of the "
+                f"domain that X lies in")
 
 
 def distance_ladder(config, x0, ladder, axis, radius):
     """(X, rung balls, modified distances) along x0 + dist * e_axis.
 
-    x0 defaults to 0.25 * box.  Every ball must fit inside the open box
-    and is restricted to the model's domain, whose modified distance
-    (config.domain, or the whole box when None) gives each abscissa.  On
-    a domain, every rung ball must reach X's connected component.
+    x0 defaults to 0.25 * box.  Every ball must fit inside the open box.
+    The model's domain (config.domain, or the whole box when None) gives
+    each abscissa by its modified distance and each ball's rows.  On a
+    domain, every ball must hold a point of it and every rung must reach
+    X's connected component.
     """
     grid, domain = config.grid, config.domain
     x0 = tuple(_point_or_default(grid, x0, 0.25))
     check_ladder(ladder)
     centers = [tuple(x + t if i == axis else x for i, x in enumerate(x0))
                for t in ladder]
-    X = _ball(grid, x0, radius, "x0", domain)
-    rungs = [_ball(grid, y, radius, f"ladder point {t}", domain)
+    X = _ball(grid, x0, radius, "x0")
+    rungs = [_ball(grid, y, radius, f"ladder point {t}")
              for t, y in zip(ladder, centers)]
     if domain is not None:
         _check_rungs_connected(config, X, rungs, ladder)

@@ -19,9 +19,8 @@ import scipy.sparse.linalg
 
 from .criterion import fit_exponential_decay
 from .errors import DomainError, IncompleteWindowError, NumericalError
-from .model import _bandwidths, grid_points
+from .model import bandwidths, grid_points, set_rows
 from .moments import map_samples
-from .resolvent import _local_positions
 
 logger = logging.getLogger(__name__)
 
@@ -62,7 +61,7 @@ def check_countable(H):
     Every realization shares H0's stored pattern and size, so H0 decides
     for all of them before any draw.
     """
-    if max(_bandwidths(H.entries)) <= 1:
+    if max(bandwidths(H.entries)) <= 1:
         return H.entries.diagonal(0).real, H.entries.diagonal(1)
     if H.n > INERTIA_DENSE_CAP:
         raise DomainError(
@@ -204,8 +203,8 @@ def correlator_from_pairs(pairs, H, X, Y):
     """
     if len(pairs) == 0:
         return 0.0
-    lx = _local_positions(H, X, "X")
-    ly = _local_positions(H, Y, "Y")
+    lx = set_rows(X, H.mask, H.grid.npoints, "X")
+    ly = set_rows(Y, H.mask, H.grid.npoints, "Y")
     nx = np.linalg.norm(pairs.vectors[lx, :], axis=0)
     ny = np.linalg.norm(pairs.vectors[ly, :], axis=0)
     return float(np.sum(nx * ny))

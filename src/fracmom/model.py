@@ -11,7 +11,7 @@ iid couplings, one per lattice site, each coupling a pure function of
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -92,7 +92,7 @@ class GridSpec:
         """Interior points per axis."""
         return tuple(int(round(L / self.h)) - 1 for L in self.box)
 
-    @property
+    @cached_property    # read by set_rows on every block norm
     def npoints(self):
         return math.prod(self.shape)
 
@@ -116,6 +116,49 @@ def grid_points(grid: GridSpec) -> np.ndarray:
     mesh = np.meshgrid(*(grid.h * np.arange(1, n + 1) for n in grid.shape),
                        indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class IndicatorSet:
+    """Grid points within an open ball (or open annulus) around a center.
+
+    `indices` are flat indices into grid_points(grid), sorted ascending.
+    inner_radius = 0 means a plain ball.  A set is geometry: the operator
+    it is used with decides which of its points are rows (set_rows).
+    """
+
+    center: tuple
+    radius: float
+    indices: np.ndarray
+    inner_radius: float = 0.0
+
+    def __len__(self):
+        return int(self.indices.size)
+
+
+def indicator_set(grid, center, radius, inner_radius=0.0):
+    """Open-ball (annulus if inner_radius > 0) indicator on the grid.
+
+    Membership uses strict inequalities on the Euclidean distance.
+    """
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.shape != (grid.d,):
+        raise DomainError(f"center has shape {center.shape}, expected ({grid.d},)")
+    if not radius > 0.0:
+        raise DomainError("radius must be positive")
+    if inner_radius < 0.0 or inner_radius >= radius:
+        raise DomainError("need 0 <= inner_radius < radius")
+    dist = np.linalg.norm(grid_points(grid) - center, axis=1)
+    sel = dist < radius
+    if inner_radius > 0.0:
+        sel &= dist > inner_radius
+    idx = np.flatnonzero(sel).astype(np.int64)
+    center = tuple(center.tolist())
+    if idx.size == 0:
+        raise DomainError(
+            f"indicator around {center} with radius {radius} catches no grid point")
+    return IndicatorSet(center=center, radius=float(radius),
+                        indices=idx, inner_radius=float(inner_radius))
 
 
 def lattice_sites(grid: GridSpec) -> np.ndarray:
@@ -488,7 +531,7 @@ def _stored_pattern(entries):
     return A, np.flatnonzero(on_diag)
 
 
-def _bandwidths(entries):
+def bandwidths(entries):
     """(kl, ku): how far a CSR pattern reaches below and above its diagonal.
 
     Read off the stored pattern, explicit zeros included, so every
@@ -497,6 +540,14 @@ def _bandwidths(entries):
     n = entries.shape[0]
     off = entries.indices - np.repeat(np.arange(n), np.diff(entries.indptr))
     return -int(off.min(initial=0)), int(off.max(initial=0))
+
+
+def component_labels(entries):
+    """Connected-component label of each row of a stored CSR pattern."""
+    # imported here: csgraph adds about 1 MiB to a process's peak RSS, and
+    # only an underflowed block norm or a ladder on a domain needs it
+    from scipy.sparse.csgraph import connected_components
+    return connected_components(entries, directed=False)[1]
 
 
 @dataclass(eq=False)
@@ -531,16 +582,29 @@ class DiscreteHamiltonian:
     def n(self):
         return len(self.mask)
 
-    def local_indices(self, global_indices) -> np.ndarray:
-        """Positions of the given global grid indices inside the mask."""
-        gi = np.asarray(global_indices, dtype=np.int64)
-        pos = np.searchsorted(self.mask, gi)
-        if np.any(pos >= self.n) or not np.array_equal(self.mask[pos], gi):
-            raise ConstructionError("indices not contained in the active mask")
-        return pos
-
     def dense(self) -> np.ndarray:
         return self.entries.toarray()
+
+
+def set_rows(sel, mask, npoints, name):
+    """Sorted rows of an operator on `mask` (its sorted global indices).
+
+    sel is an IndicatorSet or any array of global indices into a grid of
+    npoints.  Duplicates merge and points outside the domain drop.  An
+    empty set, an index outside [0, npoints) and a set with no point in
+    the domain are refused with DomainError.
+    """
+    idx = (sel.indices if isinstance(sel, IndicatorSet)   # sorted and unique
+           else np.unique(np.asarray(sel, dtype=np.int64)))
+    if idx.size == 0:
+        raise DomainError(f"{name} is empty")
+    if idx[0] < 0 or idx[-1] >= npoints:
+        raise DomainError(f"{name} has an index outside [0, {npoints})")
+    pos = np.searchsorted(mask, idx)
+    pos = pos[mask[np.minimum(pos, mask.size - 1)] == idx]
+    if pos.size == 0:
+        raise DomainError(f"{name} has no point inside the operator domain")
+    return pos
 
 
 def assemble_h0(grid: GridSpec, bg: BackgroundFields) -> DiscreteHamiltonian:
@@ -633,7 +697,9 @@ def restrict_dirichlet(H: DiscreteHamiltonian, mask) -> DiscreteHamiltonian:
     mask = np.unique(np.asarray(mask, dtype=np.int64))
     if len(mask) == 0:
         raise ConstructionError("Dirichlet restriction to an empty mask")
-    pos = H.local_indices(mask)
+    pos = np.searchsorted(H.mask, mask)
+    if pos[-1] >= H.n or not np.array_equal(H.mask[pos], mask):
+        raise ConstructionError("indices not contained in the active mask")
     sub = H.entries[pos][:, pos].tocsr()
     return DiscreteHamiltonian(grid=H.grid, entries=sub, mask=mask)
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from ._blas import openblas_thread_controls, single_blas_thread
 from .errors import DomainError, SolveError
-from .resolvent import IndicatorSet, ShiftedSolver, SpectralShift
+from .model import IndicatorSet
+from .resolvent import ShiftedSolver, SpectralShift
 
 DEFAULT_STABILIZATION_TOL = 0.05
 

@@ -6,7 +6,8 @@ block norm is one adjoint solve, with H - conj z, on X's basis vectors,
 so that is the only system the solver factors and solves.  It keeps one
 factorization per (H, z) and reuses it for every block, so scans over
 many (X, Y) pairs pay for the factorization once, and pairs that share
-X (a decay ladder) share one adjoint solve as well.
+X (a decay ladder) share one adjoint solve as well.  X and Y are sets
+of grid points; the operator decides their rows (model.set_rows).
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,13 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import DomainError, NumericalError, SolveError
-from .model import DiscreteHamiltonian, grid_points
+from .model import (
+    DiscreteHamiltonian,
+    IndicatorSet,
+    component_labels,
+    indicator_set,
+    set_rows,
+)
 
 # the solve contract: one sparse LU of H - conj z, every solve verified to
 # this relative residual per column, and operators up to a per-dimension
@@ -49,7 +56,7 @@ def check_block_size(n, size):
 
 
 # ---------------------------------------------------------------------------
-# spectral shifts and indicator sets
+# spectral shifts and boundary layers
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -78,57 +85,12 @@ class SpectralShift:
         return complex(self.E, -self.eps)
 
 
-def _as_z(shift):
+def as_z(shift):
     # raw complex values are accepted for diagnostics (adjoint symmetry
     # checks need Im z < 0); production paths pass SpectralShift
     if isinstance(shift, SpectralShift):
         return shift.z
     return complex(shift)
-
-
-@dataclass(frozen=True, eq=False)
-class IndicatorSet:
-    """Grid points within an open ball (or open annulus) around a center.
-
-    `indices` are flat indices into grid_points(grid), sorted ascending.
-    inner_radius = 0 means a plain ball.
-    """
-
-    center: tuple
-    radius: float
-    indices: np.ndarray
-    inner_radius: float = 0.0
-
-    def __len__(self):
-        return int(self.indices.size)
-
-
-def indicator_set(grid, center, radius, inner_radius=0.0, mask=None):
-    """Open-ball (annulus if inner_radius > 0) indicator on the grid.
-
-    Membership uses strict inequalities on the Euclidean distance.  If
-    `mask` is given the result is intersected with it.
-    """
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.shape != (grid.d,):
-        raise DomainError(f"center has shape {center.shape}, expected ({grid.d},)")
-    if not radius > 0.0:
-        raise DomainError("radius must be positive")
-    if inner_radius < 0.0 or inner_radius >= radius:
-        raise DomainError("need 0 <= inner_radius < radius")
-    dist = np.linalg.norm(grid_points(grid) - center, axis=1)
-    sel = dist < radius
-    if inner_radius > 0.0:
-        sel &= dist > inner_radius
-    idx = np.flatnonzero(sel).astype(np.int64)
-    if mask is not None:
-        idx = np.intersect1d(idx, np.asarray(mask, dtype=np.int64))
-    center = tuple(center.tolist())
-    if idx.size == 0:
-        raise DomainError(
-            f"indicator around {center} with radius {radius} catches no grid point")
-    return IndicatorSet(center=center, radius=float(radius),
-                        indices=idx, inner_radius=float(inner_radius))
 
 
 def layer_depth(L, r, depth=None):
@@ -157,21 +119,6 @@ def boundary_layer_indices(center, L, r, grid, depth=None):
     return indicator_set(grid, center, radius=L - r, inner_radius=L - depth)
 
 
-def _local_positions(H, sel, name):
-    """Sorted positions in H.mask of the set's points inside the domain."""
-    if isinstance(sel, IndicatorSet):
-        idx = np.asarray(sel.indices, dtype=np.int64)   # sorted and unique
-    else:
-        idx = np.unique(np.asarray(sel, dtype=np.int64))
-    if idx.size == 0:
-        raise DomainError(f"{name} is empty")
-    pos = np.searchsorted(H.mask, idx)
-    pos = pos[H.mask[np.minimum(pos, H.n - 1)] == idx]
-    if pos.size == 0:
-        raise DomainError(f"{name} has no point inside the operator domain")
-    return pos
-
-
 def _set_name(sel):
     if isinstance(sel, IndicatorSet):
         ring = (f", inner radius {sel.inner_radius:g}" if sel.inner_radius
@@ -181,7 +128,7 @@ def _set_name(sel):
     return f"the {idx.size} indices {idx.min()}..{idx.max()}"
 
 
-def _normal_block_norm(norm, entries, rows, cols, X, Y, z):
+def normal_block_norm(norm, entries, rows, cols, X, Y, z):
     """norm, refused with NumericalError below the smallest normal float.
 
     A norm under np.finfo(float).tiny is subnormal or has underflowed to
@@ -194,10 +141,7 @@ def _normal_block_norm(norm, entries, rows, cols, X, Y, z):
     """
     if norm >= _TINY:
         return norm
-    # imported on this branch only: csgraph adds ~1 MiB to every process
-    import scipy.sparse.csgraph
-    _, labels = scipy.sparse.csgraph.connected_components(entries,
-                                                          directed=False)
+    labels = component_labels(entries)
     if np.intersect1d(labels[rows], labels[cols]).size == 0:
         return 0.0
     raise NumericalError(
@@ -236,7 +180,7 @@ class ShiftedSolver:
             raise DomainError("expected a DiscreteHamiltonian")
         check_solve_size(H.grid.d, H.n)
         self.H = H
-        self.z = _as_z(shift)
+        self.z = as_z(shift)
         self.tol = SOLVE_TOL
         ent = H.entries
         csr_data = ent.data.astype(np.complex128)
@@ -301,16 +245,17 @@ class ShiftedSolver:
         singular value is exact dense LAPACK (scipy.linalg.svdvals).  A
         norm below the smallest normal float raises NumericalError, unless
         X and Y lie in different components of H's graph, where it is an
-        exact 0.0 (_normal_block_norm).
+        exact 0.0 (normal_block_norm).
         """
-        rows = _local_positions(self.H, X, "X")
+        H = self.H
+        rows = set_rows(X, H.mask, H.grid.npoints, "X")
         if not np.array_equal(rows, self._X_rows):
             check_block_size(self.n, rows.size)
             rhs = np.zeros((self.n, rows.size), dtype=np.complex128)
             rhs[rows, np.arange(rows.size)] = 1.0
             self._X_solved = self.solve_adjoint(rhs)
             self._X_rows = rows
-        cols = _local_positions(self.H, Y, "Y")
+        cols = set_rows(Y, H.mask, H.grid.npoints, "Y")
         B = self._X_solved[cols, :]
         try:
             norm = float(scipy.linalg.svdvals(B)[0])
@@ -318,6 +263,5 @@ class ShiftedSolver:
             raise SolveError(
                 f"singular values of the {B.shape[1]} x {B.shape[0]} block "
                 f"did not converge: {exc}") from exc
-        return _normal_block_norm(norm, self.H.entries, rows, cols, X, Y,
-                                  self.z)
+        return normal_block_norm(norm, H.entries, rows, cols, X, Y, self.z)
 

@@ -17,15 +17,12 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import DomainError, NumericalError, SolveError
-from .model import DiscreteHamiltonian, _bandwidths
+from .model import DiscreteHamiltonian, bandwidths, set_rows
 from .resolvent import (
-    IndicatorSet,
     ShiftedSolver,
-    SpectralShift,
-    _as_z,
-    _local_positions,
-    _normal_block_norm,
+    as_z,
     check_block_size,
+    normal_block_norm,
 )
 
 # LAPACK band storage of the oracle's LU, (2 kl + ku + 1) n complex
@@ -122,7 +119,7 @@ class HSOperator:
 def oracle_bandwidths(entries):
     """(kl, ku) of a CSR pattern, refused above ORACLE_BAND_CAP entries."""
     n = entries.shape[0]
-    kl, ku = _bandwidths(entries)
+    kl, ku = bandwidths(entries)
     size = (2 * kl + ku + 1) * n
     if size > ORACLE_BAND_CAP:
         raise DomainError(f"oracle band storage of {size} entries (n = {n}, "
@@ -143,26 +140,21 @@ def block_norm_oracle(H, shift, X, Y):
     solve (zgbtrs).  D is formed from the stored entries of H, not from
     the band storage, so a wrong band fill fails the residual check.
     The solve is LAPACK, a code path the sparse SuperLU solver it
-    certifies does not share.  A norm below the smallest normal float is
-    refused as by ShiftedSolver.block_norm.
+    certifies does not share.  X and Y become rows by model.set_rows (a
+    raw matrix's domain is all its rows), and a norm below the smallest
+    normal float is refused, as in ShiftedSolver.block_norm.
     """
-    z = _as_z(shift)
+    z = as_z(shift)
     if isinstance(H, DiscreteHamiltonian):
-        A, n = H.entries, H.n
-        rows = _local_positions(H, X, "X")
-        cols = _local_positions(H, Y, "Y")
+        A, n, mask, npoints = H.entries, H.n, H.mask, H.grid.npoints
     else:
         H = np.asarray(H)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise DomainError("H must be a square matrix")
         A, n = scipy.sparse.csr_matrix(H), H.shape[0]
-        rows = np.asarray(X, dtype=np.int64).ravel()
-        cols = np.asarray(Y, dtype=np.int64).ravel()
-        for name, idx in (("X", rows), ("Y", cols)):
-            if idx.size == 0:
-                raise DomainError(f"{name} is empty")
-            if idx.min() < 0 or idx.max() >= n:
-                raise DomainError(f"{name} has an index outside [0, {n})")
+        mask, npoints = np.arange(n), n
+    rows = set_rows(X, mask, npoints, "X")
+    cols = set_rows(Y, mask, npoints, "Y")
     check_block_size(n, cols.size)
     kl, ku = oracle_bandwidths(A)
     # (i, j) at row kl + ku + i - j of column j; zgbtrf fills the top kl rows
@@ -184,7 +176,7 @@ def block_norm_oracle(H, shift, X, Y):
         worst = np.abs(defect).max()
         if worst <= _ORACLE_RESID:
             norm = float(scipy.linalg.svdvals(C[rows])[0])
-            return _normal_block_norm(norm, A, rows, cols, X, Y, z)
+            return normal_block_norm(norm, A, rows, cols, X, Y, z)
         C = C + solve(defect)
     raise SolveError(f"oracle residual {worst:.3e} above {_ORACLE_RESID:.1e} "
                      "after refinement", achieved=float(worst))

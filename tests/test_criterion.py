@@ -27,6 +27,7 @@ from fracmom.model import (
     SingleSiteProfile,
     disorder_law,
     ground_energy,
+    set_rows,
 )
 from fracmom.moments import EpsilonSchedule, epsilon_scan
 from fracmom.presets import get_preset
@@ -263,7 +264,7 @@ def test_raw_boundary_moment_homogeneous_alphas_agree():
     stats = []
     for a in [(30.0,), (40.0,)]:
         ball = indicator_set(cfg.grid, a, 26.0).indices
-        X = indicator_set(cfg.grid, a, 1.0, mask=ball)
+        X = indicator_set(cfg.grid, a, 1.0)
         Y = boundary_layer_indices(a, 26.0, 1.0, cfg.grid)
         [[res]] = epsilon_scan(replace(cfg, domain=ball), [0.2], [2.0], sch,
                                X, Y, N=40, master_seed=4)
@@ -402,8 +403,12 @@ def test_distance_ladder_abscissae_see_a_hole():
     X, rungs, dists = distance_ladder(holed, (3.0,), ladder[:3], 0, 1.5)
     # 11 sits next to the hole: 3 (wall) + 1 (hole) beats 8
     assert dists == [4.0, 6.0, 4.0]
+    # the balls are geometry; the domain drops 11 where rows are taken
+    H = holed.h0()
     assert [Y.indices.tolist() for Y in rungs] == [[5, 6, 7], [7, 8, 9],
-                                                   [9, 10]]
+                                                   [9, 10, 11]]
+    assert [H.mask[set_rows(Y, H.mask, cfg.grid.npoints, "Y")].tolist()
+            for Y in rungs] == [[5, 6, 7], [7, 8, 9], [9, 10]]
     assert X.indices.tolist() == [1, 2, 3]
     # so does 13 on the far side, whose ball the hole cuts off from X
     assert ModifiedDistance(cfg.grid, holed.domain).distance(
@@ -425,6 +430,13 @@ def test_decay_refuses_a_rung_cut_off_by_a_hole_before_any_draw(draws):
     with pytest.raises(DomainError, match="ladder point 10.0: .* component"):
         measure_decay(holed, [0.3], [SpectralShift(8.0, 1e-3)], (3.0,),
                       (4.0, 6.0, 8.0, 10.0), 0, 1.5, N=4, master_seed=1)
+    # q = 10..12 removed: the rung at 11 lies wholly in the hole
+    holed = cfg.on_domain(np.setdiff1d(np.arange(cfg.grid.npoints),
+                                       [9, 10, 11]))
+    with pytest.raises(DomainError, match=(
+            "^ladder point 8.0 has no point inside the operator domain$")):
+        measure_decay(holed, [0.3], [SpectralShift(8.0, 1e-3)], (3.0,),
+                      (4.0, 6.0, 8.0), 0, 1.5, N=4, master_seed=1)
     assert draws == []
 
 

@@ -21,12 +21,11 @@ from fracmom.model import (
     realize_potential,
     restrict_dirichlet,
     sample_couplings,
+    set_rows,
 )
 from fracmom.moments import sample_seed, scan_pair_norms
 from fracmom.resolvent import (
-    IndicatorSet,
     ShiftedSolver,
-    _local_positions,
     SpectralShift,
     boundary_layer_indices,
     indicator_set,
@@ -49,6 +48,11 @@ def disordered_chain(npts, lam, seed, h=0.5, a_field=None):
     p = SingleSiteProfile(r=1.0, u0=1.0)
     v = realize_potential(sample_couplings(law, seed), p, law, g)
     return g, assemble_hamiltonian(H0, v, lam)
+
+
+def mask_rows(H, idx):
+    # reference rows: positions in H.mask of the given global indices
+    return np.flatnonzero(np.isin(H.mask, idx))
 
 
 def dense_block_norm(H, z, rows, cols):
@@ -83,10 +87,9 @@ def test_indicator_membership_is_strict():
     assert q[ann.indices].tolist() == [1.5, 2.5]  # center excluded
 
 
-def test_indicator_mask_and_empty():
+def test_indicator_refusals():
     g = GridSpec(d=1, box=(4.0,), h=0.5)
-    s = indicator_set(g, (2.0,), 1.0, mask=np.array([0, 1, 2]))
-    assert s.indices.tolist() == [2]
+    s = indicator_set(g, (2.0,), 1.0)
     with pytest.raises(DomainError, match=r"^indicator around \(2\.2,\) with"):
         indicator_set(g, (2.2,), 0.2)  # dist to nearest point is exactly 0.2
     assert [type(c) for c in s.center] == [float]
@@ -237,8 +240,8 @@ def test_block_norm_solves_with_the_factors_untransposed(path):
     Y = indicator_set(H.grid, (4.0, 3.0), 1.0)
     got = solver.block_norm(X, Y)
     assert calls and set(calls) == {"N"}
-    want = dense_block_norm(H, z.z, H.local_indices(X.indices),
-                            H.local_indices(Y.indices))
+    want = dense_block_norm(H, z.z, mask_rows(H, X.indices),
+                            mask_rows(H, Y.indices))
     assert abs(got - want) <= 1e-10 * want
 
 
@@ -404,34 +407,33 @@ def test_block_norm_adjoint_symmetry_complex_h():
     assert abs(a - b) <= 1e-8 * a
 
 
-def _intersect_positions(H, idx):
-    # reference set lookup: intersect with the mask, then locate
-    return H.local_indices(np.intersect1d(np.asarray(idx, dtype=np.int64), H.mask))
-
-
-def test_local_positions_match_intersect_path():
+def test_set_rows_match_isin_reference():
     g = GridSpec(d=2, box=(6.0, 6.0), h=0.5)
     H = restrict_dirichlet(assemble_h0(g, BackgroundFields()),
                            indicator_set(g, (3.0, 3.0), 2.0).indices)
     rng = np.random.default_rng(4)
+
+    def rows(sel, name="Y"):
+        return set_rows(sel, H.mask, g.npoints, name)
     sets = [indicator_set(g, (3.0, 3.0), 1.0),          # inside the ball
             indicator_set(g, (1.5, 3.0), 1.5),          # straddles its edge
             indicator_set(g, (3.0, 3.0), 2.5, inner_radius=1.5)]
     for sel in sets:
-        got = _local_positions(H, sel, "X")
-        assert np.array_equal(got, _intersect_positions(H, sel.indices))
+        assert np.array_equal(rows(sel, "X"), mask_rows(H, sel.indices))
     for _ in range(20):
         raw = rng.integers(0, g.npoints, size=39)
         raw = np.concatenate([raw, raw[:9], H.mask[:4]])    # duplicates
         rng.shuffle(raw)
-        got = _local_positions(H, raw.reshape(4, -1), "Y")
-        assert np.array_equal(got, _intersect_positions(H, raw))
-    assert np.array_equal(_local_positions(H, [H.mask[-1], g.npoints - 1], "Y"),
-                          [H.n - 1])
-    with pytest.raises(DomainError, match="no point inside"):
-        _local_positions(H, [0, 1, g.npoints - 1], "Y")
-    with pytest.raises(DomainError, match="empty"):
-        _local_positions(H, [], "Y")
+        assert np.array_equal(rows(raw.reshape(4, -1)), mask_rows(H, raw))
+    assert np.array_equal(rows([H.mask[-1], g.npoints - 1]), [H.n - 1])
+    with pytest.raises(DomainError, match="^Y has no point inside"):
+        rows([0, 1, g.npoints - 1])
+    with pytest.raises(DomainError, match="^Y is empty"):
+        rows([])
+    for bad in (-1, g.npoints):
+        with pytest.raises(DomainError, match=(
+                rf"^Y has an index outside \[0, {g.npoints}\)")):
+            rows([H.mask[0], bad])
 
 
 def test_block_norm_empty_outside_domain():
@@ -474,8 +476,33 @@ def test_block_norm_oracle_equivalence(seed, lam, n):
     X = np.sort(rng.choice(n, size=rng.integers(1, n // 2), replace=False))
     Y = np.sort(rng.choice(n, size=rng.integers(1, n // 2), replace=False))
     got = ShiftedSolver(H, z).block_norm(X, Y)
-    want = dense_block_norm(H, z.z, H.local_indices(X), H.local_indices(Y))
+    want = dense_block_norm(H, z.z, mask_rows(H, X), mask_rows(H, Y))
     assert abs(got - want) <= 1e-12 * max(want, 1e-30)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), data=st.data(),
+       xs=st.lists(st.integers(0, 9), min_size=1, max_size=6),
+       ys=st.lists(st.integers(0, 9), min_size=1, max_size=6),
+       bad=st.sampled_from([-1, 10, 10 ** 6]))
+def test_every_block_norm_path_reads_a_set_as_its_rows(seed, data, xs, ys,
+                                                       bad):
+    # a full-box chain, where grid indices are rows: duplicates and order
+    # change no block, and no path drops an index off the grid
+    _, H = disordered_chain(10, lam=2.0, seed=seed, h=1.0)
+    z = SpectralShift(E=1.0, eps=0.1)
+    X = data.draw(st.permutations(xs + xs[:1]))
+    Y = data.draw(st.permutations(ys + ys))
+    paths = [ShiftedSolver(H, z).block_norm,
+             lambda X, Y: block_norm_oracle(H, z, X, Y),
+             lambda X, Y: block_norm_oracle(H.dense(), z, X, Y)]
+    want = dense_block_norm(H, z.z, np.unique(xs), np.unique(ys))
+    for norm in paths:
+        assert norm(X, Y) == pytest.approx(want, rel=1e-8, abs=0.0)
+        with pytest.raises(DomainError, match=r"^X has an index outside"):
+            norm(X + [bad], Y)
+        with pytest.raises(DomainError, match=r"^Y has an index outside"):
+            norm(X, [bad] + Y)
 
 
 def test_singular_value_failure_is_a_solve_error(monkeypatch):
@@ -524,8 +551,8 @@ def test_block_norm_across_a_dirichlet_wall_is_an_exact_zero():
     X, Y = np.arange(10, 14), np.arange(40, 44)
     assert ShiftedSolver(H, z).block_norm(X, Y) == 0.0
     assert block_norm_oracle(H, z, X, Y) == 0.0
-    assert dense_block_norm(H, z.z, H.local_indices(X),
-                            H.local_indices(Y)) == 0.0
+    assert dense_block_norm(H, z.z, mask_rows(H, X),
+                            mask_rows(H, Y)) == 0.0
     # a positive norm inside one component is unchanged
     assert ShiftedSolver(H, z).block_norm(X, X + 10) > 0.0
 
@@ -557,10 +584,10 @@ def test_ladder_shares_one_adjoint_solve_per_realization_and_shift(monkeypatch):
     worst = 0.0
     for i in range(N):
         H = cfg.hamiltonian_for_seed(sample_seed(5, i))
-        rows = H.local_indices(X.indices)
+        rows = mask_rows(H, X.indices)
         for k, z in enumerate(shifts):
             for j, Y in enumerate(Ys):
-                want = dense_block_norm(H, z.z, rows, H.local_indices(Y.indices))
+                want = dense_block_norm(H, z.z, rows, mask_rows(H, Y.indices))
                 worst = max(worst, abs(norms[i, k, j] - want) / want)
     assert worst <= 1e-12
 
@@ -570,10 +597,10 @@ def test_ladder_shares_one_adjoint_solve_per_realization_and_shift(monkeypatch):
     got = [solver.block_norm(A, B) for A, B in [(X, Ys[0]), (Ys[0], X),
                                                   (X, Ys[0])]]
     assert solves == [len(X), len(Ys[0]), len(X)]
-    want = dense_block_norm(H, shifts[0].z, rows, H.local_indices(Ys[0].indices))
+    want = dense_block_norm(H, shifts[0].z, rows, mask_rows(H, Ys[0].indices))
     assert got[0] == got[2]
     assert abs(got[0] - want) <= 1e-12 * want
-    want = dense_block_norm(H, shifts[0].z, H.local_indices(Ys[0].indices), rows)
+    want = dense_block_norm(H, shifts[0].z, mask_rows(H, Ys[0].indices), rows)
     assert abs(got[1] - want) <= 1e-12 * want
 
 
@@ -587,7 +614,7 @@ def test_boundary_green_norm_resolvent_bound():
     ball = indicator_set(g, (30.0,), 30.0).indices
     Hball = restrict_dirichlet(H, ball)
     z = SpectralShift(E=1.0, eps=1e3)
-    X = indicator_set(g, (30.0,), 1.0, mask=ball)
+    X = indicator_set(g, (30.0,), 1.0)
     Y = boundary_layer_indices((30.0,), 30.0, 1.0, g)
     assert ShiftedSolver(Hball, z).block_norm(X, Y) <= (1 + 1e-9) / 1e3
 
@@ -598,7 +625,7 @@ def test_boundary_green_norm_deterministic_at_zero_coupling():
     law = disorder_law(0.0, g)
     p = SingleSiteProfile()
     ball = indicator_set(g, (30.0,), 30.0).indices
-    X = indicator_set(g, (30.0,), 1.0, mask=ball)
+    X = indicator_set(g, (30.0,), 1.0)
     Y = boundary_layer_indices((30.0,), 30.0, 1.0, g)
     vals = []
     for seed in (0, 1):
@@ -619,10 +646,10 @@ def test_boundary_green_norm_matches_dense_oracle():
     H = assemble_hamiltonian(H0, v, 10.0)
     Hball = restrict_dirichlet(H, indicator_set(g, (30.0,), 30.0).indices)
     z = SpectralShift(E=2.0, eps=1e-3)
-    center = indicator_set(g, (30.0,), 1.0, mask=Hball.mask)
+    center = indicator_set(g, (30.0,), 1.0)
     layer = boundary_layer_indices((30.0,), 30.0, 1.0, g)
     got = ShiftedSolver(Hball, z).block_norm(center, layer)
-    X = Hball.local_indices(center.indices)
-    Y = Hball.local_indices(np.intersect1d(layer.indices, Hball.mask))
+    X = mask_rows(Hball, center.indices)
+    Y = mask_rows(Hball, layer.indices)
     want = dense_block_norm(Hball, z.z, X, Y)
     assert abs(got - want) <= 1e-8 * want

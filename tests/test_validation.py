@@ -206,7 +206,7 @@ class TestDenseResolventOracle:
         Y = indicator_set(H.grid, center=(8.0,), radius=2.5)
         got = block_norm_oracle(H, -1.0 + 0.0j, X, Y)
         R = np.linalg.inv(H.dense() + np.eye(H.n))
-        rows, cols = H.local_indices(X.indices), H.local_indices(Y.indices)
+        rows, cols = X.indices, Y.indices       # the full box: rows are indices
         want = scipy.linalg.svdvals(R[np.ix_(rows, cols)])[0]
         assert got == pytest.approx(want, rel=1e-10)
         # global index arrays select the same block as IndicatorSets
@@ -242,8 +242,8 @@ class TestDenseResolventOracle:
 
     @pytest.mark.parametrize("X, Y", [([], [1]), ([1], [])], ids=["X", "Y"])
     def test_empty_set_of_a_matrix_is_a_domain_error(self, X, Y):
-        # the operator path refuses an empty set through _local_positions;
-        # a raw matrix gets the same error
+        # a raw matrix refuses an empty set through model.set_rows, as the
+        # operator path does
         name = "X" if len(X) == 0 else "Y"
         with pytest.raises(DomainError, match=f"{name} is empty"):
             block_norm_oracle(np.eye(3), 1j, X, Y)
@@ -291,8 +291,8 @@ def oracle_cases():
     matrix.
     """
     def chain_sets(H):
-        return (H, indicator_set(H.grid, (10.0,), 2.0, mask=H.mask).indices,
-                indicator_set(H.grid, (24.0,), 3.0, mask=H.mask).indices)
+        return (H, indicator_set(H.grid, (10.0,), 2.0).indices,
+                indicator_set(H.grid, (24.0,), 3.0).indices)
     cases = {f"chain-{seed}": chain_sets(
         chain_config(lam=lam, box=40.0, h=0.5).hamiltonian_for_seed(seed))
         for seed, lam in ((1, 1.0), (2, 2.5), (3, 4.0))}
@@ -313,8 +313,8 @@ def oracle_cases():
     wall = indicator_set(H.grid, (4.0, 4.0), 1.2).indices
     H = restrict_dirichlet(H, np.setdiff1d(np.arange(H.n), wall))
     cases["landau-hole"] = (
-        H, indicator_set(H.grid, (2.5, 2.5), 1.5, mask=H.mask).indices,
-        indicator_set(H.grid, (5.5, 5.0), 1.5, mask=H.mask).indices)
+        H, indicator_set(H.grid, (2.5, 2.5), 1.5).indices,
+        indicator_set(H.grid, (5.5, 5.0), 1.5).indices)
     return cases
 
 
@@ -347,7 +347,10 @@ class TestBandedOracle:
         (H, X, Y), z = CASES[op], SHIFTS[shift]
         got = block_norm_oracle(H, z, X, Y)
         if isinstance(H, DiscreteHamiltonian):
-            A, rows, cols = H.dense(), H.local_indices(X), H.local_indices(Y)
+            # rows by np.isin, not by the set_rows rule under test
+            A = H.dense()
+            rows = np.flatnonzero(np.isin(H.mask, X))
+            cols = np.flatnonzero(np.isin(H.mask, Y))
         else:
             A, rows, cols = H, X, Y
         z = z.z if isinstance(z, SpectralShift) else z
