@@ -18,7 +18,6 @@ from .criterion import (
     criterion_factor,
     estimate_raw_boundary_moment,
     fit_exponential_decay,
-    moment_bound,
     verify_criterion_consistency,
 )
 from .errors import (
@@ -40,7 +39,6 @@ from .model import (
     GridSpec,
     LandauGauge,
     ModelConfig,
-    OneSiteModel,
     SingleSiteProfile,
     disorder_law,
     ground_energy,
@@ -92,7 +90,6 @@ __all__ = [
     "ModifiedDistance",
     "MomentEstimate",
     "NumericalError",
-    "OneSiteModel",
     "ResultRecord",
     "ShiftedSolver",
     "SingleSiteProfile",
@@ -116,7 +113,6 @@ __all__ = [
     "ladder_moments",
     "load_config",
     "localization_center",
-    "moment_bound",
     "oracle_compare",
     "parse_config",
     "read_records",

@@ -290,7 +290,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, FracmomError) as exc:
+    except FracmomError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -116,7 +116,7 @@ def _build_background(block, d):
                 f"model.background.gauge: landau gauge needs a 2d grid, got {d}d")
         A = LandauGauge(b=float(gauge["b"]))
     V0 = ConstantScalar(v0) if v0 != 0.0 else None
-    return BackgroundFields(A=A, V0=V0, V0_min=min(0.0, v0))
+    return BackgroundFields(A=A, V0=V0)
 
 
 def _build_model(block):

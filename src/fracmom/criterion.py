@@ -83,26 +83,6 @@ class ModifiedDistance:
         return min(direct, self._to_complement(x) + self._to_complement(y))
 
 
-# ---------------------------------------------------------------------------
-# bound envelopes
-# ---------------------------------------------------------------------------
-
-def moment_bound(s, lam, E, E0, d, C_const=1.0):
-    """Envelope for the uniform-in-eps fractional moment bound.
-
-    C_const * (1+lam)^{s(d+2)} / (1-s) * (1+1/lam)^s * (1+|E-E0|)^{s(d+2)}.
-    The overall constant is not pinned down by the method; the caller
-    supplies a convention through C_const.
-    """
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"s must be in (0,1), got {s}")
-    if not lam > 0.0:
-        raise DomainError("lam must be positive")
-    p = s * (d + 2)
-    return (C_const * (1.0 + lam) ** p / (1.0 - s)
-            * (1.0 + 1.0 / lam) ** s * (1.0 + abs(E - E0)) ** p)
-
-
 def _check_criterion_exponent(s):
     if not 0.0 < s < 1.0 / 3.0:
         raise DomainError(f"the criterion needs s in (0, 1/3), got {s}")

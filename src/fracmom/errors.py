@@ -23,10 +23,6 @@ class CoveringError(ConfigError):
     """Single-site bumps leave part of the grid unreachable by disorder."""
 
 
-class DensityError(ConfigError):
-    """Coupling density is not a probability density on [0, 1]."""
-
-
 class DomainError(ConfigError):
     """A geometric precondition failed (ball outside box, layer too thin)."""
 

@@ -24,14 +24,12 @@ from ._blas import single_blas_thread
 from .errors import (
     ConstructionError,
     CoveringError,
-    DensityError,
     DomainError,
     NonConvergenceError,
 )
 
 DENSE_EIG_CAP = 600           # up to this size, the ground energy goes dense
 _GROUND_SHIFT_MARGIN = 0.1    # sigma sits this far below the Gershgorin bound
-_DENSITY_TABLE = 4097         # inverse-CDF table resolution
 _AXIS_TOL = 1e-9              # box-length / spacing commensurability check
 MAX_SITES = 2 ** 20           # largest site lattice a grid may carry
 
@@ -214,12 +212,11 @@ class BackgroundFields:
 
     Both act on an (n, d) array of points at once.  A returns an (n, d)
     array (None means zero); V0 returns an (n,) array of reals (None means
-    zero) and must stay above the declared bound V0_min at every grid point.
+    zero), finite at every grid point and of either sign.
     """
 
     A: Callable | None = None
     V0: Callable | None = None
-    V0_min: float = 0.0
 
 
 def _field_values(fn, q, shape, name):
@@ -279,16 +276,14 @@ def profile_values(profile: SingleSiteProfile, dist) -> np.ndarray:
 
 @dataclass(eq=False)
 class DisorderLaw:
-    """Coupling strength, site lattice and the common density of couplings.
+    """Coupling strength and site lattice of i.i.d. uniform couplings.
 
-    density is "uniform" or a callable pdf on [0, 1]; callables are checked
-    to integrate to 1 within 1e-10 and sampled through an inverse-CDF table.
-    Site coordinates are integers in [0, 2**32), one spawn-key word each.
+    Every site's coupling is uniform on [0, 1).  Site coordinates are
+    integers in [0, 2**32), one spawn-key word each.
     """
 
     lam: float
     sites: np.ndarray
-    density: object = "uniform"
 
     def __post_init__(self):
         if self.lam < 0:
@@ -302,39 +297,15 @@ class DisorderLaw:
             raise ConstructionError(
                 "site coordinates must be below 2**32, one spawn-key word each")
         self.sites = sites
-        self._inv_cdf = None
-        if callable(self.density):
-            self._inv_cdf = _inverse_cdf_table(self.density)
-        elif self.density != "uniform":
-            raise DensityError(f"unsupported density {self.density!r}")
 
 
-def _inverse_cdf_table(pdf):
-    # imported here: scipy.integrate (which loads scipy.optimize) adds
-    # about 12 MiB to every process, and only a callable density needs it
-    import scipy.integrate
-    total, err = scipy.integrate.quad(pdf, 0.0, 1.0, epsabs=1e-12, limit=200)
-    if abs(total - 1.0) > 1e-10:
-        raise DensityError(
-            f"density integrates to {total!r} over [0,1]; must be 1 within 1e-10")
-    xs = np.linspace(0.0, 1.0, _DENSITY_TABLE)
-    vals = np.array([float(pdf(x)) for x in xs])
-    if not np.all(np.isfinite(vals)):
-        raise DensityError("density must be bounded on [0,1]")
-    if vals.min() < 0:
-        raise DensityError("density must be nonnegative on [0,1]")
-    cdf = scipy.integrate.cumulative_trapezoid(vals, xs, initial=0.0)
-    cdf /= cdf[-1]
-    return cdf, xs
-
-
-def disorder_law(lam, grid=None, density="uniform", sites=None) -> DisorderLaw:
+def disorder_law(lam, grid=None, sites=None) -> DisorderLaw:
     """Build a DisorderLaw with sites defaulting to the grid's integer lattice."""
     if sites is None:
         if grid is None:
             raise ConstructionError("either grid or explicit sites required")
         sites = lattice_sites(grid)
-    return DisorderLaw(lam=lam, sites=sites, density=density)
+    return DisorderLaw(lam=lam, sites=sites)
 
 
 @dataclass(eq=False)
@@ -413,11 +384,11 @@ def _mulhilo(b):
 
 
 def sample_couplings(law: DisorderLaw, seed: int) -> DisorderRealization:
-    """Draw one iid coupling per site, a pure function of (seed, site).
+    """Draw one iid uniform coupling per site, a pure function of (seed, site).
 
     Each site gets its own counter-based stream keyed by the site's integer
     coordinates, so the draw does not depend on lattice enumeration order or
-    on which other sites exist.  The uniform of a site is bit for bit
+    on which other sites exist.  The coupling of a site is bit for bit
     Generator(Philox(SeedSequence(seed, spawn_key=site))).random(): word 0
     of the Philox4x64-10 block at counter 1, computed for all sites at once.
     """
@@ -434,12 +405,7 @@ def sample_couplings(law: DisorderLaw, seed: int) -> DisorderRealization:
             key += _PHILOX_W
         hi, lo = _mulhilo(mul)
         mul, xor = hi[::-1] ^ xor ^ key, lo[::-1]
-    uniforms = (mul[0] >> np.uint64(11)) * 2.0 ** -53
-    if law._inv_cdf is None:
-        eta = uniforms
-    else:
-        cdf, xs = law._inv_cdf
-        eta = np.interp(uniforms, cdf, xs)
+    eta = (mul[0] >> np.uint64(11)) * 2.0 ** -53
     return DisorderRealization(seed=seed, sites=law.sites, eta=eta)
 
 
@@ -620,12 +586,6 @@ def assemble_h0(grid: GridSpec, bg: BackgroundFields) -> DiscreteHamiltonian:
     n = len(pts)
     h = grid.h
     v0 = np.zeros(n) if bg.V0 is None else _field_values(bg.V0, pts, (n,), "V0")
-    if np.any(v0 < bg.V0_min - 1e-12):
-        k = int(np.argmin(v0 - bg.V0_min))
-        raise ConstructionError(
-            f"V0({tuple(pts[k].tolist())}) = {v0[k]} below declared "
-            f"V0_min = {bg.V0_min}")
-
     idx = np.arange(n).reshape(grid.shape)
     rows, cols, vals = [], [], []
     any_phase = False
@@ -806,22 +766,3 @@ class ModelConfig:
         state["_h0"] = None  # rebuilt lazily in workers; keeps pickles small
         return state
 
-
-@dataclass(frozen=True)
-class OneSiteModel:
-    """Multiplication by a single uniform coupling: H = [eta].
-
-    The smallest disordered model.  Its fractional moments at z = e + i*0
-    have the closed form E|eta - e|^{-s} = (e^{1-s} + (1-e)^{1-s})/(1-s)
-    for e in (0, 1), which makes it the standard calibration target for
-    the Monte Carlo estimator.
-    """
-
-    def hamiltonian_for_seed(self, seed) -> DiscreteHamiltonian:
-        law = disorder_law(1.0, sites=np.array([[0]]))
-        eta = sample_couplings(law, seed).eta[0]
-        entries = scipy.sparse.csr_matrix(
-            (np.array([eta]), np.array([0]), np.array([0, 1])), shape=(1, 1))
-        grid = GridSpec(d=1, box=(4.0,), h=1.0)
-        return DiscreteHamiltonian(grid=grid, entries=entries,
-                                   mask=np.array([0]))

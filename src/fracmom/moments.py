@@ -19,7 +19,7 @@ from .errors import DomainError, SolveError
 from .model import IndicatorSet
 from .resolvent import ShiftedSolver, SpectralShift
 
-DEFAULT_STABILIZATION_TOL = 0.05
+STABILIZATION_TOL = 0.05  # relative gap of the last two means of a stable scan
 
 
 def sample_seed(master_seed, index):
@@ -32,6 +32,12 @@ def sample_seed(master_seed, index):
 
 def _center_of(sel):
     return tuple(sel.center) if isinstance(sel, IndicatorSet) else None
+
+
+def _check_sample_count(N):
+    # the one rule for every estimate: a standard error needs two samples
+    if N < 2:
+        raise DomainError(f"need N >= 2 for a standard error, got {N}")
 
 
 def _check_exponent(s, diagnostic):
@@ -66,8 +72,7 @@ class MomentEstimate:
 
     def __post_init__(self):
         _check_exponent(self.s, self.diagnostic)
-        if self.N < 1:
-            raise DomainError("need at least one sample")
+        _check_sample_count(self.N)
         if not (self.mean >= 0.0 and self.stderr >= 0.0):
             raise DomainError("mean and stderr must be nonnegative")
 
@@ -92,10 +97,9 @@ class MomentEstimate:
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
-    """Strictly decreasing positive eps values with a stabilization tol."""
+    """Strictly decreasing positive eps values, at least two."""
 
     eps: tuple
-    tol: float = DEFAULT_STABILIZATION_TOL
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps)
@@ -106,8 +110,6 @@ class EpsilonSchedule:
             raise DomainError("all eps must be positive")
         if not all(a > b for a, b in zip(eps, eps[1:])):
             raise DomainError("eps values must be strictly decreasing")
-        if not 0.0 < self.tol:
-            raise DomainError("stabilization tolerance must be positive")
 
     def shifts(self, E):
         return [SpectralShift(E=E, eps=e) for e in self.eps]
@@ -240,12 +242,10 @@ def estimates_from_norms(norms, s, shifts, X=None, Y=None, seed=0,
     if norms.ndim != 2 or norms.shape[1] != len(shifts):
         raise DomainError("norms must be (N, len(shifts))")
     N = norms.shape[0]
+    _check_sample_count(N)
     powers = norms ** s
     means = powers.mean(axis=0)
-    if N >= 2:
-        stderrs = powers.std(axis=0, ddof=1) / np.sqrt(N)
-    else:
-        stderrs = np.zeros(len(shifts))
+    stderrs = powers.std(axis=0, ddof=1) / np.sqrt(N)
     return [
         MomentEstimate(
             s=float(s), shift=shift, x=_center_of(X), y=_center_of(Y),
@@ -257,8 +257,8 @@ def estimates_from_norms(norms, s, shifts, X=None, Y=None, seed=0,
     ]
 
 
-def stability_verdict(means, tol=DEFAULT_STABILIZATION_TOL):
-    """'stable' if the last two means agree to the relative tolerance."""
+def stability_verdict(means):
+    """'stable' if the last two means agree to STABILIZATION_TOL relatively."""
     means = np.asarray(means, dtype=float)
     if means.size < 2:
         raise DomainError("verdict needs at least two means")
@@ -266,7 +266,7 @@ def stability_verdict(means, tol=DEFAULT_STABILIZATION_TOL):
     scale = max(abs(a), abs(b))
     if scale == 0.0:
         return "stable"
-    return "stable" if abs(a - b) < tol * scale else "unstable"
+    return "stable" if abs(a - b) < STABILIZATION_TOL * scale else "unstable"
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +274,7 @@ def stability_verdict(means, tol=DEFAULT_STABILIZATION_TOL):
 # ---------------------------------------------------------------------------
 
 def _check_estimates(s_values, N, diagnostic=False):
-    # before any draw, not after the scan
-    if N < 2:
-        raise DomainError("need N >= 2 for a standard error")
+    _check_sample_count(N)    # before any draw, not after the scan
     for s in s_values:
         _check_exponent(s, diagnostic)
 
@@ -303,7 +301,7 @@ def epsilon_scan(factory, s_values, energies, schedule, X, Y, N, master_seed,
     One scan over every energy's schedule; each (s, E) is folded from its
     own (N, |eps|) block (see estimates_from_norms).  The verdict compares
     the last two means: the scan "stabilized" when they differ by less
-    than the schedule tolerance relatively.  diagnostic=True permits
+    than STABILIZATION_TOL relatively.  diagnostic=True permits
     s = 1.0, as in estimate_fractional_moment.
     """
     if not isinstance(schedule, EpsilonSchedule):
@@ -317,7 +315,7 @@ def epsilon_scan(factory, s_values, energies, schedule, X, Y, N, master_seed,
         ests = estimates_from_norms(norms[:, j:j + n], s, shifts[j:j + n],
                                     X=X, Y=Y, seed=master_seed,
                                     diagnostic=(s == 1.0))
-        verdict = stability_verdict([e.mean for e in ests], tol=schedule.tol)
+        verdict = stability_verdict([e.mean for e in ests])
         return EpsilonScanResult(estimates=tuple(ests), verdict=verdict)
     return [[fold(s, j) for j in range(0, len(shifts), n)] for s in s_values]
 

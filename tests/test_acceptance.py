@@ -41,7 +41,6 @@ from fracmom.model import (
     GridSpec,
     LandauGauge,
     ModelConfig,
-    OneSiteModel,
     SingleSiteProfile,
     disorder_law,
     ground_energy,
@@ -67,6 +66,7 @@ from fracmom.validation import (
     oracle_compare,
     weak_l1_levelset_measure,
 )
+from one_site import OneSiteModel
 
 
 def chain(box, h, lam, u0, r=1.0):

@@ -31,10 +31,38 @@ def test_no_module_imports_another_modules_private_name():
     assert found == []
 
 
+def _names_read(path):
+    """Names a file reads (as a name or an attribute), outside the def or
+    class statement that binds each one."""
+    found = set()
+    for stmt in ast.parse(path.read_text()).body:
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(stmt)
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        found |= names
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # a public name is read by another part of the library, by an
+    # acceptance criterion or by a demo; one that only its own tests call
+    # is not part of what the laboratory computes
+    package = Path(fracmom.__file__).parent
+    root = package.parents[1]
+    files = ([p for p in package.glob("*.py") if p.name != "__init__.py"]
+             + [root / "tests" / "test_acceptance.py"]
+             + sorted((root / "demos").glob("*.py")))
+    read = set().union(*map(_names_read, files))
+    assert [n for n in fracmom.__all__ if n not in read] == []
+
+
 def test_the_command_line_does_not_load_scipy_integrate():
-    # only a callable coupling density needs quadrature, and no document
-    # can express one; csgraph is needed only by an underflowed block norm
-    # or a ladder on a domain, and loading it costs about 1 MiB of RSS
+    # no module imports scipy.integrate, which would load scipy.optimize
+    # and add about 12 MiB to every process; csgraph is needed only by an
+    # underflowed block norm or a ladder on a domain, and loading it costs
+    # about 1 MiB of RSS
     code = ("import sys, fracmom.cli; print([m in sys.modules for m in "
             "('scipy.integrate', 'scipy.sparse.csgraph')])")
     env = dict(os.environ, PYTHONPATH=str(Path(fracmom.__file__).parents[1]))

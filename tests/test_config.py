@@ -149,7 +149,7 @@ def test_gauge_blocks_build_backgrounds():
                                   "gauge": {"kind": "constant",
                                             "value": [0.3]}}
     cfg = parse_config(doc)
-    assert cfg.model.background.V0_min == -0.5
+    assert cfg.model.background.V0.value == -0.5
     doc["model"]["background"] = {"gauge": {"kind": "landau", "b": 0.2}}
     doc["model"]["grid"] = {"d": 2, "box": [8.0, 8.0], "h": 1.0}
     assert parse_config(doc).model.background.A is not None

@@ -14,7 +14,6 @@ from fracmom.criterion import (
     estimate_raw_boundary_moment,
     fit_exponential_decay,
     measure_decay,
-    moment_bound,
     verify_criterion_consistency,
 )
 from fracmom import model
@@ -106,32 +105,6 @@ def test_modified_distance_never_exceeds_euclidean(data):
     d = m.distance(x, y)
     assert d <= np.linalg.norm(np.subtract(x, y)) + 1e-12
     assert d == pytest.approx(m.distance(y, x), abs=0)
-
-
-# ---------------------------------------------------------------------------
-# bound envelope
-
-def test_moment_bound_reference_value():
-    assert moment_bound(0.5, 1.0, E=2.0, E0=2.0, d=1) == pytest.approx(8.0, abs=1e-12)
-
-
-def test_moment_bound_energy_and_coupling_factors():
-    base = moment_bound(0.5, 1.0, 2.0, 2.0, d=1)
-    assert moment_bound(0.5, 1.0, 3.0, 2.0, d=1) == pytest.approx(base * 2 ** 1.5)
-    assert moment_bound(0.5, 1.0, 2.0, 2.0, d=1, C_const=3.0) == pytest.approx(3 * base)
-
-
-def test_moment_bound_diverges_toward_s_one():
-    vals = [moment_bound(s, 1.0, 0.0, 0.0, d=1) for s in (0.9, 0.99, 0.999)]
-    assert vals[0] < vals[1] < vals[2]
-    assert vals[2] > 1e3 * 0.5  # 1/(1-s) dominates
-
-
-def test_moment_bound_gates():
-    with pytest.raises(DomainError):
-        moment_bound(1.0, 1.0, 0.0, 0.0, d=1)
-    with pytest.raises(DomainError):
-        moment_bound(0.5, 0.0, 0.0, 0.0, d=1)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +283,7 @@ def test_raw_boundary_moment_input_checks_precede_any_draw(draws, bad):
 
 def test_raw_boundary_moment_warns_when_unstable():
     cfg = chain_config(60.0, lam=0.0)
-    sch = EpsilonSchedule(eps=(1e-1, 1e-3), tol=1e-9)
+    sch = EpsilonSchedule(eps=(1e-1, 1e-3))
     # the default center reads as plain floats, (30.0,)
     with pytest.warns(RuntimeWarning,
                       match=r"alpha=\(30\.0,\), E=2\.0, s=0\.2 did not "

@@ -11,7 +11,6 @@ from fracmom._blas import openblas_thread_controls, single_blas_thread
 from fracmom.errors import (
     ConstructionError,
     CoveringError,
-    DensityError,
     NonConvergenceError,
 )
 from fracmom import model
@@ -25,7 +24,6 @@ from fracmom.model import (
     GridSpec,
     LandauGauge,
     ModelConfig,
-    OneSiteModel,
     SingleSiteProfile,
     assemble_h0,
     assemble_hamiltonian,
@@ -40,6 +38,7 @@ from fracmom.model import (
     sample_couplings,
 )
 from fracmom.resolvent import ShiftedSolver, SpectralShift
+from one_site import OneSiteModel
 
 import scipy.sparse
 import scipy.sparse.linalg
@@ -156,8 +155,6 @@ def test_nonfinite_background_is_named():
     bad_a = lambda q: np.where(q > 2.0, np.nan, 0.0)
     with pytest.raises(ConstructionError, match=r"A is not finite at point \(2\.5,\)"):
         assemble_h0(g, BackgroundFields(A=bad_a))
-    with pytest.raises(ConstructionError, match=r"V0\(\(1\.0,\)\) = -1\.0 below declared"):
-        assemble_h0(g, BackgroundFields(V0=ConstantScalar(-1.0), V0_min=0.0))
 
 
 def test_per_point_background_is_rejected_by_shape():
@@ -221,12 +218,11 @@ H0_CASES = [
     (GridSpec(d=1, box=(7.0,), h=1.0), BackgroundFields(A=ConstantVector((0.0,)))),
     (GridSpec(d=2, box=(5.0, 4.0), h=0.5), BackgroundFields(A=LandauGauge(0.2))),
     (GridSpec(d=2, box=(5.0, 4.0), h=0.5),
-     BackgroundFields(A=LandauGauge(0.2), V0=ConstantScalar(-3.0), V0_min=-3.0)),
+     BackgroundFields(A=LandauGauge(0.2), V0=ConstantScalar(-3.0))),
     (GridSpec(d=2, box=(3.0, 4.5), h=0.5),
      BackgroundFields(A=ConstantVector((0.4, -0.9)))),
     (GridSpec(d=2, box=(4.0, 4.0), h=0.5),
-     BackgroundFields(A=_swirl, V0=lambda q: q[:, 0] * (q[:, 1] - 2.2),
-                      V0_min=-8.0)),
+     BackgroundFields(A=_swirl, V0=lambda q: q[:, 0] * (q[:, 1] - 2.2))),
     (GridSpec(d=3, box=(2.0, 2.5, 3.0), h=0.5),
      BackgroundFields(A=_swirl, V0=ConstantScalar(0.5))),
     (GridSpec(d=3, box=(2.0, 2.0, 2.0), h=0.5),
@@ -316,19 +312,6 @@ def test_pooled_mean_within_three_sigma():
     assert abs(pool.mean() - 0.5) < 3 * sigma
 
 
-def test_custom_density_sampling_and_validation():
-    g = GridSpec(d=1, box=(999.0,), h=111.0)
-    law = disorder_law(1.0, g, density=lambda x: 2.0 * x)
-    pool = np.concatenate([sample_couplings(law, s).eta for s in range(50)])
-    # mean of 2x density is 2/3, variance 1/18
-    sigma = np.sqrt(1.0 / 18.0 / pool.size)
-    assert abs(pool.mean() - 2.0 / 3.0) < 4 * sigma
-    with pytest.raises(DensityError):
-        disorder_law(1.0, g, density=lambda x: x)  # integrates to 1/2
-    with pytest.raises(DensityError):
-        disorder_law(1.0, g, density=lambda x: 2.0 - 4.0 * x)  # negative part
-
-
 def _per_site_uniforms(seed, sites):
     # the per-site stream the coupling draw must reproduce bit for bit
     return np.array([
@@ -357,16 +340,6 @@ def test_couplings_match_per_site_seed_sequence_draw():
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             pairs += len(sites)
     assert pairs >= 10_000
-
-
-def test_custom_density_draw_maps_the_per_site_uniforms():
-    g = GridSpec(d=2, box=(6.0, 4.0), h=0.5)
-    law = disorder_law(1.0, g, density=lambda x: 2.0 * x)
-    cdf, xs = law._inv_cdf
-    for seed in (0, 9, 2 ** 70 + 1):
-        want = np.interp(_per_site_uniforms(seed, law.sites), cdf, xs)
-        got = sample_couplings(law, seed).eta
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_site_coordinates_beyond_one_spawn_word_rejected():
@@ -627,8 +600,7 @@ def test_shift_matches_sparse_shift(grid, bg, monkeypatch):
 def test_zero_diagonal_keeps_its_slot(grid, A):
     # V0 = -2d/h^2 cancels the kinetic diagonal exactly: the sparse add
     # drops those entries, the stored pattern keeps them as zeros
-    bg = BackgroundFields(A=A, V0=ConstantScalar(-2 * grid.d / grid.h ** 2),
-                          V0_min=-2 * grid.d / grid.h ** 2)
+    bg = BackgroundFields(A=A, V0=ConstantScalar(-2 * grid.d / grid.h ** 2))
     H0 = assemble_h0(grid, bg)
     n = grid.npoints
     assert np.array_equal(H0.entries.indices[H0.diagonal], np.arange(n))
@@ -716,8 +688,7 @@ def landau_box_with_hole():
     lambda: landau_box(7.5),
     # a negative V0 puts the Gershgorin lower bound below zero
     lambda: landau_box(7.5, BackgroundFields(A=LandauGauge(0.2),
-                                             V0=ConstantScalar(-3.0),
-                                             V0_min=-3.0)),
+                                             V0=ConstantScalar(-3.0))),
     lambda: landau_box(7.5, BackgroundFields()),
     landau_box_with_hole,
     # 9 x 9 x 9 = 729 points, a real operator

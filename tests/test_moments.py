@@ -18,7 +18,6 @@ from fracmom.model import (
     GridSpec,
     LandauGauge,
     ModelConfig,
-    OneSiteModel,
     SingleSiteProfile,
     disorder_law,
 )
@@ -36,6 +35,7 @@ from fracmom.moments import (
     stability_verdict,
 )
 from fracmom.resolvent import ShiftedSolver, SpectralShift, indicator_set
+from one_site import OneSiteModel
 
 
 def chain_config(npts=30, lam=2.0, h=0.5):
@@ -86,7 +86,7 @@ def test_estimate_container_validation():
     assert ok.E == 1.0 and ok.eps == 1e-3
     MomentEstimate(s=1.0, shift=z, x=None, y=None, N=3, mean=1.0, stderr=0.1,
                    sample_min=0.5, sample_max=2.0, seed=0, diagnostic=True)
-    for bad in (dict(s=1.0), dict(s=0.0), dict(s=1.2), dict(N=0),
+    for bad in (dict(s=1.0), dict(s=0.0), dict(s=1.2), dict(N=0), dict(N=1),
                 dict(mean=-1.0), dict(stderr=-0.1)):
         kw = dict(s=0.5, shift=z, x=None, y=None, N=3, mean=1.0, stderr=0.1,
                   sample_min=0.5, sample_max=2.0, seed=0)
@@ -108,9 +108,19 @@ def test_stability_verdict():
     assert stability_verdict([5.0, 1.0, 1.01]) == "stable"
     assert stability_verdict([1.0, 2.0]) == "unstable"
     assert stability_verdict([0.0, 0.0]) == "stable"
-    assert stability_verdict([1.0, 1.04], tol=0.05) == "stable"
+    assert stability_verdict([1.0, 1.04]) == "stable"
+    assert stability_verdict([1.0, 1.06]) == "unstable"
     with pytest.raises(DomainError):
         stability_verdict([1.0])
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_fold_refuses_fewer_than_two_rows(rows):
+    # one N >= 2 rule for the fold, the container and the estimators: one
+    # row has no standard error, and 0.0 would read as an exact mean
+    with pytest.raises(DomainError, match="need N >= 2"):
+        estimates_from_norms(np.full((rows, 1), 0.5), 0.5,
+                             [SpectralShift(1.0, 1e-2)])
 
 
 def test_monotone_in_s_on_constant_samples():
