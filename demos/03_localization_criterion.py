@@ -78,7 +78,7 @@ check = verify_criterion_consistency(
     eps=1e-3, N=100, master_seed=2024, x0=(20.0,))
 
 print(f"\nmeasured moment decay over the ladder:")
-for d, m, se in zip(check.distances, check.means, check.stderrs):
+for (d, m), se in zip(check.fit.points, check.fit.stderrs):
     print(f"  dist {d:5.1f}   {m:12.4e} +- {se:.1e}")
 print(f"fit: mu = {check.fit.mu:.4f} per unit, r2 = {check.fit.r2:.4f}")
 print(f"measured / certified = {check.rate_ratio:.1f}x "

@@ -44,13 +44,13 @@ H = config.hamiltonian_for_seed(sample_seed(2024, 0))
 pairs = eigensolve_window(H, window)
 print(f"window ({window.a}, {window.b}): {len(pairs)} eigenpairs "
       f"(count cross-checked against the pivot spectrum count)")
-print(f"\n{'eigenvalue':>12} {'center x':>9} {'decay rate nu':>14} {'r2':>7}")
+print(f"\n{'eigenvalue':>12} {'center x':>9} {'decay rate mu':>14} {'r2':>7}")
 for k in range(len(pairs)):
     psi = pairs.vectors[:, k]
     center = localization_center(psi, grid)
     est = eigenfunction_decay_rate(psi, center, grid)
     print(f"{pairs.eigenvalues[k]:12.4f} {center[0]:9.2f} "
-          f"{est.nu:14.3f} {est.r2:7.3f}")
+          f"{est.mu:14.3f} {est.r2:7.3f}")
 
 # ---------------------------------------------------------------------------
 # the disorder-averaged correlator along a ladder

@@ -123,22 +123,15 @@ def run_criterion(cfg: ExperimentConfig, sink: _Sink, workers):
     sink.emit_csv("criterion")
 
 
-def _add_fit(sink: _Sink, fit, stderrs, **fields):
-    """Record a fit of moment ~ A exp(-mu dist) with its points' stderrs."""
-    sink.add("fit", {**fields, "A": fit.A, "mu": fit.mu, "r2": fit.r2,
-                     "points": [{"dist": d, "mean": m, "stderr": float(se)}
-                                for (d, m), se in zip(fit.points, stderrs)]})
-
-
 def run_decay(cfg: ExperimentConfig, sink: _Sink, workers):
     eps = cfg.eps_schedule[-1]
     shifts = [SpectralShift(E=E, eps=eps) for E in cfg.E_values]
     table = crit.measure_decay(cfg.model, cfg.s_values, shifts, *_ladder(cfg),
                                cfg.N, cfg.master_seed, workers=workers)
     for s, row in zip(cfg.s_values, table):
-        for shift, (fit, ests) in zip(shifts, row):
-            _add_fit(sink, fit, [e.stderr for e in ests],
-                     quantity="moment-decay", s=s, E=shift.E, eps=eps)
+        for shift, (fit, _) in zip(shifts, row):
+            sink.add("fit", {"quantity": "moment-decay", "s": s,
+                             "E": shift.E, "eps": eps, **fit.payload()})
             print(f"decay s={s} E={shift.E}: mu={fit.mu:.4f} r2={fit.r2:.4f}")
     sink.emit_csv("decay")
 
@@ -154,18 +147,16 @@ def run_correlator(cfg: ExperimentConfig, sink: _Sink, workers):
     window = cfg.window
     X, targets, dists = crit.distance_ladder(cfg.model, *_ladder(cfg))
     loc.check_countable(cfg.model.h0())
-    values = np.array(moments.map_samples(
+    means, stderrs = moments.mean_and_stderr(moments.map_samples(
         cfg.model, partial(_correlator_row, window, X, targets), cfg.N,
         cfg.master_seed, workers))
-    means = values.mean(axis=0)
-    stderrs = values.std(axis=0, ddof=1) / np.sqrt(cfg.N)
     for d, m, se in zip(dists, means, stderrs):
         sink.add("correlator", {
             "dist": d, "value": float(m), "stderr": float(se),
             "window_lo": window.a, "window_hi": window.b})
     fit = crit.fit_exponential_decay(list(zip(dists, means)), stderrs=stderrs)
-    _add_fit(sink, fit, stderrs, quantity="correlator-decay",
-             window_lo=window.a, window_hi=window.b)
+    sink.add("fit", {"quantity": "correlator-decay", "window_lo": window.a,
+                     "window_hi": window.b, **fit.payload()})
     print(f"correlator window=({window.a}, {window.b}): "
           f"mu={fit.mu:.4f} r2={fit.r2:.4f}")
     sink.emit_csv("correlator")
@@ -176,8 +167,8 @@ def run_ids(cfg: ExperimentConfig, sink: _Sink, workers):
                             workers=workers)
     vol = cfg.grid.volume
     for E, column in zip(cfg.E_values, counts.T):
-        ids = float(column.mean() / vol)
-        stderr = float(column.std(ddof=1) / np.sqrt(cfg.N) / vol)
+        mean, stderr = moments.mean_and_stderr(column)
+        ids, stderr = float(mean / vol), float(stderr / vol)
         sink.add("ids", {"E": E, "ids": ids, "stderr": stderr, "N": cfg.N})
         print(f"ids E={E}: {ids:.6g} +- {stderr:.2g} per unit volume")
     sink.emit_csv("ids")
@@ -206,11 +197,9 @@ def run_validate(cfg: ExperimentConfig, sink: _Sink, workers):
         T = HSOperator(T=rng.standard_normal((5, 5)))
         rep = weak_l1_levelset_measure(A, T,
                                        t_grid=np.geomspace(1.0, 1e3, 40))
-        ok = (not rep.degenerate and rep.slope is not None
-              and -1.2 <= rep.slope <= -0.8)
-        failures += 0 if ok else 1
+        failures += 0 if rep.passed else 1
         sink.add("validation", {"name": f"weak-l1-{i}", "value": rep.slope,
-                                "passed": ok})
+                                "passed": rep.passed})
     sink.emit_csv("validation")
     print(f"validate: {len(sink.records)} checks, {failures} failures")
     if failures:

@@ -241,12 +241,17 @@ def estimate_raw_boundary_moment(config, s_values, energies, L, schedule, N,
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Log-linear fit moment ~ A exp(-mu * dist)."""
+    """Log-linear fit moment ~ A exp(-mu * dist) of (dist, mean) points.
+
+    stderrs weighted the fit (None: unweighted).  payload() is the body of
+    a `fit` record.
+    """
 
     A: float
     mu: float
     r2: float
     points: tuple
+    stderrs: tuple | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.mu):
@@ -255,8 +260,10 @@ class DecayFit:
             raise DomainError("r2 must lie in [0, 1]")
 
     def payload(self):
+        stderrs = self.stderrs or (None,) * len(self.points)
         return {"A": self.A, "mu": self.mu, "r2": self.r2,
-                "points": [list(p) for p in self.points]}
+                "points": [{"dist": d, "mean": m, "stderr": se}
+                           for (d, m), se in zip(self.points, stderrs)]}
 
 
 def fit_exponential_decay(points, stderrs=None):
@@ -276,15 +283,13 @@ def fit_exponential_decay(points, stderrs=None):
     if np.any(mom <= 0.0):
         raise DomainError("all moments must be positive to take logs")
     logm = np.log(mom)
+    w = np.ones_like(mom)
     if stderrs is not None:
-        w = np.asarray(mom, dtype=float) / np.asarray(stderrs, dtype=float)
-        finite = np.isfinite(w)
-        if not np.any(finite):
-            w = np.ones_like(mom)
-        else:
-            w[~finite] = w[finite].max()
-    else:
-        w = np.ones_like(mom)
+        stderrs = tuple(float(se) for se in stderrs)
+        ratio = mom / np.array(stderrs)
+        finite = np.isfinite(ratio)
+        if np.any(finite):
+            w = np.where(finite, ratio, ratio[finite].max())
     slope, intercept = np.polyfit(dist, logm, 1, w=w)
     fitted = intercept + slope * dist
     wmean = np.average(logm, weights=w ** 2)
@@ -294,7 +299,8 @@ def fit_exponential_decay(points, stderrs=None):
     # steep weighted fits can push exp(intercept) past float range
     amplitude = float(np.exp(min(float(intercept), 709.0)))
     return DecayFit(A=amplitude, mu=float(-slope),
-                    r2=float(min(max(r2, 0.0), 1.0)), points=tuple(pts))
+                    r2=float(min(max(r2, 0.0), 1.0)), points=tuple(pts),
+                    stderrs=stderrs)
 
 
 # ---------------------------------------------------------------------------
@@ -385,30 +391,27 @@ def measure_decay(config, s_values, shifts, x0, ladder, axis, radius, N,
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Decay measured in the large box against a triggered criterion."""
+    """Decay measured in the large box against a triggered criterion.
+
+    The fit holds the rung points and stderrs; its payload is the body
+    of the `fit` record that `decay` writes for the same inputs.
+    """
 
     criterion: CriterionReport
     fit: DecayFit
     rate_ratio: float  # fitted mu over predicted gamma/(2L); recorded only
-    r2_threshold: float
-    distances: tuple
-    means: tuple
-    stderrs: tuple
 
     @property
     def consistent(self):
-        return self.fit.mu > 0.0 and self.fit.r2 >= self.r2_threshold
+        return self.fit.mu > 0.0 and self.fit.r2 >= _CONSISTENCY_R2
 
     def payload(self):
         return {
             "criterion": self.criterion.payload(),
             "fit": self.fit.payload(),
             "rate_ratio": self.rate_ratio,
-            "r2_threshold": self.r2_threshold,
+            "r2_threshold": _CONSISTENCY_R2,
             "consistent": self.consistent,
-            "distances": list(self.distances),
-            "means": list(self.means),
-            "stderrs": list(self.stderrs),
         }
 
 
@@ -428,13 +431,9 @@ def verify_criterion_consistency(config, report, ladder, eps, N, master_seed,
         raise DomainError(
             f"criterion factor {report.factor:.3g} is not < 1; "
             "nothing to verify")
-    [[(fit, ests)]] = measure_decay(
+    [[(fit, _)]] = measure_decay(
         config, [report.s], [SpectralShift(E=report.E, eps=eps)], x0, ladder,
         axis, config.profile.r, N, master_seed, workers=workers)
     return ConsistencyReport(
         criterion=report, fit=fit,
-        rate_ratio=float(fit.mu / report.predicted_rate),
-        r2_threshold=_CONSISTENCY_R2,
-        distances=tuple(d for d, _ in fit.points),
-        means=tuple(e.mean for e in ests),
-        stderrs=tuple(e.stderr for e in ests))
+        rate_ratio=float(fit.mu / report.predicted_rate))

@@ -237,26 +237,14 @@ def localization_center(psi, grid, mask=None):
     return _domain_points(psi, grid, mask)[int(np.argmax(np.abs(psi)))]
 
 
-@dataclass(frozen=True)
-class DecayRateEstimate:
-    nu: float
-    r2: float
-    radii: tuple
-    shell_values: tuple
-
-    def payload(self):
-        return {"nu": self.nu, "r2": self.r2, "radii": list(self.radii),
-                "shell_values": list(self.shell_values)}
-
-
 def eigenfunction_decay_rate(psi, center, grid, mask=None, shell_width=1.0):
-    """Fitted rate nu of ln|psi| decay in shells around the center.
+    """DecayFit of ln|psi| in shells around the center; mu is the rate.
 
     Shells of one positive width step out from the center; each
-    contributes its max |psi| at the radius where that max sits.  The
-    outer _EXCLUDE_OUTER fraction of radii is excluded as
-    boundary-contaminated, and empty or zero shells are dropped.  Needs
-    three usable shells.
+    contributes its max |psi| at the radius where that max sits, as one
+    (radius, |psi|) point.  The outer _EXCLUDE_OUTER fraction of radii is
+    excluded as boundary-contaminated, and empty or zero shells are
+    dropped.  Needs three usable shells.
     """
     if not (np.isfinite(shell_width) and shell_width > 0.0):
         raise DomainError(
@@ -269,7 +257,7 @@ def eigenfunction_decay_rate(psi, center, grid, mask=None, shell_width=1.0):
     dist = np.linalg.norm(pts - center, axis=1)
     rmax = dist.max() * (1.0 - _EXCLUDE_OUTER)
     mod = np.abs(psi)
-    radii, values = [], []
+    points = []
     edge = 0.0
     while edge < rmax:
         sel = (dist >= edge) & (dist < edge + shell_width)
@@ -279,14 +267,11 @@ def eigenfunction_decay_rate(psi, center, grid, mask=None, shell_width=1.0):
         k = np.argmax(mod[sel])
         if mod[sel][k] <= 0.0 or dist[sel][k] > rmax:
             continue
-        radii.append(float(dist[sel][k]))
-        values.append(float(mod[sel][k]))
-    if len(radii) < 3:
+        points.append((float(dist[sel][k]), float(mod[sel][k])))
+    if len(points) < 3:
         raise DomainError(
-            f"only {len(radii)} usable shells; need at least 3")
-    fit = fit_exponential_decay(list(zip(radii, values)))
-    return DecayRateEstimate(nu=fit.mu, r2=fit.r2, radii=tuple(radii),
-                             shell_values=tuple(values))
+            f"only {len(points)} usable shells; need at least 3")
+    return fit_exponential_decay(points)
 
 
 # ---------------------------------------------------------------------------

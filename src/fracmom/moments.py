@@ -40,6 +40,18 @@ def _check_sample_count(N):
         raise DomainError(f"need N >= 2 for a standard error, got {N}")
 
 
+def mean_and_stderr(samples):
+    """Sample mean and standard error down axis 0: the one Monte Carlo fold.
+
+    The bits depend on the shape: numpy sums an (N,) or (N, 1) array
+    pairwise but the columns of a wider one row by row.
+    """
+    samples = np.asarray(samples)
+    N = samples.shape[0]
+    _check_sample_count(N)
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / np.sqrt(N)
+
+
 def _check_exponent(s, diagnostic):
     if not (0.0 < s < 1.0 or (s == 1.0 and diagnostic)):
         raise DomainError(
@@ -233,23 +245,19 @@ def estimates_from_norms(norms, s, shifts, X=None, Y=None, seed=0,
                          diagnostic=False):
     """Fold a norm scan into per-shift MomentEstimates at exponent s.
 
-    The bits depend on the block's width: numpy's axis-0 mean and std sum
-    an (N, 1) array pairwise but the columns of a wider one row by row.
-    So fold each record from a block of the shape it has on its own:
+    The bits depend on the block's width (see mean_and_stderr), so fold
+    each record from a block of the shape it has on its own:
     (N, 1) per moment, (N, |eps|) per eps scan, (N, |ladder|) per ladder.
     """
     norms = np.asarray(norms, dtype=float)
     if norms.ndim != 2 or norms.shape[1] != len(shifts):
         raise DomainError("norms must be (N, len(shifts))")
-    N = norms.shape[0]
-    _check_sample_count(N)
     powers = norms ** s
-    means = powers.mean(axis=0)
-    stderrs = powers.std(axis=0, ddof=1) / np.sqrt(N)
+    means, stderrs = mean_and_stderr(powers)
     return [
         MomentEstimate(
             s=float(s), shift=shift, x=_center_of(X), y=_center_of(Y),
-            N=N, mean=float(means[k]), stderr=float(stderrs[k]),
+            N=len(norms), mean=float(means[k]), stderr=float(stderrs[k]),
             sample_min=float(powers[:, k].min()),
             sample_max=float(powers[:, k].max()),
             seed=int(seed), diagnostic=diagnostic)
@@ -344,5 +352,5 @@ def holder_modulus(factory, s, z1, z2, X, Y, N, master_seed, workers=None):
         raise DomainError("z1 = z2 leaves the modulus undefined")
     _check_estimates([s], N)
     norms = scan_norms(factory, [z1, z2], X, Y, N, master_seed, workers)
-    m1, m2 = (norms ** s).mean(axis=0)
+    (m1, m2), _ = mean_and_stderr(norms ** s)
     return float(abs(m1 - m2) / abs(z1.z - z2.z) ** s)

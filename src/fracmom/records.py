@@ -36,7 +36,10 @@ PLOT_COLUMNS = {
 
 
 def jsonify(value):
-    """Recursively coerce numpy scalars and sequences to JSON-native types."""
+    """Recursively coerce numpy scalars and sequences to JSON-native types.
+
+    inf and nan are refused: json would write them as Infinity and NaN.
+    """
     if isinstance(value, dict):
         return {str(k): jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -47,7 +50,7 @@ def jsonify(value):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, (float, np.floating)) and np.isfinite(value):
         return float(value)
     if value is None or isinstance(value, str):
         return value

@@ -354,7 +354,7 @@ def test_criterion_07_correlator_cross_check():
         for k in range(len(pairs)):
             psi = pairs.vectors[:, k]
             center = localization_center(psi, cfg.grid)
-            nus.append(eigenfunction_decay_rate(psi, center, cfg.grid).nu)
+            nus.append(eigenfunction_decay_rate(psi, center, cfg.grid).mu)
     acc /= N
     fit = fit_exponential_decay(list(zip(ladder, acc)))
 

@@ -31,6 +31,18 @@ def test_no_module_imports_another_modules_private_name():
     assert found == []
 
 
+def test_the_command_line_folds_no_samples():
+    # every statistic a record carries comes from the library, so cli.py
+    # calls no mean or std of its own
+    cli = Path(fracmom.__file__).parent / "cli.py"
+    found = [f"cli.py:{node.lineno}: .{node.func.attr}("
+             for node in ast.walk(ast.parse(cli.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("mean", "std")]
+    assert found == []
+
+
 def _names_read(path):
     """Names a file reads (as a name or an attribute), outside the def or
     class statement that binds each one."""

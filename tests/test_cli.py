@@ -22,12 +22,19 @@ from fracmom.criterion import (
     verify_criterion_consistency,
 )
 from fracmom.errors import ConfigError, NumericalError
+from fracmom.localization import (
+    correlator_from_pairs,
+    eigensolve_window,
+    ids_counts,
+)
 from fracmom.model import ground_energy
 from fracmom.moments import (
     EpsilonSchedule,
     epsilon_scan,
     estimate_fractional_moment,
     estimates_from_norms,
+    map_samples,
+    mean_and_stderr,
     scan_pair_norms,
 )
 from fracmom.presets import PRESETS, get_preset, preset_names
@@ -331,11 +338,44 @@ def test_cli_moments_match_standalone_estimates_bytewise(tmp_path):
         fit = fit_exponential_decay(
             [(d, e.mean) for d, e in zip(dists, ests)],
             stderrs=[e.stderr for e in ests])
+        fields = {"quantity": "moment-decay", "s": p["s"], "E": p["E"],
+                  "eps": p["eps"]}
         assert dumps(p) == dumps({
-            "quantity": "moment-decay", "s": p["s"], "E": p["E"],
-            "eps": p["eps"], "A": fit.A, "mu": fit.mu, "r2": fit.r2,
+            **fields, "A": fit.A, "mu": fit.mu, "r2": fit.r2,
             "points": [{"dist": d, "mean": e.mean, "stderr": e.stderr}
                        for d, e in zip(dists, ests)]})
+        assert dumps(p) == dumps({**fields, **fit.payload()})
+
+    assert cli.main(["correlator", "--config", str(path),
+                     "--out", str(tmp_path / "correlator")]) == 0
+    records = read_records(tmp_path / "correlator" / "records.jsonl")
+    window = cfg.window
+
+    def rung_values(H):
+        pairs = eigensolve_window(H, window)
+        return [correlator_from_pairs(pairs, H, X, Y) for Y in targets]
+    means, stderrs = mean_and_stderr(np.array(map_samples(
+        cfg.model, rung_values, cfg.N, cfg.master_seed)))
+    bounds = {"window_lo": window.a, "window_hi": window.b}
+    fit = fit_exponential_decay(list(zip(dists, means)), stderrs=stderrs)
+    expected = [{"dist": d, "value": float(m), "stderr": float(se), **bounds}
+                for d, m, se in zip(dists, means, stderrs)]
+    expected.append({"quantity": "correlator-decay", **bounds,
+                     **fit.payload()})
+    assert [r.kind for r in records] == ["correlator"] * len(dists) + ["fit"]
+    assert [dumps(r.payload) for r in records] == [dumps(p) for p in expected]
+
+    assert cli.main(["ids", "--config", str(path),
+                     "--out", str(tmp_path / "ids")]) == 0
+    records = read_records(tmp_path / "ids" / "records.jsonl")
+    counts = ids_counts(cfg.model, cfg.E_values, cfg.N, cfg.master_seed)
+    vol = cfg.grid.volume
+    expected = []
+    for E, column in zip(cfg.E_values, counts.T):
+        mean, stderr = mean_and_stderr(column)
+        expected.append({"E": E, "ids": float(mean / vol),
+                         "stderr": float(stderr / vol), "N": cfg.N})
+    assert [dumps(r.payload) for r in records] == [dumps(p) for p in expected]
 
     doc = criterion_doc(tmp_path / "results")
     doc["run"].update(E=[1.0, 2.0], L=[26.0, 27.0])
@@ -353,6 +393,21 @@ def test_cli_moments_match_standalone_estimates_bytewise(tmp_path):
             EpsilonSchedule(cfg.eps_schedule), cfg.N, cfg.master_seed)[0, 0]
         report = criterion_factor(p["s"], cfg.lam, p["E"], E0, p["L"], 1, raw)
         assert dumps(p) == dumps(report.payload())
+
+
+def test_criterion_with_an_infinite_factor_exits_2_and_writes_nothing(
+        tmp_path, capsys):
+    # M_const = 1e308 overflows the prefactor: json would write the factor
+    # as Infinity, which is not JSON and which load_config refuses
+    doc = criterion_doc(tmp_path / "results")
+    doc["model"]["grid"].update(box=[64.0], h=0.5)
+    doc["model"]["law"]["lam"] = 4.0
+    doc["run"].update(s=[0.2], E=[0.5], L=[26.0], N=4)
+    doc["constants"] = {"M_const": 1e308}
+    assert cli.main(["criterion", "--config",
+                     str(write_config(tmp_path, doc))]) == 2
+    assert "inf is not JSON-representable" in capsys.readouterr().err
+    assert not (tmp_path / "results" / "records.jsonl").exists()
 
 
 def landau_doc(out_dir):
@@ -472,10 +527,11 @@ def test_decay_abscissa_is_the_modified_distance(tmp_path):
     check = verify_criterion_consistency(
         cfg.model, report, cfg.ladder, eps=cfg.eps_schedule[-1], N=cfg.N,
         master_seed=cfg.master_seed, x0=cfg.x0)
-    assert (p["A"], p["mu"], p["r2"]) == (check.fit.A, check.fit.mu,
-                                          check.fit.r2)
-    assert [(pt["dist"], pt["mean"], pt["stderr"]) for pt in p["points"]] == \
-        list(zip(check.distances, check.means, check.stderrs))
+    # the consistency check's fit is the decay record's body
+    body = {k: v for k, v in p.items()
+            if k not in ("quantity", "s", "E", "eps")}
+    assert dumps(body) == dumps(check.payload()["fit"])
+    assert dumps(body) == dumps(check.fit.payload())
 
 
 def test_decay_runs_from_an_off_grid_x0(tmp_path):
@@ -699,11 +755,12 @@ def test_validate_raises_on_recorded_failures(tmp_path, monkeypatch):
     sink = cli._Sink(cfg, tmp_path / "out")
     monkeypatch.setattr(
         cli, "oracle_compare",
-        lambda *a, **k: OracleComparison(sparse_norm=1.0, dense_norm=2.0,
-                                         rel_diff=0.5, tol=1e-8))
+        lambda *a, **k: OracleComparison(sparse_norm=1.0, oracle_norm=2.0,
+                                         rel_diff=0.5))
     monkeypatch.setattr(
         cli, "weak_l1_levelset_measure",
-        lambda *a, **k: SimpleNamespace(degenerate=False, slope=-1.0))
+        lambda *a, **k: SimpleNamespace(degenerate=False, slope=-1.0,
+                                        passed=True))
     with pytest.raises(NumericalError, match="3 failures"):
         cli.run_validate(cfg, sink, None)
 

@@ -359,10 +359,12 @@ def test_consistency_positive_path_strong_disorder():
     assert out.fit.mu > 0.0
     assert out.fit.r2 >= 0.5
     assert np.isfinite(out.rate_ratio) and out.rate_ratio > 0.0
-    assert out.distances == (2.0, 3.0, 4.0)  # deep pairs: euclidean metric
+    # deep pairs: euclidean metric
+    assert [d for d, _ in out.fit.points] == [2.0, 3.0, 4.0]
     p = out.payload()
     assert p["consistent"] == out.consistent
-    assert len(p["means"]) == 3 and len(p["stderrs"]) == 3
+    assert [pt["dist"] for pt in p["fit"]["points"]] == [2.0, 3.0, 4.0]
+    assert all(pt["stderr"] > 0.0 for pt in p["fit"]["points"])
 
 
 def test_distance_ladder_abscissae_see_a_hole():

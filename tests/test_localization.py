@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 
 from fracmom.errors import DomainError, NumericalError
 from fracmom.localization import (
-    DecayRateEstimate,
     EigenPairSet,
     EigenWindow,
     correlator_from_pairs,
@@ -371,7 +370,7 @@ def test_decay_rate_exact_exponential():
     q = grid_points(g).ravel()
     psi = np.exp(-0.5 * np.abs(q - 20.0))
     est = eigenfunction_decay_rate(psi, (20.0,), g)
-    assert est.nu == pytest.approx(0.5, rel=0.02)
+    assert est.mu == pytest.approx(0.5, rel=0.02)
     assert est.r2 > 0.999
 
 
@@ -379,7 +378,7 @@ def test_decay_rate_constant_vector():
     g = GridSpec(d=1, box=(20.0,), h=0.5)
     psi = np.ones(g.npoints)
     est = eigenfunction_decay_rate(psi, (10.0,), g)
-    assert est.nu == pytest.approx(0.0, abs=1e-12)
+    assert est.mu == pytest.approx(0.0, abs=1e-12)
     assert est.r2 == 0.0
 
 
@@ -404,10 +403,10 @@ def test_decay_rate_refuses_a_shell_width_that_never_reaches_the_edge(width):
 @pytest.mark.parametrize("center", [(10.0,), (3.0,), (10.0, 10.0, 10.0)])
 def test_decay_rate_refuses_a_center_of_the_wrong_dimension(center):
     # a 1-coordinate center used to broadcast over both axes and return
-    # nu = 0.5 for (10.0,) as if it were (10, 10)
+    # mu = 0.5 for (10.0,) as if it were (10, 10)
     g = GridSpec(d=2, box=(40.0, 40.0), h=1.0)  # 39 x 39
     psi = np.exp(-0.5 * np.linalg.norm(grid_points(g) - 10.0, axis=1))
-    assert eigenfunction_decay_rate(psi, (10.0, 10.0), g).nu == \
+    assert eigenfunction_decay_rate(psi, (10.0, 10.0), g).mu == \
         pytest.approx(0.5, rel=0.02)
     with pytest.raises(DomainError, match=r"center has shape .*expected \(2,\)"):
         eigenfunction_decay_rate(psi, center, g)
@@ -419,7 +418,7 @@ def test_decay_rate_on_masked_domain():
     q = grid_points(g).ravel()[mask]
     psi = np.exp(-0.7 * np.abs(q - 17.0))
     est = eigenfunction_decay_rate(psi, (17.0,), g, mask=mask)
-    assert est.nu == pytest.approx(0.7, rel=0.02)
+    assert est.mu == pytest.approx(0.7, rel=0.02)
 
 
 def test_window_eigenfunctions_localized_at_strong_disorder():
@@ -431,7 +430,7 @@ def test_window_eigenfunctions_localized_at_strong_disorder():
         psi = pairs.vectors[:, i]
         c = localization_center(psi, cfg.grid)
         est = eigenfunction_decay_rate(psi, c, cfg.grid)
-        assert est.nu > 0.0
+        assert est.mu > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ def test_jsonify_coerces_numpy_types():
 def test_jsonify_rejects_foreign_objects():
     with pytest.raises(DomainError, match="not JSON-representable"):
         jsonify({"bad": object()})
+
+
+@pytest.mark.parametrize("value", [
+    math.inf, -math.inf, math.nan, np.float64(np.inf), np.float32(np.nan),
+], ids=["inf", "-inf", "nan", "float64-inf", "float32-nan"])
+def test_jsonify_rejects_non_finite_floats(value):
+    # json writes them as Infinity and NaN, which no JSON reader accepts
+    with pytest.raises(DomainError, match="not JSON-representable"):
+        jsonify({"points": [{"mean": value}]})
 
 
 # ---------------------------------------------------------------------------

@@ -501,17 +501,6 @@ class TestWeakL1:
         with pytest.raises(DomainError, match="too small"):
             weak_l1_levelset_measure(A, T, t_grid=[1e-200, 1.0])
 
-    def test_payload_round_trips(self):
-        import json
-        A = DissipativeOperator(X=np.array([[0.2]]), Y=np.array([[0.4]]))
-        T = HSOperator(T=np.array([[1.0]]))
-        rep = weak_l1_levelset_measure(A, T, t_grid=[0.5, 1.0, 2.0])
-        out = json.loads(json.dumps(rep.payload()))
-        assert out == rep.payload()
-        assert out["hs_norm"] == 1.0
-        assert len(out["measures"]) == 3
-        assert "eta_resolution" not in out
-
 
 def _validate_bench(master_seed, index):
     # bench `index` of the 20 that the validate subcommand draws
